@@ -9,6 +9,10 @@
 # per-package coverage floors on the transaction, controller, kernel,
 # elastic-membership, pager, change-data-capture, serving, and client
 # packages.
+# `make rig-test` runs the benchmark rig's own tests (rig/ is a module of its
+# own, outside `go test ./...`); `make check` includes it, so a kernel change
+# that breaks the rig's oracles fails here, before the benchmark does.
+# `make rig W=five_lang_mix SEED=1` runs one benchmark workload end to end.
 # `make fuzz-smoke` runs each native fuzz target briefly — corpora and
 # checked-in crashers also replay on every plain `go test`. `make bench`
 # regenerates the paper experiments and writes a machine-readable summary.
@@ -18,7 +22,7 @@ GO ?= go
 # Coverage floors for the packages the verify tier guards most closely.
 COVER_FLOOR := 70
 
-.PHONY: build test check cover fuzz-smoke fmt bench
+.PHONY: build test check cover fuzz-smoke fmt bench rig rig-test
 
 build:
 	$(GO) build ./...
@@ -52,6 +56,7 @@ check:
 	$(GO) test -race -count=2 -run TestCDCChaos ./internal/cdc
 	$(GO) test -race ./internal/server ./client
 	$(GO) test -race ./...
+	$(MAKE) rig-test
 	$(MAKE) cover
 
 # cover enforces the coverage floors: the transaction manager, kernel
@@ -86,6 +91,17 @@ fuzz-smoke:
 
 bench:
 	$(GO) run ./cmd/mldsbench -json BENCH_10.json
+
+# rig runs one workload of the benchmark BENCHMARK.json declares (see
+# rig/README.md): end-to-end metrics, every reply checked against its oracle.
+W ?= five_lang_mix
+SEED ?= 1
+
+rig:
+	bash rig/run.sh --workload $(W) --seed $(SEED)
+
+rig-test:
+	cd rig && $(GO) test ./...
 
 fmt:
 	gofmt -w .

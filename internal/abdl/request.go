@@ -152,6 +152,14 @@ type Request struct {
 	// MvccEpoch carries the commit epoch of an MVCC-COMMIT or the watermark
 	// of an MVCC-GC. Not expressible in ABDL text.
 	MvccEpoch uint64
+
+	// CacheKey, when set on a RETRIEVE, is its canonical text form — what
+	// String returns — rendered ahead of time. The multi-backend controller
+	// fills it on its own copy of the request before fanning that copy out,
+	// so the backends' result caches share one rendering instead of each
+	// building their own. Anything that copies a request and then changes it
+	// must clear the key. It does not travel over the wire.
+	CacheKey string
 }
 
 // NewInsert builds an INSERT request for the record.

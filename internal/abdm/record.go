@@ -101,7 +101,10 @@ func (r *Record) Attrs() []string {
 	return out
 }
 
-// Clone returns a deep copy of the record.
+// Clone returns a deep copy of the record. A record obtained from the kernel
+// — out of a kdb.Result, a store snapshot or an export — is shared with the
+// store and with every other reader and must be treated as read-only: Clone
+// it before calling Set or Delete.
 func (r *Record) Clone() *Record {
 	cp := &Record{Keywords: make([]Keyword, len(r.Keywords)), Text: r.Text}
 	copy(cp.Keywords, r.Keywords)

@@ -137,9 +137,10 @@ type Database struct {
 	Kernel  *mbds.System
 	Ctrl    *kc.Controller
 
-	reg     *obs.Registry    // the system's metrics registry
-	slow    *obs.SlowLog     // the system's slow-request log
-	plans   *plancache.Cache // the system's shared statement-plan cache
+	reg     *obs.Registry           // the system's metrics registry
+	stmt    map[string]*stmtMetrics // per-language statement metrics, by Lang* name
+	slow    *obs.SlowLog            // the system's slow-request log
+	plans   *plancache.Cache        // the system's shared statement-plan cache
 	tracing bool
 
 	// Live materialized views (CREATE VIEW), keyed by lower-cased name. A nil
@@ -285,6 +286,10 @@ func (s *System) register(db *Database) (*Database, error) {
 		kc.WithMetrics(s.metrics, db.Name),
 		kc.WithLockTimeout(s.cfg.TxnLockTimeout))
 	db.reg = s.metrics
+	db.stmt = make(map[string]*stmtMetrics, len(languages))
+	for _, lang := range languages {
+		db.stmt[lang] = newStmtMetrics(s.metrics, db.Name, lang, s.plans != nil)
+	}
 	db.slow = s.slow
 	db.plans = s.plans
 	db.tracing = s.cfg.Tracing

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"mlds/internal/abdm"
 )
 
 // The cross-model differential test: the same logical database — employees
@@ -306,6 +308,55 @@ func assertAgreement(t *testing.T, drivers []*diffDriver, phase string, payFloor
 	}
 }
 
+// heldRow is one stored row pointer captured before a workload phase, with
+// the content it had then.
+type heldRow struct {
+	lang string
+	id   abdm.RecordID
+	rec  *abdm.Record
+	key  string
+}
+
+// holdRows captures the row pointers every partition of every driver's
+// database hands out (Store.Snapshot shares the store's own records) together
+// with their content keys. It is the first half of the immutability tripwire:
+// stored records are never written to once published, whatever layer a
+// statement comes through.
+func holdRows(t *testing.T, drivers []*diffDriver) []heldRow {
+	t.Helper()
+	var held []heldRow
+	for _, d := range drivers {
+		for pos := 0; ; pos++ {
+			st := d.db.Kernel.Store(pos)
+			if st == nil {
+				break
+			}
+			recs, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sr := range recs {
+				held = append(held, heldRow{lang: d.lang, id: sr.ID, rec: sr.Rec, key: sr.Rec.Key()})
+			}
+		}
+	}
+	return held
+}
+
+// assertRowsUntouched is the second half: after the phase every captured
+// pointer must still read what it read before — an in-place write through any
+// layer (a KMS, the controller, the transaction manager's undo, the store's
+// UPDATE) fails it.
+func assertRowsUntouched(t *testing.T, held []heldRow, phase string) {
+	t.Helper()
+	for _, h := range held {
+		if got := h.rec.Key(); got != h.key {
+			t.Errorf("%s: %s record %d was written in place:\n  before %q\n  after  %q",
+				phase, h.lang, h.id, h.key, got)
+		}
+	}
+}
+
 // TestCrossModelDifferential runs the equivalent load/query/update/delete
 // workload through all five language interfaces and asserts kernel-level
 // agreement after every phase. Run under -race in make check.
@@ -315,21 +366,33 @@ func TestCrossModelDifferential(t *testing.T) {
 
 	emps := []diffEmp{{"Ann", 900}, {"Bob", 700}, {"Cay", 800}, {"Fay", 600}}
 	for _, d := range drivers {
-		for _, e := range emps {
+		// Half the corpus first, so the load phase too runs over held rows.
+		for _, e := range emps[:2] {
+			d.load(t, e)
+		}
+	}
+	held := holdRows(t, drivers)
+	for _, d := range drivers {
+		for _, e := range emps[2:] {
 			d.load(t, e)
 		}
 	}
 	assertAgreement(t, drivers, "after load", 800)
+	assertRowsUntouched(t, held, "load")
 
+	held = holdRows(t, drivers)
 	for _, d := range drivers {
 		d.setPay(t, "Bob", 850)
 	}
 	assertAgreement(t, drivers, "after update", 800)
+	assertRowsUntouched(t, held, "update")
 
+	held = holdRows(t, drivers)
 	for _, d := range drivers {
 		d.del(t, "Fay")
 	}
 	assertAgreement(t, drivers, "after delete", 800)
+	assertRowsUntouched(t, held, "delete")
 
 	want := []string{"Ann=900", "Bob=850", "Cay=800"}
 	for _, d := range drivers {

@@ -51,33 +51,42 @@ func TestCrossModelDifferentialPaged(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		emps = append(emps, diffEmp{fmt.Sprintf("E%03d", i), int64(100 + i)})
 	}
-	for _, drivers := range [][]*diffDriver{memDrivers, pagedDrivers} {
-		for _, d := range drivers {
-			for _, e := range emps {
-				d.load(t, e)
-			}
+	// The immutability tripwire (holdRows / assertRowsUntouched) brackets
+	// every phase on both systems: on the paged one it holds the resident
+	// bodies the stores share and fresh decodes of the paged-out rest.
+	both := append(append([]*diffDriver(nil), memDrivers...), pagedDrivers...)
+	for _, d := range both {
+		for _, e := range emps[:len(emps)/2] {
+			d.load(t, e)
+		}
+	}
+	held := holdRows(t, both)
+	for _, d := range both {
+		for _, e := range emps[len(emps)/2:] {
+			d.load(t, e)
 		}
 	}
 	assertAgreement(t, pagedDrivers, "paged after load", 800)
 	assertPagedMatchesMemory(t, memDrivers, pagedDrivers, "after load")
+	assertRowsUntouched(t, held, "load")
 
-	for _, drivers := range [][]*diffDriver{memDrivers, pagedDrivers} {
-		for _, d := range drivers {
-			d.setPay(t, "Bob", 850)
-			d.setPay(t, "E007", 950)
-		}
+	held = holdRows(t, both)
+	for _, d := range both {
+		d.setPay(t, "Bob", 850)
+		d.setPay(t, "E007", 950)
 	}
 	assertAgreement(t, pagedDrivers, "paged after update", 800)
 	assertPagedMatchesMemory(t, memDrivers, pagedDrivers, "after update")
+	assertRowsUntouched(t, held, "update")
 
-	for _, drivers := range [][]*diffDriver{memDrivers, pagedDrivers} {
-		for _, d := range drivers {
-			d.del(t, "Fay")
-			d.del(t, "E031")
-		}
+	held = holdRows(t, both)
+	for _, d := range both {
+		d.del(t, "Fay")
+		d.del(t, "E031")
 	}
 	assertAgreement(t, pagedDrivers, "paged after delete", 800)
 	assertPagedMatchesMemory(t, memDrivers, pagedDrivers, "after delete")
+	assertRowsUntouched(t, held, "delete")
 
 	// Honesty check: the paged run must really have been larger than RAM.
 	for _, d := range pagedDrivers {

@@ -36,10 +36,46 @@ const (
 	LangABDL   = "abdl"
 )
 
+// languages lists the five language interfaces.
+var languages = [...]string{LangDML, LangDaplex, LangSQL, LangDLI, LangABDL}
+
+// stmtMetrics holds the metric handles every statement of one language on one
+// database charges. They are resolved once, when the database is registered:
+// a registry lookup sorts the labels, renders their signature and takes the
+// family's lock, which is too much to pay per statement.
+type stmtMetrics struct {
+	requests, errors     *obs.Counter
+	seconds              *obs.Histogram
+	planHits, planMisses *obs.Counter // nil (no-op, not exported) with plan caching off
+}
+
+func newStmtMetrics(reg *obs.Registry, db, lang string, planCache bool) *stmtMetrics {
+	dbL, langL := obs.L("db", db), obs.L("language", lang)
+	m := &stmtMetrics{
+		requests: reg.Counter("mlds_session_requests_total",
+			"statements executed through the language interfaces", dbL, langL),
+		errors: reg.Counter("mlds_session_errors_total",
+			"statements that returned an error", dbL, langL),
+		seconds: reg.Histogram("mlds_session_seconds",
+			"wall-clock latency per statement", nil, dbL, langL),
+	}
+	if planCache {
+		m.planHits = reg.Counter("mlds_plan_cache_hits_total",
+			"statements served a cached parse", dbL, langL)
+		m.planMisses = reg.Counter("mlds_plan_cache_misses_total",
+			"statements parsed because no cached plan matched", dbL, langL)
+	}
+	return m
+}
+
 // Outcome is the unified result of one statement through any language
 // interface. The language-specific payload lives in the matching field; the
 // cross-language envelope (timing, trace, rendered display text) is always
 // populated.
+//
+// Any *abdm.Record reachable from an Outcome (Kernel.Records is the common
+// case) is the kernel's own row, shared with the store and with other
+// sessions' results: read-only. Clone before Set.
 type Outcome struct {
 	Language string        // which interface executed the statement
 	Text     string        // the statement, as submitted
@@ -387,18 +423,15 @@ func (db *Database) run(ts *txnState, lang, text string, exec func(ctx context.C
 	}
 	root.End()
 
-	dbL, langL := obs.L("db", db.Name), obs.L("language", lang)
-	db.reg.Counter("mlds_session_requests_total",
-		"statements executed through the language interfaces", dbL, langL).Inc()
+	m := db.stmt[lang]
+	m.requests.Inc()
 	if err != nil {
-		db.reg.Counter("mlds_session_errors_total",
-			"statements that returned an error", dbL, langL).Inc()
+		m.errors.Inc()
 	}
-	db.reg.Histogram("mlds_session_seconds",
-		"wall-clock latency per statement", nil, dbL, langL).Observe(out.Wall.Seconds())
+	m.seconds.Observe(out.Wall.Seconds())
 	if db.slow.Record(obs.SlowEntry{DB: db.Name, Language: lang, Text: text, Wall: out.Wall, Sim: out.Sim}) {
 		db.reg.Counter("mlds_slow_requests_total",
-			"statements at or above the slow threshold", dbL).Inc()
+			"statements at or above the slow threshold", obs.L("db", db.Name)).Inc()
 	}
 	return out, err
 }
@@ -414,27 +447,16 @@ func plan[T any](ctx context.Context, db *Database, lang, text string, parse fun
 	key := plancache.Key(lang, text)
 	if v, ok := db.plans.Get(key); ok {
 		pspan.SetAttr("plan", "hit")
-		db.planCount(lang, true)
+		db.stmt[lang].planHits.Inc()
 		return v.(T), nil
 	}
-	if db.plans != nil {
-		db.planCount(lang, false)
-	}
+	db.stmt[lang].planMisses.Inc()
 	st, err := parse(text)
 	if err != nil {
 		return st, &ParseError{Err: err}
 	}
 	db.plans.Put(key, st)
 	return st, nil
-}
-
-// planCount charges one plan-cache hit or miss to the session metrics.
-func (db *Database) planCount(lang string, hit bool) {
-	name, help := "mlds_plan_cache_misses_total", "statements parsed because no cached plan matched"
-	if hit {
-		name, help = "mlds_plan_cache_hits_total", "statements served a cached parse"
-	}
-	db.reg.Counter(name, help, obs.L("db", db.Name), obs.L("language", lang)).Inc()
 }
 
 // Execute parses and runs one DML statement.

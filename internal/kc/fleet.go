@@ -62,8 +62,12 @@ func (c *Controller) CheckpointFleet(stores []*kdb.Store) (CheckpointInfo, error
 				return
 			}
 		}
+		// The position of the last stamped batch, not jEntries: a batch that
+		// has flushed to the journal but waits behind this barrier to stamp
+		// is counted in jEntries yet absent from every image, and recovery
+		// would skip it as covered.
 		c.mu.Lock()
-		pos, maxKey = c.jEntries, c.jMaxKey
+		pos, maxKey = c.jNoted, c.jMaxKey
 		if int64(c.nextKey) > maxKey {
 			maxKey = int64(c.nextKey)
 		}

@@ -139,7 +139,9 @@ func (c *Controller) ExecCtx(ctx context.Context, req *abdl.Request) (*kdb.Resul
 	}
 	c.mu.Unlock()
 	ctx, span := obs.StartSpan(ctx, "kc.exec")
-	span.SetAttr("abdl", req.String())
+	if span != nil { // untraced requests do not pay for the rendering
+		span.SetAttr("abdl", req.String())
+	}
 	var (
 		res *kdb.Result
 		t   time.Duration
@@ -202,7 +204,9 @@ func (c *Controller) ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]
 	}
 	c.mu.Unlock()
 	ctx, span := obs.StartSpan(ctx, "kc.batch")
-	span.SetAttr("requests", strconv.Itoa(len(reqs)))
+	if span != nil {
+		span.SetAttr("requests", strconv.Itoa(len(reqs)))
+	}
 	var (
 		results []*kdb.Result
 		t       time.Duration

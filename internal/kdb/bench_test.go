@@ -37,6 +37,7 @@ func benchStore(b *testing.B, n int, opts ...Option) *Store {
 }
 
 func BenchmarkStoreInsert(b *testing.B) {
+	b.ReportAllocs()
 	s := benchStore(b, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,6 +55,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 func BenchmarkStoreRetrieveIndexed(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			s := benchStore(b, n)
 			req := abdl.NewRetrieve(abdm.And(
 				abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
@@ -71,6 +73,7 @@ func BenchmarkStoreRetrieveIndexed(b *testing.B) {
 func BenchmarkStoreRetrieveScan(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			s := benchStore(b, n, WithoutIndexes())
 			req := abdl.NewRetrieve(abdm.And(
 				abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
@@ -85,7 +88,51 @@ func BenchmarkStoreRetrieveScan(b *testing.B) {
 	}
 }
 
+// The two benchmarks below put a number on the per-row cost of the read path
+// over a 200-row result (benchStore's CS department of 800 courses): a cache
+// hit, which copies the Result and its slices and shares every row, and a
+// miss that qualifies through the index and projects an explicit target
+// list, which builds one new record per row.
+//
+//	go test -bench Retrieve -benchmem ./internal/kdb
+
+func BenchmarkStoreRetrieveCacheHit(b *testing.B) {
+	b.ReportAllocs()
+	s := benchStore(b, 800)
+	req := abdl.NewRetrieve(abdm.And(
+		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
+	), abdl.AllAttrs)
+	if res, err := s.Exec(req); err != nil || len(res.Records) != 200 {
+		b.Fatalf("warm-up: %d records, err %v; want 200", len(res.Records), err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Exec(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.CacheHits < uint64(b.N) {
+		b.Fatalf("%d hits in %d executions", st.CacheHits, b.N)
+	}
+}
+
+func BenchmarkStoreRetrieveProjected(b *testing.B) {
+	b.ReportAllocs()
+	s := benchStore(b, 800, WithResultCache(0)) // every execution is a miss
+	req := abdl.NewRetrieve(abdm.And(
+		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
+	), "title", "credits")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(req)
+		if err != nil || len(res.Records) != 200 {
+			b.Fatalf("%d records, err %v; want 200", len(res.Records), err)
+		}
+	}
+}
+
 func BenchmarkStoreRetrieveRange(b *testing.B) {
+	b.ReportAllocs()
 	s := benchStore(b, 10000)
 	req := abdl.NewRetrieve(abdm.Query{{
 		{Attr: "credits", Op: abdm.OpGe, Val: abdm.Int(5)},
@@ -99,6 +146,7 @@ func BenchmarkStoreRetrieveRange(b *testing.B) {
 }
 
 func BenchmarkStoreUpdate(b *testing.B) {
+	b.ReportAllocs()
 	s := benchStore(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,6 +160,7 @@ func BenchmarkStoreUpdate(b *testing.B) {
 }
 
 func BenchmarkStoreRetrieveCommon(b *testing.B) {
+	b.ReportAllocs()
 	s := benchStore(b, 10000)
 	req := abdl.NewRetrieveCommon(
 		abdm.And(abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")}),

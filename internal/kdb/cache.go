@@ -1,21 +1,25 @@
 package kdb
 
 import (
+	"slices"
 	"sync"
 
-	"mlds/internal/abdm"
+	"mlds/internal/abdl"
 )
 
 // DefaultCacheSize is the default retrieve-result cache capacity in entries.
 const DefaultCacheSize = 256
 
 // retrieveCache memoises RETRIEVE results keyed by the request's canonical
-// text form. Entries remember the per-file generation counters they were
-// built under; a lookup whose generations no longer match drops the entry.
-// The cache never serves a stale result: every mutation bumps the touched
-// file's generation (and the store-wide one) under the store's write lock
-// before the mutation is visible, and lookups compare generations while
-// holding at least the read lock.
+// text form. A cached result, every hit served from it and the store itself
+// share the same row pointers — stored records are immutable once published
+// (an UPDATE replaces a record, it never writes into one) — so a hit copies
+// the Result and its slices and no row. Entries remember the per-file
+// generation counters they were built under; a lookup whose generations no
+// longer match drops the entry. The cache never serves a stale result: every
+// mutation bumps the touched file's generation (and the store-wide one) under
+// the store's write lock before the mutation is visible, and lookups compare
+// generations while holding at least the read lock.
 type retrieveCache struct {
 	mu  sync.Mutex
 	cap int // ≤ 0 disables the cache
@@ -24,7 +28,7 @@ type retrieveCache struct {
 
 // cacheEntry is one memoised result with its validity snapshot.
 type cacheEntry struct {
-	res   *Result  // private copy; cloned again on every hit
+	res   *Result  // private slices over shared rows; copied again on every hit
 	files []string // files the qualification depended on
 	snap  []uint64 // s.gens[files[i]] at fill time
 	// all marks entries for queries with a conjunction lacking a file
@@ -33,6 +37,24 @@ type cacheEntry struct {
 	// generation instead of per-file counters.
 	all    bool
 	global uint64
+}
+
+// cacheKey returns the result-cache key of a RETRIEVE ("" when the cache is
+// off): the request's canonical text — rendered once by the controller for
+// all backends when it set Request.CacheKey, here otherwise — plus, for a
+// snapshot read, the epoch.
+func (s *Store) cacheKey(req *abdl.Request) string {
+	if s.cache.cap <= 0 {
+		return ""
+	}
+	key := req.CacheKey
+	if key == "" {
+		key = req.String()
+	}
+	if req.SnapEpoch != 0 {
+		key = snapCacheKey(key, req.SnapEpoch)
+	}
+	return key
 }
 
 // cacheLookup returns a copy of the cached result for key if it is still
@@ -102,43 +124,20 @@ func (s *Store) cacheFill(key string, res *Result, deps qualDeps) {
 	s.cache.mu.Unlock()
 }
 
-// cloneResult deep-copies a result so cached state and caller-held results
-// never share mutable structure (Result.Merge mutates its receiver in the
-// multi-backend merge path). Cost and Count copy by value; slices and
-// records are duplicated.
+// cloneResult copies a result and every slice it holds, so the cached state
+// and a caller-held result never share a slice: Result.Merge and DedupByID
+// sort and filter Records, Groups[i].Recs and Affected in place in the
+// multi-backend merge path. The rows themselves are shared, not copied —
+// they are read-only (see StoredRecord).
 func cloneResult(r *Result) *Result {
-	cp := &Result{
-		Op:       r.Op,
-		Count:    r.Count,
-		Cost:     r.Cost,
-		Versions: r.Versions,
+	cp := *r
+	cp.Records = slices.Clone(r.Records)
+	cp.Groups = slices.Clone(r.Groups)
+	for i, g := range cp.Groups {
+		cp.Groups[i].Recs = slices.Clone(g.Recs)
+		cp.Groups[i].Aggs = slices.Clone(g.Aggs)
 	}
-	if r.Records != nil {
-		cp.Records = cloneStored(r.Records)
-	}
-	if r.Groups != nil {
-		cp.Groups = make([]Group, len(r.Groups))
-		for i, g := range r.Groups {
-			cp.Groups[i] = Group{
-				By:   g.By,
-				Recs: cloneStored(g.Recs),
-				Aggs: append([]AggValue(nil), g.Aggs...),
-			}
-		}
-	}
-	if r.Affected != nil {
-		cp.Affected = append([]abdm.RecordID(nil), r.Affected...)
-	}
-	if r.Paths != nil {
-		cp.Paths = append([]string(nil), r.Paths...)
-	}
-	return cp
-}
-
-func cloneStored(in []StoredRecord) []StoredRecord {
-	out := make([]StoredRecord, len(in))
-	for i, sr := range in {
-		out[i] = StoredRecord{ID: sr.ID, Rec: sr.Rec.Clone()}
-	}
-	return out
+	cp.Affected = slices.Clone(r.Affected)
+	cp.Paths = slices.Clone(r.Paths)
+	return &cp
 }

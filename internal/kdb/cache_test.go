@@ -1,7 +1,10 @@
 package kdb
 
 import (
+	"cmp"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -114,41 +117,209 @@ func TestValueKeyBigInt64RoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultCacheHit proves a repeated retrieve is served from the cache and
-// returns an equivalent result with independent record storage.
+// TestResultCacheHit proves a repeated retrieve is served from the cache, and
+// pins the sharing contract of a hit: the Result and its slices are the
+// caller's, the rows are shared with the store and never written to.
 func TestResultCacheHit(t *testing.T) {
 	s := NewStore(testDir(t))
 	loadCourses(t, s, 50)
 	q := fileQuery("course", abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")})
-	req := abdl.NewRetrieve(q, abdl.AllAttrs)
+	req := abdl.NewRetrieve(q, abdl.AllAttrs).WithBy("credits")
+	exec := func() *Result {
+		t.Helper()
+		res, err := s.Exec(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	keys := func(recs []StoredRecord) []string {
+		out := make([]string, len(recs))
+		for i, sr := range recs {
+			out[i] = fmt.Sprintf("%d:%s", sr.ID, sr.Rec.Key())
+		}
+		return out
+	}
 
-	first, err := s.Exec(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := s.Exec(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.CacheHits != 1 {
+	first := exec()
+	second := exec()
+	if st := s.Stats(); st.CacheHits != 1 {
 		t.Fatalf("cache hits = %d, want 1", st.CacheHits)
-	}
-	if len(second.Records) != len(first.Records) {
-		t.Fatalf("cached result has %d records, first had %d", len(second.Records), len(first.Records))
 	}
 	if second.Cost != first.Cost {
 		t.Fatalf("cached cost %+v differs from first %+v", second.Cost, first.Cost)
 	}
-	// Hits must never alias the cached copy: mutating one result's record
-	// must not leak into a later hit.
-	second.Records[0].Rec.Set("dept", abdm.String("tampered"))
-	third, err := s.Exec(req)
-	if err != nil {
+	want := keys(first.Records)
+	if got := keys(second.Records); !slices.Equal(got, want) {
+		t.Fatalf("hit returned %v, first execution %v", got, want)
+	}
+	wantGroups := len(first.Groups)
+
+	// Sorting, merging and dedup-ing a hit rearranges the caller's slices
+	// only: the next hit is untouched.
+	slices.Reverse(second.Records)
+	for i := range second.Groups {
+		slices.Reverse(second.Groups[i].Recs)
+	}
+	second.Merge(first)
+	second.DedupByID()
+	second.Records = second.Records[:1]
+	second.Groups = second.Groups[:1]
+	third := exec()
+	if got := keys(third.Records); !slices.Equal(got, want) {
+		t.Fatalf("hit after a caller rearranged the previous hit: %v, want %v", got, want)
+	}
+	if len(third.Groups) != wantGroups {
+		t.Fatalf("hit has %d groups, want %d", len(third.Groups), wantGroups)
+	}
+	for i, g := range third.Groups {
+		if !slices.IsSortedFunc(g.Recs, func(a, b StoredRecord) int { return cmp.Compare(a.ID, b.ID) }) {
+			t.Fatalf("group %d of a hit is out of key order", i)
+		}
+	}
+
+	// A result held across an UPDATE and a DELETE still reads the old values:
+	// the store replaced the records, it did not write into them.
+	victim, gone := third.Records[0], third.Records[1]
+	oldKey, goneKey := victim.Rec.Key(), gone.Rec.Key()
+	byTitle := func(sr StoredRecord) abdm.Query {
+		title, _ := sr.Rec.Get("title")
+		return fileQuery("course", abdm.Predicate{Attr: "title", Op: abdm.OpEq, Val: title})
+	}
+	if _, err := s.Exec(abdl.NewUpdate(byTitle(victim), abdl.Modifier{Attr: "rating", Val: abdm.Float(9.5)})); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := third.Records[0].Rec.Get("dept"); v.AsString() == "tampered" {
-		t.Fatal("cache hit aliases a previously returned record")
+	if _, err := s.Exec(abdl.NewDelete(byTitle(gone))); err != nil {
+		t.Fatal(err)
+	}
+	if victim.Rec.Key() != oldKey || gone.Rec.Key() != goneKey {
+		t.Fatal("a mutation wrote into a record an earlier result still holds")
+	}
+	if got := keys(third.Records); !slices.Equal(got, want) {
+		t.Fatalf("result held across UPDATE/DELETE changed: %v, want %v", got, want)
+	}
+
+	// Hits after the mutations see the new row and not the deleted one.
+	hitsBefore := s.Stats().CacheHits
+	fresh := exec()
+	again := exec()
+	if s.Stats().CacheHits != hitsBefore+1 {
+		t.Fatalf("retrieves after the mutations: want one miss then one hit")
+	}
+	for _, res := range []*Result{fresh, again} {
+		if len(res.Records) != len(want)-1 {
+			t.Fatalf("after DELETE: %d records, want %d", len(res.Records), len(want)-1)
+		}
+		if res.Records[0].ID != victim.ID {
+			t.Fatalf("first record is %d, want the updated %d", res.Records[0].ID, victim.ID)
+		}
+		if v, _ := res.Records[0].Rec.Get("rating"); v.AsFloat() != 9.5 {
+			t.Fatalf("after UPDATE: rating %v, want 9.5", v)
+		}
+	}
+}
+
+// TestRetrieversHoldResultsAcrossUpdates is the -race tripwire for the
+// immutable-row contract: retrievers keep reading the rows of results they
+// hold — cache hits and misses, live and snapshot reads — while a writer
+// storms UPDATEs over the same keys. A write into a published record is a
+// data race against those reads; a torn row also fails the consistency check
+// (every UPDATE sets credits and rating to the same number).
+func TestRetrieversHoldResultsAcrossUpdates(t *testing.T) {
+	stores := map[string]func(t *testing.T) *Store{
+		"memory": func(t *testing.T) *Store { return NewStore(testDir(t)) },
+		"backed": func(t *testing.T) *Store {
+			s, err := CreateBacked(filepath.Join(t.TempDir(), "kdb.pages"), testDir(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.CloseBacking() })
+			return s
+		},
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			for i := 0; i < 40; i++ {
+				rec := abdm.NewRecord("course",
+					abdm.Keyword{Attr: "title", Val: abdm.String(fmt.Sprintf("Course %03d", i))},
+					abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
+					abdm.Keyword{Attr: "credits", Val: abdm.Int(0)},
+					abdm.Keyword{Attr: "rating", Val: abdm.Float(0)},
+				)
+				if _, err := s.Insert(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			all := fileQuery("course")
+			consistent := func(res *Result) error {
+				for _, sr := range res.Records {
+					c, _ := sr.Rec.Get("credits")
+					r, _ := sr.Rec.Get("rating")
+					if float64(c.AsInt()) != r.AsFloat() {
+						return fmt.Errorf("record %d torn: credits %v, rating %v", sr.ID, c, r)
+					}
+				}
+				return nil
+			}
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					var held []*Result
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						req := abdl.NewRetrieve(all, abdl.AllAttrs)
+						if g%2 == 1 {
+							req.SnapEpoch = 1 + uint64(i%3) // version-chain reads too
+						}
+						res, err := s.Exec(req)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						held = append(held, res)
+						if len(held) > 8 {
+							held = held[1:]
+						}
+						for _, h := range held {
+							if err := consistent(h); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			for round := 1; round <= 150; round++ {
+				req := abdl.NewUpdate(all,
+					abdl.Modifier{Attr: "credits", Val: abdm.Int(int64(round))},
+					abdl.Modifier{Attr: "rating", Val: abdm.Float(float64(round))})
+				if round%2 == 0 {
+					// Every other round goes through the transactional path:
+					// pending versions, then a commit stamp.
+					req.TxnID = uint64(round)
+				}
+				if _, err := s.Exec(req); err != nil {
+					t.Fatal(err)
+				}
+				if req.TxnID != 0 {
+					stamp := &abdl.Request{Kind: abdl.MvccCommit, TxnID: req.TxnID, MvccEpoch: uint64(round)}
+					if _, err := s.Exec(stamp); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
 	}
 }
 

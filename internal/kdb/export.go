@@ -31,7 +31,10 @@ type MigVersion struct {
 }
 
 // MigRecord is one record's exportable state: its live value (nil when the
-// record is currently deleted) plus its full version chain.
+// record is currently deleted) plus its full version chain. The records an
+// export hands out are the source store's own and the ones an import is given
+// become the destination's: read-only on both sides, like the rows of a
+// Result.
 type MigRecord struct {
 	File  string
 	ID    abdm.RecordID
@@ -113,18 +116,12 @@ func (s *Store) ExportSince(since uint64, after abdm.RecordID, limit int) ([]Mig
 				if live, err = s.fetchLocked(id); err != nil {
 					return nil, 0, 0, err
 				}
-				mr.Live = live
-			} else {
-				mr.Live = live.Clone()
 			}
+			mr.Live = live
 			mr.File = liveFile
 		}
 		for _, v := range s.mvcc.chains[file][id] {
-			mv := MigVersion{Epoch: v.epoch, Txn: v.txn}
-			if v.rec != nil {
-				mv.Rec = v.rec.Clone()
-			}
-			mr.Chain = append(mr.Chain, mv)
+			mr.Chain = append(mr.Chain, MigVersion{Epoch: v.epoch, Txn: v.txn, Rec: v.rec})
 		}
 		out = append(out, mr)
 	}
@@ -230,10 +227,7 @@ func (s *Store) ImportPartition(recs []MigRecord) (int, error) {
 		}
 		chain := make([]version, len(mr.Chain))
 		for j, v := range mr.Chain {
-			chain[j] = version{epoch: v.Epoch, txn: v.Txn}
-			if v.Rec != nil {
-				chain[j].rec = v.Rec.Clone()
-			}
+			chain[j] = version{epoch: v.Epoch, txn: v.Txn, rec: v.Rec}
 			if v.Epoch == 0 {
 				s.pendingInc(mr.ID)
 				if v.Txn != 0 {

@@ -2,6 +2,7 @@ package kdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -139,7 +140,7 @@ func (ix *attrIndex) lookupRange(op abdm.Op, bound abdm.Value) (ids []abdm.Recor
 			ids = append(ids, ix.postings[k]...)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, probes
 }
 

@@ -2,6 +2,7 @@ package kdb
 
 import (
 	"fmt"
+	"strconv"
 
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
@@ -10,10 +11,11 @@ import (
 // Multi-version concurrency control.
 //
 // The live maps (Store.files, Store.indexes) remain the authoritative
-// current state, mutated in place under strict 2PL exactly as before. Each
-// record additionally carries a version chain — an append-only history of
-// its values — which is what lock-free snapshot reads (Request.SnapEpoch)
-// resolve against:
+// current state, changed under strict 2PL exactly as before — by replacing a
+// record, never by writing into one, so a chain entry and the live map can
+// hold the same pointer. Each record additionally carries a version chain —
+// an append-only history of its values — which is what lock-free snapshot
+// reads (Request.SnapEpoch) resolve against:
 //
 //   - Every mutation appends a version: the post-image for INSERT/UPDATE, a
 //     nil tombstone for DELETE. A mutation executed under a transaction
@@ -57,7 +59,8 @@ type mvccState struct {
 }
 
 // noteVersion appends one version for a mutation of (file, id). rec is the
-// post-image (cloned here) or nil for a delete. Caller holds the write lock.
+// post-image — the record the store just published, shared with the chain —
+// or nil for a delete. Caller holds the write lock.
 func (s *Store) noteVersion(req *abdl.Request, file string, id abdm.RecordID, rec *abdm.Record) {
 	if req != nil && req.NoVersion {
 		return
@@ -70,12 +73,9 @@ func (s *Store) noteVersion(req *abdl.Request, file string, id abdm.RecordID, re
 		}
 	}
 	s.seedChainLocked(id)
-	v := version{}
+	v := version{rec: rec}
 	if req != nil {
 		v.txn = req.TxnID
-	}
-	if rec != nil {
-		v.rec = rec.Clone()
 	}
 	if v.txn == 0 {
 		// Immediately stamped (bulk load, journal replay): the mutation is
@@ -372,8 +372,8 @@ func (s *Store) snapQualify(q abdm.Query, at uint64, c *Cost) ([]StoredRecord, [
 // snapCacheKey extends the retrieve-cache key with the snapshot epoch, so a
 // snapshot result can never answer a live read (or a read at another epoch)
 // and vice versa.
-func snapCacheKey(req *abdl.Request) string {
-	return fmt.Sprintf("%s @snap=%d", req.String(), req.SnapEpoch)
+func snapCacheKey(key string, epoch uint64) string {
+	return key + " @snap=" + strconv.FormatUint(epoch, 10)
 }
 
 // VersionStats reports the store's MVCC footprint: live version count and

@@ -356,11 +356,7 @@ func (s *Store) applyBacking(id abdm.RecordID, rec *abdm.Record, epoch uint64) {
 		return
 	}
 	if b.fence {
-		var cp *abdm.Record
-		if rec != nil {
-			cp = rec.Clone()
-		}
-		b.deferred = append(b.deferred, backApply{id: id, rec: cp, epoch: epoch})
+		b.deferred = append(b.deferred, backApply{id: id, rec: rec, epoch: epoch})
 		return
 	}
 	s.applyBackingNow(id, rec, epoch)
@@ -467,7 +463,7 @@ func (s *Store) reresidentLocked(id abdm.RecordID, rec *abdm.Record) {
 		return
 	}
 	if s.files[f][id] == nil {
-		s.files[f][id] = rec.Clone()
+		s.files[f][id] = rec
 		s.resident++
 	}
 }

@@ -198,25 +198,7 @@ func (s *Store) InsertWithID(id abdm.RecordID, rec *abdm.Record) error {
 		s.seedID(id)
 	}
 	cp := rec.Clone()
-	file := cp.File()
-	if s.files[file] == nil {
-		s.files[file] = make(map[abdm.RecordID]*abdm.Record)
-	}
-	if s.backing != nil {
-		s.resident++
-	}
-	s.files[file][id] = cp
-	s.fileOf[id] = file
-	if !s.noIndex {
-		for _, kw := range cp.Keywords {
-			ix := s.indexes[kw.Attr]
-			if ix == nil {
-				ix = newAttrIndex()
-				s.indexes[kw.Attr] = ix
-			}
-			ix.add(kw.Val, id)
-		}
-	}
+	s.addLocked(id, cp)
 	s.applyBacking(id, cp, 0)
 	return nil
 }

@@ -11,6 +11,13 @@ import (
 
 // StoredRecord pairs a record with its database key. The database key is
 // what CODASYL currency indicators hold.
+//
+// A *abdm.Record reachable from a StoredRecord the kernel handed out — in a
+// Result, a Snapshot, a GetByID — is read-only. Stored records are immutable
+// once published: the store, its version chains, its result cache and every
+// result ever returned share the same pointers, and an UPDATE installs a
+// modified copy instead of writing into the record. Clone before Set or
+// Delete.
 type StoredRecord struct {
 	ID  abdm.RecordID
 	Rec *abdm.Record
@@ -29,7 +36,9 @@ type Group struct {
 	Aggs []AggValue
 }
 
-// Result is the outcome of executing one ABDL request.
+// Result is the outcome of executing one ABDL request. The Result and its
+// slices belong to the caller, who may sort, filter and merge them; the
+// records the slices point at are shared and read-only (see StoredRecord).
 type Result struct {
 	Op      abdl.Kind
 	Records []StoredRecord // RETRIEVE: qualifying records, projected
@@ -79,7 +88,7 @@ func (r *Result) Merge(o *Result) {
 		}
 	}
 	r.Records = append(r.Records, o.Records...)
-	sort.Slice(r.Records, func(i, j int) bool { return r.Records[i].ID < r.Records[j].ID })
+	sortStoredByID(r.Records)
 	r.Affected = append(r.Affected, o.Affected...)
 	r.Groups = mergeGroups(r.Groups, o.Groups)
 }
@@ -150,7 +159,7 @@ func mergeGroups(a, b []Group) []Group {
 	out := make([]Group, 0, len(order))
 	for _, k := range order {
 		g := byKey[k]
-		sort.Slice(g.Recs, func(i, j int) bool { return g.Recs[i].ID < g.Recs[j].ID })
+		sortStoredByID(g.Recs)
 		out = append(out, *g)
 	}
 	return out

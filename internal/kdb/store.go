@@ -1,7 +1,9 @@
 package kdb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -268,22 +270,19 @@ func (s *Store) Insert(rec *abdm.Record) (abdm.RecordID, error) {
 	if err := s.dir.ValidateRecord(rec); err != nil {
 		return 0, err
 	}
+	rec = rec.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.insertLocked(rec)
+	id := s.nextID()
+	s.addLocked(id, rec)
 	s.noteVersion(nil, rec.File(), id, rec)
 	return id, nil
 }
 
-func (s *Store) insertLocked(rec *abdm.Record) abdm.RecordID {
-	id := s.nextID()
-	s.addLocked(id, rec)
-	return id
-}
-
-// insertForcedLocked stores the record under a caller-chosen database key.
-// Re-inserting an existing key replaces that record, which makes replicated
-// INSERTs idempotent when the controller retries them.
+// insertForcedLocked stores the record under a caller-chosen database key,
+// taking ownership of it like addLocked. Re-inserting an existing key
+// replaces that record, which makes replicated INSERTs idempotent when the
+// controller retries them.
 func (s *Store) insertForcedLocked(id abdm.RecordID, rec *abdm.Record) error {
 	if _, ok := s.fileOf[id]; ok {
 		if err := s.removeByIDLocked(id); err != nil {
@@ -305,9 +304,11 @@ func (s *Store) bumpGen(file string) {
 	s.genAll++
 }
 
+// addLocked publishes rec under id. The store takes ownership: from here on
+// the record is shared with version chains, cached results and every reader,
+// and nobody — the store included — writes to it again.
 func (s *Store) addLocked(id abdm.RecordID, rec *abdm.Record) {
-	cp := rec.Clone()
-	file := cp.File()
+	file := rec.File()
 	s.bumpGen(file)
 	if s.files[file] == nil {
 		s.files[file] = make(map[abdm.RecordID]*abdm.Record)
@@ -317,10 +318,10 @@ func (s *Store) addLocked(id abdm.RecordID, rec *abdm.Record) {
 			s.resident++
 		}
 	}
-	s.files[file][id] = cp
+	s.files[file][id] = rec
 	s.fileOf[id] = file
 	if !s.noIndex {
-		for _, kw := range cp.Keywords {
+		for _, kw := range rec.Keywords {
 			ix := s.indexes[kw.Attr]
 			if ix == nil {
 				ix = newAttrIndex()
@@ -335,17 +336,21 @@ func (s *Store) execInsert(req *abdl.Request) (*Result, error) {
 	if err := s.dir.ValidateRecord(req.Record); err != nil {
 		return nil, err
 	}
+	// The one copy an INSERT makes: the caller keeps its record, the store
+	// owns this one.
+	rec := req.Record.Clone()
 	s.mu.Lock()
 	id := req.ForceID
 	if id != 0 {
-		if err := s.insertForcedLocked(id, req.Record); err != nil {
+		if err := s.insertForcedLocked(id, rec); err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
 	} else {
-		id = s.insertLocked(req.Record)
+		id = s.nextID()
+		s.addLocked(id, rec)
 	}
-	s.noteVersion(req, req.Record.File(), id, req.Record)
+	s.noteVersion(req, rec.File(), id, rec)
 	s.mu.Unlock()
 	res := &Result{Op: abdl.Insert, Count: 1, Affected: []abdm.RecordID{id}}
 	res.Cost = Cost{FilesTouched: 1, BlocksWrit: 1, DirProbes: len(req.Record.Keywords)}
@@ -353,7 +358,8 @@ func (s *Store) execInsert(req *abdl.Request) (*Result, error) {
 }
 
 // GetByID returns the stored record with the given database key, paging the
-// body in from the backing heap when it is not resident.
+// body in from the backing heap when it is not resident. The record is the
+// store's own: read-only, like the rows of a Result.
 func (s *Store) GetByID(id abdm.RecordID) (*abdm.Record, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -369,7 +375,7 @@ func (s *Store) GetByID(id abdm.RecordID) (*abdm.Record, bool) {
 		}
 		return fetched, true
 	}
-	return rec.Clone(), true
+	return rec, true
 }
 
 // fetchLocked pages one non-resident record body in from the backing heap.
@@ -422,11 +428,8 @@ func (s *Store) fetchEach(ids []abdm.RecordID, fn func(id abdm.RecordID, rec *ab
 		}
 		prs = append(prs, pinned{id, rid})
 	}
-	sort.Slice(prs, func(i, j int) bool {
-		if prs[i].rid.Page != prs[j].rid.Page {
-			return prs[i].rid.Page < prs[j].rid.Page
-		}
-		return prs[i].rid.Slot < prs[j].rid.Slot
+	slices.SortFunc(prs, func(a, b pinned) int {
+		return cmp.Or(cmp.Compare(a.rid.Page, b.rid.Page), cmp.Compare(a.rid.Slot, b.rid.Slot))
 	})
 	rids := make([]pager.RID, len(prs))
 	for i := range prs {
@@ -525,7 +528,7 @@ func (s *Store) qualify(q abdm.Query, c *Cost) ([]StoredRecord, []string, qualDe
 
 // sortStoredByID orders records by database key, the canonical result order.
 func sortStoredByID(recs []StoredRecord) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	slices.SortFunc(recs, func(a, b StoredRecord) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // qualifyConj resolves one conjunction, using the most selective indexable
@@ -743,15 +746,19 @@ func (s *Store) execUpdate(req *abdl.Request) (*Result, error) {
 		file := s.fileOf[sr.ID]
 		s.bumpGen(file)
 		res.Affected = append(res.Affected, sr.ID)
+		// Copy on write: the stored record is shared with version chains,
+		// cached results and readers still holding earlier results, so the
+		// modifiers go to a copy that then replaces it.
+		next := sr.Rec.Clone()
 		for _, m := range req.Mods {
 			if !s.noIndex {
-				if old, ok := sr.Rec.Get(m.Attr); ok {
+				if old, ok := next.Get(m.Attr); ok {
 					if ix := s.indexes[m.Attr]; ix != nil {
 						ix.remove(old, sr.ID)
 					}
 				}
 			}
-			sr.Rec.Set(m.Attr, m.Val)
+			next.Set(m.Attr, m.Val)
 			if !s.noIndex {
 				ix := s.indexes[m.Attr]
 				if ix == nil {
@@ -761,15 +768,13 @@ func (s *Store) execUpdate(req *abdl.Request) (*Result, error) {
 				ix.add(m.Val, sr.ID)
 			}
 		}
-		// A paged body modified through the qualification's decoded copy must
-		// become the live body again: the heap cell no longer matches it.
-		if s.backing != nil {
-			if s.files[file][sr.ID] == nil {
-				s.resident++
-			}
-			s.files[file][sr.ID] = sr.Rec
+		// A paged body becomes resident again with the write: the heap cell no
+		// longer matches it.
+		if s.backing != nil && s.files[file][sr.ID] == nil {
+			s.resident++
 		}
-		s.noteVersion(req, file, sr.ID, sr.Rec)
+		s.files[file][sr.ID] = next
+		s.noteVersion(req, file, sr.ID, next)
 	}
 	res.Count = len(targets)
 	res.Cost.BlocksWrit += s.disk.blocks(len(targets))
@@ -782,10 +787,7 @@ func (s *Store) execRetrieve(req *abdl.Request) (*Result, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	key := req.String()
-	if req.SnapEpoch != 0 {
-		key = snapCacheKey(req)
-	}
+	key := s.cacheKey(req)
 	if hit, ok := s.cacheLookup(key); ok {
 		s.stats.cacheHits.Add(1)
 		return hit, nil
@@ -825,8 +827,9 @@ func (s *Store) execRetrieve(req *abdl.Request) (*Result, error) {
 	return res, nil
 }
 
-// project returns a copy of rec restricted to the target attributes;
-// AllAttrs (or an empty list) keeps everything.
+// project returns rec restricted to the target attributes: a new record for
+// an explicit attribute list, rec itself — shared, read-only — for AllAttrs,
+// an aggregate or an empty list, which keep everything.
 func project(rec *abdm.Record, target []abdl.TargetItem) *abdm.Record {
 	all := len(target) == 0
 	for _, t := range target {
@@ -835,7 +838,7 @@ func project(rec *abdm.Record, target []abdl.TargetItem) *abdm.Record {
 		}
 	}
 	if all {
-		return rec.Clone()
+		return rec
 	}
 	out := &abdm.Record{Text: rec.Text}
 	for _, t := range target {
@@ -885,7 +888,8 @@ func (s *Store) Files() []string {
 }
 
 // Snapshot returns every stored record ordered by ID, for persistence and
-// repartitioning, paging non-resident bodies in from the backing heap.
+// repartitioning, paging non-resident bodies in from the backing heap. The
+// records are the store's own: read-only, like the rows of a Result.
 func (s *Store) Snapshot() ([]StoredRecord, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -897,7 +901,7 @@ func (s *Store) Snapshot() ([]StoredRecord, error) {
 			misses = append(misses, id)
 			continue
 		}
-		out = append(out, StoredRecord{ID: id, Rec: rec.Clone()})
+		out = append(out, StoredRecord{ID: id, Rec: rec})
 	}
 	if err := s.fetchEach(misses, func(id abdm.RecordID, rec *abdm.Record) error {
 		out = append(out, StoredRecord{ID: id, Rec: rec})
@@ -905,6 +909,6 @@ func (s *Store) Snapshot() ([]StoredRecord, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sortStoredByID(out)
 	return out, nil
 }

@@ -43,7 +43,9 @@ func (s *System) ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]*kdb
 	defer s.fence.RUnlock()
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "mbds.batch")
-	span.SetAttr("requests", strconv.Itoa(len(reqs)))
+	if span != nil {
+		span.SetAttr("requests", strconv.Itoa(len(reqs)))
+	}
 	results, simt, err := s.execBatch(ctx, reqs)
 	if err == nil {
 		for _, req := range reqs {
@@ -126,8 +128,9 @@ func (s *System) execBatch(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Re
 			}
 		default:
 			plan[i] = planBroadcast
+			r := withCacheKey(req)
 			for p := range view {
-				slots[p] = append(slots[p], batchSlot{pos: i, req: req})
+				slots[p] = append(slots[p], batchSlot{pos: i, req: r})
 			}
 		}
 	}
@@ -257,8 +260,10 @@ func (s *System) execBatch(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Re
 // charged with the backend's summed simulated disk time.
 func (s *System) callBackendBatchTraced(ctx context.Context, b *backend, reqs []*abdl.Request) ([]*kdb.Result, error) {
 	_, span := obs.StartSpan(ctx, "backend.batch")
-	span.SetAttr("backend", strconv.Itoa(b.id))
-	span.SetAttr("requests", strconv.Itoa(len(reqs)))
+	if span != nil {
+		span.SetAttr("backend", strconv.Itoa(b.id))
+		span.SetAttr("requests", strconv.Itoa(len(reqs)))
+	}
 	res, err := s.callBackendBatch(b, reqs)
 	if err != nil {
 		span.SetAttr("error", err.Error())

@@ -132,6 +132,7 @@ type System struct {
 	placed   map[abdm.RecordID]*backend // database key -> primary backend
 	closed   atomic.Bool
 	closedCh chan struct{}  // closed by Close; aborts blocked bus operations
+	closeMu  sync.RWMutex   // orders beginOp's opWG.Add before Close's opWG.Wait
 	opWG     sync.WaitGroup // in-flight Exec-family operations
 	metrics  sysMetrics
 
@@ -381,7 +382,10 @@ func (s *System) Fault(i int) *FaultyExecutor { return s.viewSnap()[i].faulty }
 // ErrClosed (or their result, if already in flight); the system must not be
 // used afterwards.
 func (s *System) Close() {
-	if s.closed.Swap(true) {
+	s.closeMu.Lock()
+	already := s.closed.Swap(true)
+	s.closeMu.Unlock()
+	if already {
 		return
 	}
 	close(s.closedCh)
@@ -417,14 +421,12 @@ func (s *System) Close() {
 // beginOp registers an in-flight operation, refusing if the system is
 // closed. Callers must pair it with s.opWG.Done().
 func (s *System) beginOp() error {
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	s.opWG.Add(1)
-	if s.closed.Load() {
-		s.opWG.Done()
-		return ErrClosed
-	}
 	return nil
 }
 
@@ -772,7 +774,7 @@ func (s *System) execInsert(ctx context.Context, req *abdl.Request) (*kdb.Result
 // deduplicates them by database key (degraded mode).
 func (s *System) execBroadcast(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error) {
 	view := s.viewSnap()
-	replies := s.fanout(ctx, view, req)
+	replies := s.fanout(ctx, view, withCacheKey(req))
 	merged := &kdb.Result{Op: req.Kind}
 	var worst time.Duration
 	var firstErr error
@@ -811,6 +813,21 @@ func (s *System) execBroadcast(ctx context.Context, req *abdl.Request) (*kdb.Res
 		s.evictPlaced(merged.Affected)
 	}
 	return merged, 2*s.cfg.MsgLatency + worst, nil
+}
+
+// withCacheKey returns a RETRIEVE carrying its canonical text as
+// Request.CacheKey, so the backends' result caches look it up under one
+// rendering made here instead of one each. The key goes on a copy: the
+// caller's request may be shared (a cached plan), the copy is the
+// controller's until the fan-out shares it read-only. Other kinds pass
+// through.
+func withCacheKey(req *abdl.Request) *abdl.Request {
+	if req.Kind != abdl.Retrieve {
+		return req
+	}
+	cp := *req
+	cp.CacheKey = cp.String()
+	return &cp
 }
 
 // execRetrieveCommon runs the semi-join in two phases: the second query's
@@ -904,7 +921,9 @@ func (s *System) fanout(ctx context.Context, targets []*backend, req *abdl.Reque
 // nil and every span call no-ops.
 func (s *System) callBackendTraced(ctx context.Context, b *backend, req *abdl.Request) (*kdb.Result, error) {
 	_, span := obs.StartSpan(ctx, "backend.exec")
-	span.SetAttr("backend", strconv.Itoa(b.id))
+	if span != nil {
+		span.SetAttr("backend", strconv.Itoa(b.id))
+	}
 	res, err := s.callBackend(b, req)
 	if err != nil {
 		span.SetAttr("error", err.Error())

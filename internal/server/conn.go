@@ -276,14 +276,20 @@ func (s *session) admit() bool {
 }
 
 // worker executes the session's statements in arrival order. It exits on
-// MsgClose (after replying) or when the connection kills the session; both
-// paths close the core session, rolling back any open transaction.
+// MsgClose or when the connection kills the session; both paths close the
+// core session, rolling back any open transaction. A MsgClose is answered
+// only after the session's slot is released, so a client that has its close
+// acknowledged can count on the slot (and on Server.Sessions) at once.
 func (s *session) worker() {
 	defer s.conn.sessWG.Done()
+	var closeAck *wire.Msg
 	defer func() {
 		s.conn.closeSessionWatches(s.sid)
 		_ = s.sess.Close()
 		s.conn.srv.releaseSession(s.db)
+		if closeAck != nil {
+			s.conn.send(closeAck)
+		}
 	}()
 	for {
 		select {
@@ -292,8 +298,7 @@ func (s *session) worker() {
 		case m := <-s.queue:
 			if m.Kind == wire.MsgClose {
 				s.conn.remove(s.sid)
-				s.conn.closeSessionWatches(s.sid)
-				s.conn.send(&wire.Msg{Kind: wire.MsgReply, SID: s.sid, Seq: m.Seq})
+				closeAck = &wire.Msg{Kind: wire.MsgReply, SID: s.sid, Seq: m.Seq}
 				return
 			}
 			start := time.Now()

@@ -394,9 +394,12 @@ func isMutation(k abdl.Kind) bool {
 	return k == abdl.Insert || k == abdl.Delete || k == abdl.Update
 }
 
-// beforeImages retrieves full copies of every record a DELETE or UPDATE will
-// touch. The retrieve runs against the executor directly, below kc, so it
-// appears in no trace and no journal.
+// beforeImages retrieves every record a DELETE or UPDATE will touch, whole.
+// The images are the kernel's own rows, shared and read-only: the mutation
+// that follows replaces the stored record, it does not write into it, so the
+// image still holds the old values when undo re-inserts it. The retrieve runs
+// against the executor directly, below kc, so it appears in no trace and no
+// journal.
 func (m *Manager) beforeImages(ctx context.Context, req *abdl.Request) ([]undoRec, error) {
 	if req.Kind != abdl.Delete && req.Kind != abdl.Update {
 		return nil, nil
@@ -414,7 +417,7 @@ func (m *Manager) beforeImages(ctx context.Context, req *abdl.Request) ([]undoRe
 	}
 	undo := make([]undoRec, 0, len(res.Records))
 	for _, sr := range res.Records {
-		undo = append(undo, undoRec{id: sr.ID, file: sr.Rec.File(), image: sr.Rec.Clone()})
+		undo = append(undo, undoRec{id: sr.ID, file: sr.Rec.File(), image: sr.Rec})
 	}
 	return undo, nil
 }
