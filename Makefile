@@ -86,6 +86,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDDL$$' -fuzztime $(FUZZ_TIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/abdl
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSchema$$' -fuzztime $(FUZZ_TIME) ./internal/daplex
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDML$$' -fuzztime $(FUZZ_TIME) ./internal/daplex
+	$(GO) test -run '^$$' -fuzz '^FuzzParseStmt$$' -fuzztime $(FUZZ_TIME) ./internal/codasyl
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScript$$' -fuzztime $(FUZZ_TIME) ./internal/codasyl
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDLI$$' -fuzztime $(FUZZ_TIME) ./internal/dli
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZ_TIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime $(FUZZ_TIME) ./internal/wire
 

@@ -6,6 +6,7 @@ package mlds
 // cross-model goal (E8–E9), and the design-choice ablations.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -105,19 +106,20 @@ func benchScale(scale int) univgen.Config {
 
 func BenchmarkE5_DMLTranslate(b *testing.B) {
 	db, _, ctrl := benchSession(b, univgen.SmallConfig(), 2)
+	ctx := context.Background()
 	tr := kms.NewFunctional(db.Mapping, db.AB, ctrl)
 	mv, _ := codasyl.ParseStmt("MOVE 'Advanced Database' TO title IN course")
-	if _, err := tr.Exec(mv); err != nil {
+	if _, err := tr.ExecCtx(ctx, mv); err != nil {
 		b.Fatal(err)
 	}
 	find, _ := codasyl.ParseStmt("FIND ANY course USING title IN course")
 	get, _ := codasyl.ParseStmt("GET course")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Exec(find); err != nil {
+		if _, err := tr.ExecCtx(ctx, find); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tr.Exec(get); err != nil {
+		if _, err := tr.ExecCtx(ctx, get); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -171,6 +173,7 @@ func BenchmarkE7_CapacityGrowth(b *testing.B) {
 // BenchmarkE8_CrossModel times the same retrieval through both interfaces.
 func BenchmarkE8_CrossModel(b *testing.B) {
 	db, _, ctrl := benchSession(b, univgen.SmallConfig(), 2)
+	ctx := context.Background()
 	b.Run("daplex", func(b *testing.B) {
 		dap := dapkms.New(db.Mapping, db.AB, ctrl)
 		st, err := daplex.ParseDML("FOR EACH student WHERE major = 'Computer Science' PRINT pname;")
@@ -179,7 +182,7 @@ func BenchmarkE8_CrossModel(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dap.Exec(st); err != nil {
+			if _, err := dap.ExecCtx(ctx, st); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -187,13 +190,13 @@ func BenchmarkE8_CrossModel(b *testing.B) {
 	b.Run("codasyl-dml", func(b *testing.B) {
 		tr := kms.NewFunctional(db.Mapping, db.AB, ctrl)
 		mv, _ := codasyl.ParseStmt("MOVE 'Computer Science' TO major IN student")
-		if _, err := tr.Exec(mv); err != nil {
+		if _, err := tr.ExecCtx(ctx, mv); err != nil {
 			b.Fatal(err)
 		}
 		find, _ := codasyl.ParseStmt("FIND ANY student USING major IN student")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := tr.Exec(find); err != nil {
+			if _, err := tr.ExecCtx(ctx, find); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -204,6 +207,7 @@ func BenchmarkE8_CrossModel(b *testing.B) {
 // one kernel.
 func BenchmarkE9_SharedKernel(b *testing.B) {
 	db, _, ctrl := benchSession(b, univgen.SmallConfig(), 2)
+	ctx := context.Background()
 	dap := dapkms.New(db.Mapping, db.AB, ctrl)
 	tr := kms.NewFunctional(db.Mapping, db.AB, ctrl)
 	let, err := daplex.ParseDML("LET credits OF course WHERE title = 'Advanced Database' BE 9;")
@@ -211,16 +215,16 @@ func BenchmarkE9_SharedKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	mv, _ := codasyl.ParseStmt("MOVE 'Advanced Database' TO title IN course")
-	if _, err := tr.Exec(mv); err != nil {
+	if _, err := tr.ExecCtx(ctx, mv); err != nil {
 		b.Fatal(err)
 	}
 	find, _ := codasyl.ParseStmt("FIND ANY course USING title IN course")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dap.Exec(let); err != nil {
+		if _, err := dap.ExecCtx(ctx, let); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tr.Exec(find); err != nil {
+		if _, err := tr.ExecCtx(ctx, find); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,10 +348,10 @@ func BenchmarkE10_FiveInterfaces(b *testing.B) {
 	if _, err := sys.CreateHierarchical("school", "DBD NAME IS school\nSEGMENT NAME IS dept\n    FIELD dname CHAR 20\n"); err != nil {
 		b.Fatal(err)
 	}
-	dap, _ := sys.OpenDaplex("university")
-	dml, _ := sys.OpenDML("university")
-	sq, _ := sys.OpenSQL("shop")
-	dl, _ := sys.OpenDLI("school")
+	dap, _ := sys.Open("university", "daplex")
+	dml, _ := sys.Open("university", "dml")
+	sq, _ := sys.Open("shop", "sql")
+	dl, _ := sys.Open("school", "dli")
 	if _, err := sq.Execute("INSERT INTO emp (ename, pay) VALUES ('Ann', 1)"); err != nil {
 		b.Fatal(err)
 	}

@@ -159,8 +159,12 @@ func (c *Client) fail(err error) {
 }
 
 // roundTrip sends one request and waits for its reply, the context, or
-// connection death.
+// connection death. A request whose context is already done is never sent,
+// so it never executes on the server.
 func (c *Client) roundTrip(ctx context.Context, m *wire.Msg) (*wire.Msg, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ch := make(chan *wire.Msg, 1)
 	c.mu.Lock()
 	if c.closed || c.err != nil {

@@ -224,6 +224,13 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := sess.ExecuteCtx(ctx, "FOR EACH department PRINT dname;"); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled exec: %v", err)
 	}
+	// A statement cancelled before it is sent never runs on the server.
+	if _, err := sess.ExecuteCtx(ctx, "CREATE department (dname := 'Never');"); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled create: %v", err)
+	}
+	if out, err := sess.ExecuteCtx(context.Background(), "FOR EACH department WHERE dname = 'Never' PRINT dname;"); err != nil || strings.Contains(out.Rendered, "Never") {
+		t.Errorf("canceled create ran: %v, err %v", out, err)
+	}
 	// The connection survives an abandoned request.
 	if _, err := sess.ExecuteCtx(context.Background(), "FOR EACH department PRINT dname;"); err != nil {
 		t.Errorf("exec after canceled request: %v", err)

@@ -63,11 +63,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	dml, err := sys.OpenDML("main")
+	dml, err := sys.Open("main", "dml")
 	if err != nil {
 		fatal(err)
 	}
-	dap, err := sys.OpenDaplex("main")
+	dap, err := sys.Open("main", "daplex")
 	if err != nil {
 		fatal(err)
 	}
@@ -77,12 +77,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		outs, err := dml.RunScript(string(data))
+		outs, err := mlds.RunScript(dml, string(data))
 		for _, out := range outs {
-			for _, req := range out.Requests {
-				fmt.Println("  ->", req)
-			}
-			fmt.Println(mlds.FormatOutcome(out, db.Net))
+			printDML(out)
 		}
 		if err != nil {
 			fatal(err)
@@ -112,7 +109,7 @@ func main() {
 		case line == `\schema`:
 			fmt.Println(db.Net.DDL())
 		case line == `\cit`:
-			fmt.Println(dml.Tr.CIT())
+			fmt.Println(mlds.CIT(dml))
 		case strings.HasPrefix(line, `\daplex `):
 			out, err := dap.Execute(strings.TrimPrefix(line, `\daplex `))
 			if err != nil {
@@ -133,15 +130,20 @@ func main() {
 				fmt.Println("error:", err)
 				continue
 			}
-			// Transaction-control verbs have no DML payload.
-			if out.DML != nil {
-				for _, req := range out.DML.Requests {
-					fmt.Println("  ->", req)
-				}
-			}
-			fmt.Println(out.Rendered)
+			printDML(out)
 		}
 	}
+}
+
+// printDML shows a DML statement's ABDL requests, then its rendering.
+func printDML(out *mlds.Outcome) {
+	// Transaction-control verbs have no DML payload.
+	if out.DML != nil {
+		for _, req := range out.DML.Requests {
+			fmt.Println("  ->", req)
+		}
+	}
+	fmt.Println(out.Rendered)
 }
 
 func fatal(err error) {

@@ -23,11 +23,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dap, err := sys.OpenDaplex("university")
+	dap, err := sys.Open("university", "daplex")
 	if err != nil {
 		log.Fatal(err)
 	}
-	dml, err := sys.OpenDML("university")
+	dml, err := sys.Open("university", "dml")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func main() {
 	fmt.Printf("  DML MODIFY credits := 4 → Daplex sees credits = %s\n", rows.Rows[0].Values["credits"][0])
 }
 
-func mustExec(sess *mlds.DMLSession, stmt string) *mlds.Outcome {
+func mustExec(sess mlds.Session, stmt string) *mlds.Outcome {
 	out, err := sess.Execute(stmt)
 	if err != nil {
 		log.Fatalf("%s: %v", stmt, err)

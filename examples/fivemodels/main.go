@@ -24,7 +24,7 @@ func main() {
 	if _, err := mlds.PopulateUniversity(fdb, mlds.SmallUniversity()); err != nil {
 		log.Fatal(err)
 	}
-	dap, _ := sys.OpenDaplex("university")
+	dap, _ := sys.Open("university", "daplex")
 	rows, err := dap.Execute("FOR EACH department PRINT dname;")
 	if err != nil {
 		log.Fatal(err)
@@ -33,7 +33,7 @@ func main() {
 
 	// 2. Network / CODASYL-DML on the same functional database (the thesis).
 	fmt.Println("\n== network / CODASYL-DML (on the functional database) ==")
-	dml, _ := sys.OpenDML("university")
+	dml, _ := sys.Open("university", "dml")
 	must := func(stmt string) *mlds.Outcome {
 		out, err := dml.Execute(stmt)
 		if err != nil {
@@ -55,7 +55,7 @@ CREATE TABLE emp (
 );`); err != nil {
 		log.Fatal(err)
 	}
-	sqlSess, _ := sys.OpenSQL("shop")
+	sqlSess, _ := sys.Open("shop", "sql")
 	for _, stmt := range []string{
 		"INSERT INTO emp (ename, dept, pay) VALUES ('Ann', 'CS', 900)",
 		"INSERT INTO emp (ename, dept, pay) VALUES ('Bob', 'CS', 800)",
@@ -85,7 +85,7 @@ SEGMENT NAME IS course PARENT IS dept
 `); err != nil {
 		log.Fatal(err)
 	}
-	dliSess, _ := sys.OpenDLI("school")
+	dliSess, _ := sys.Open("school", "dli")
 	for _, call := range []string{
 		"ISRT dept (dname = 'CS')",
 		"ISRT course (title = 'DB')",

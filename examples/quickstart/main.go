@@ -28,7 +28,7 @@ func main() {
 
 	// 1. CODASYL-DML on the functional database: the thesis's contribution.
 	fmt.Println("== CODASYL-DML interface ==")
-	dml, err := sys.OpenDML("university")
+	dml, err := sys.Open("university", "dml")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 
 	// 2. Daplex on the same database.
 	fmt.Println("\n== Daplex interface ==")
-	dap, err := sys.OpenDaplex("university")
+	dap, err := sys.Open("university", "daplex")
 	if err != nil {
 		log.Fatal(err)
 	}

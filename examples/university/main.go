@@ -21,7 +21,7 @@ func main() {
 	if _, err := mlds.PopulateUniversity(db, mlds.SmallUniversity()); err != nil {
 		log.Fatal(err)
 	}
-	dml, err := sys.OpenDML("university")
+	dml, err := sys.Open("university", "dml")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func main() {
 
 	// A PERFORM loop, the thesis's Chapter VI.B.4 shape: list CS students.
 	fmt.Println("\n--- PERFORM loop: Computer Science students ---")
-	outs, err := dml.RunScript(`
+	outs, err := mlds.RunScript(dml, `
 FIND FIRST person WITHIN system_person
 PERFORM UNTIL END-OF-SET
     FIND FIRST student WITHIN person_student

@@ -21,7 +21,7 @@ func TestConcurrentSessionsIsolatedCurrency(t *testing.T) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			sess, err := s.OpenDML("university")
+			sess, err := s.Open("university", "dml")
 			if err != nil {
 				errs <- err
 				return
@@ -49,7 +49,7 @@ func TestConcurrentSessionsIsolatedCurrency(t *testing.T) {
 					errs <- fmt.Errorf("user %d: current drifted to %v", u, got.DML.Values["pname"])
 					return
 				}
-				if sess.Tr.CIT().RunUnit.Key != myKey {
+				if CIT(sess).RunUnit.Key != myKey {
 					errs <- fmt.Errorf("user %d: run-unit key drifted", u)
 					return
 				}
@@ -77,7 +77,7 @@ func TestConcurrentMixedInterfaces(t *testing.T) {
 		wg.Add(2)
 		go func() { // reader
 			defer wg.Done()
-			dap, err := s.OpenDaplex("university")
+			dap, err := s.Open("university", "daplex")
 			if err != nil {
 				errs <- err
 				return
@@ -99,7 +99,7 @@ func TestConcurrentMixedInterfaces(t *testing.T) {
 		}()
 		go func(u int) { // writer
 			defer wg.Done()
-			dap, err := s.OpenDaplex("university")
+			dap, err := s.Open("university", "daplex")
 			if err != nil {
 				errs <- err
 				return

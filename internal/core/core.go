@@ -21,14 +21,12 @@ import (
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
 	"mlds/internal/cdc"
-	"mlds/internal/dapkms"
 	"mlds/internal/daplex"
 	"mlds/internal/funcmodel"
 	"mlds/internal/hiekms"
 	"mlds/internal/hiemodel"
 	"mlds/internal/kc"
 	"mlds/internal/kdb"
-	"mlds/internal/kms"
 	"mlds/internal/loader"
 	"mlds/internal/mbds"
 	"mlds/internal/netddl"
@@ -287,8 +285,8 @@ func (s *System) register(db *Database) (*Database, error) {
 		kc.WithLockTimeout(s.cfg.TxnLockTimeout))
 	db.reg = s.metrics
 	db.stmt = make(map[string]*stmtMetrics, len(languages))
-	for _, lang := range languages {
-		db.stmt[lang] = newStmtMetrics(s.metrics, db.Name, lang, s.plans != nil)
+	for _, l := range languages {
+		db.stmt[l.name] = newStmtMetrics(s.metrics, db.Name, l.name, s.plans != nil)
 	}
 	db.slow = s.slow
 	db.plans = s.plans
@@ -379,126 +377,4 @@ func (db *Database) ExecABDL(text string) (*kdb.Result, error) {
 		return nil, err
 	}
 	return db.Ctrl.Exec(req)
-}
-
-// DMLSession is a CODASYL-DML user session. It serves network databases
-// natively and functional databases through their transformed schemas.
-type DMLSession struct {
-	DB *Database
-	Tr *kms.Translator
-	txnState
-}
-
-// OpenDML opens a CODASYL-DML session on the named database.
-//
-// Deprecated: use Open(dbname, "dml", opts...); this wrapper remains
-// for callers that need the concrete *DMLSession.
-func (s *System) OpenDML(dbname string, opts ...SessionOption) (*DMLSession, error) {
-	return s.openDML(dbname, opts...)
-}
-
-// OpenDML opens a CODASYL-DML session on the named database.
-func (s *System) openDML(dbname string, opts ...SessionOption) (*DMLSession, error) {
-	db, err := s.lookup(dbname)
-	if err != nil {
-		return nil, err
-	}
-	var sess *DMLSession
-	switch db.Model {
-	case NetworkModel:
-		sess = &DMLSession{DB: db, Tr: kms.NewNetwork(db.Net, db.AB, db.Ctrl), txnState: txnState{db: db}}
-	case FunctionalModel:
-		sess = &DMLSession{DB: db, Tr: kms.NewFunctional(db.Mapping, db.AB, db.Ctrl), txnState: txnState{db: db}}
-	default:
-		return nil, fmt.Errorf("%w: the CODASYL-DML interface cannot serve a %s database", ErrWrongModel, db.Model)
-	}
-	sess.apply(opts)
-	return sess, nil
-}
-
-// DaplexSession is a Daplex user session on a functional database.
-type DaplexSession struct {
-	DB *Database
-	If *dapkms.Interface
-	txnState
-}
-
-// OpenDaplex opens a Daplex session on the named functional database.
-//
-// Deprecated: use Open(dbname, "daplex", opts...); this wrapper remains
-// for callers that need the concrete *DaplexSession.
-func (s *System) OpenDaplex(dbname string, opts ...SessionOption) (*DaplexSession, error) {
-	return s.openDaplex(dbname, opts...)
-}
-
-// OpenDaplex opens a Daplex session on the named functional database.
-func (s *System) openDaplex(dbname string, opts ...SessionOption) (*DaplexSession, error) {
-	db, err := s.lookup(dbname)
-	if err != nil {
-		return nil, err
-	}
-	if db.Model != FunctionalModel {
-		return nil, fmt.Errorf("%w: the Daplex interface cannot serve a %s database", ErrWrongModel, db.Model)
-	}
-	sess := &DaplexSession{DB: db, If: dapkms.New(db.Mapping, db.AB, db.Ctrl), txnState: txnState{db: db}}
-	sess.apply(opts)
-	return sess, nil
-}
-
-// SQLSession is a SQL user session on a relational database.
-type SQLSession struct {
-	DB *Database
-	If *relkms.Interface
-	txnState
-}
-
-// OpenSQL opens a SQL session on the named relational database.
-//
-// Deprecated: use Open(dbname, "sql", opts...); this wrapper remains
-// for callers that need the concrete *SQLSession.
-func (s *System) OpenSQL(dbname string, opts ...SessionOption) (*SQLSession, error) {
-	return s.openSQL(dbname, opts...)
-}
-
-// OpenSQL opens a SQL session on the named relational database.
-func (s *System) openSQL(dbname string, opts ...SessionOption) (*SQLSession, error) {
-	db, err := s.lookup(dbname)
-	if err != nil {
-		return nil, err
-	}
-	if db.Model != RelationalModel {
-		return nil, fmt.Errorf("%w: the SQL interface cannot serve a %s database", ErrWrongModel, db.Model)
-	}
-	sess := &SQLSession{DB: db, If: relkms.New(db.Rel, db.Ctrl), txnState: txnState{db: db}}
-	sess.apply(opts)
-	return sess, nil
-}
-
-// DLISession is a DL/I user session on a hierarchical database.
-type DLISession struct {
-	DB *Database
-	If *hiekms.Interface
-	txnState
-}
-
-// OpenDLI opens a DL/I session on the named hierarchical database.
-//
-// Deprecated: use Open(dbname, "dli", opts...); this wrapper remains
-// for callers that need the concrete *DLISession.
-func (s *System) OpenDLI(dbname string, opts ...SessionOption) (*DLISession, error) {
-	return s.openDLI(dbname, opts...)
-}
-
-// OpenDLI opens a DL/I session on the named hierarchical database.
-func (s *System) openDLI(dbname string, opts ...SessionOption) (*DLISession, error) {
-	db, err := s.lookup(dbname)
-	if err != nil {
-		return nil, err
-	}
-	if db.Model != HierarchicalModel {
-		return nil, fmt.Errorf("%w: the DL/I interface cannot serve a %s database", ErrWrongModel, db.Model)
-	}
-	sess := &DLISession{DB: db, If: hiekms.New(db.Hie, db.Ctrl), txnState: txnState{db: db}}
-	sess.apply(opts)
-	return sess, nil
 }

@@ -78,7 +78,7 @@ SET NAME IS works_in;
 		t.Fatalf("model = %v", db.Model)
 	}
 	// Native DML session: store a dept and an emp, connect, navigate.
-	sess, err := s.OpenDML("shop")
+	sess, err := s.Open("shop", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestOpenDMLOnFunctionalDatabase(t *testing.T) {
 	// The thesis's goal: a CODASYL-DML session over a functional database.
 	s := newSystem(t)
 	newLoadedUniv(t, s)
-	sess, err := s.OpenDML("university")
+	sess, err := s.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := sess.RunScript(`
+	outs, err := RunScript(sess, `
 MOVE 'Advanced Database' TO title IN course
 FIND ANY course USING title IN course
 GET course
@@ -122,8 +122,8 @@ GET course
 		t.Fatal(err)
 	}
 	last := outs[len(outs)-1]
-	if last.Values["title"].AsString() != "Advanced Database" {
-		t.Errorf("values = %v", last.Values)
+	if last.DML.Values["title"].AsString() != "Advanced Database" {
+		t.Errorf("values = %v", last.DML.Values)
 	}
 }
 
@@ -132,10 +132,10 @@ func TestOpenDaplexOnNetworkDatabaseFails(t *testing.T) {
 	if _, err := s.CreateNetwork("n", "SCHEMA NAME IS n\nRECORD NAME IS r\n    02 a TYPE IS FIXED\n"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.OpenDaplex("n"); err == nil {
+	if _, err := s.Open("n", "daplex"); err == nil {
 		t.Error("Daplex session on a network database accepted")
 	}
-	if _, err := s.OpenDML("nosuch"); err == nil {
+	if _, err := s.Open("nosuch", "dml"); err == nil {
 		t.Error("session on unknown database accepted")
 	}
 }
@@ -165,7 +165,7 @@ func TestCrossModelEquivalence(t *testing.T) {
 	newLoadedUniv(t, s)
 
 	// Daplex: CS students' names.
-	dap, err := s.OpenDaplex("university")
+	dap, err := s.Open("university", "daplex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCrossModelEquivalence(t *testing.T) {
 
 	// CODASYL-DML: iterate the person system set, probing the student
 	// subtype through the ISA set and filtering by major.
-	dml, err := s.OpenDML("university")
+	dml, err := s.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestCrossModelEquivalence(t *testing.T) {
 func TestSharedKernel(t *testing.T) {
 	s := newSystem(t)
 	newLoadedUniv(t, s)
-	dap, _ := s.OpenDaplex("university")
-	dml, _ := s.OpenDML("university")
+	dap, _ := s.Open("university", "daplex")
+	dml, _ := s.Open("university", "dml")
 
 	if _, err := dap.Execute("LET credits OF course WHERE title = 'Advanced Database' BE 9;"); err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestModelString(t *testing.T) {
 // kernelWith sizes a kernel config for persistence tests.
 func kernelWith(n int) mbds.Config { return mbds.DefaultConfig(n) }
 
-func TestRelationalDatabaseSQLSession(t *testing.T) {
+func TestRelationalDatabaseSQL(t *testing.T) {
 	s := newSystem(t)
 	db, err := s.CreateRelational("shop", `
 CREATE TABLE emp (
@@ -296,7 +296,7 @@ CREATE TABLE emp (
 	if db.Model != RelationalModel {
 		t.Fatalf("model = %v", db.Model)
 	}
-	sess, err := s.OpenSQL("shop")
+	sess, err := s.Open("shop", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,14 +311,14 @@ CREATE TABLE emp (
 		t.Errorf("rows = %v", rs.SQL.Rows)
 	}
 	// SQL sessions are only for relational databases.
-	if _, err := s.OpenSQL("nosuch"); err == nil {
+	if _, err := s.Open("nosuch", "sql"); err == nil {
 		t.Error("phantom database accepted")
 	}
 	newLoadedUniv(t, s)
-	if _, err := s.OpenSQL("university"); err == nil {
+	if _, err := s.Open("university", "sql"); err == nil {
 		t.Error("SQL session on functional database accepted")
 	}
-	if _, err := s.OpenDML("shop"); err == nil {
+	if _, err := s.Open("shop", "dml"); err == nil {
 		t.Error("DML session on relational database accepted")
 	}
 	// ABDL works against any model's kernel.
@@ -337,7 +337,7 @@ func TestSaveRestoreRelationalDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, _ := s1.OpenSQL("shop")
+	sess, _ := s1.Open("shop", "sql")
 	if _, err := sess.Execute("INSERT INTO t (a, b) VALUES (1, 'x')"); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSaveRestoreRelationalDatabase(t *testing.T) {
 	if db2.Model != RelationalModel || db2.Kernel.Len() != 1 {
 		t.Fatalf("restored %v with %d records", db2.Model, db2.Kernel.Len())
 	}
-	sess2, _ := s2.OpenSQL("shop")
+	sess2, _ := s2.Open("shop", "sql")
 	rs, err := sess2.Execute("SELECT a, b FROM t")
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestSaveRestoreRelationalDatabase(t *testing.T) {
 	}
 }
 
-func TestHierarchicalDatabaseDLISession(t *testing.T) {
+func TestHierarchicalDatabaseDLI(t *testing.T) {
 	s := newSystem(t)
 	db, err := s.CreateHierarchical("school", `
 DBD NAME IS school
@@ -378,7 +378,7 @@ SEGMENT NAME IS course PARENT IS dept
 	if db.Model != HierarchicalModel {
 		t.Fatalf("model = %v", db.Model)
 	}
-	sess, err := s.OpenDLI("school")
+	sess, err := s.Open("school", "dli")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,10 +400,10 @@ SEGMENT NAME IS course PARENT IS dept
 	if out.DLI.Values["title"].AsString() != "OS" {
 		t.Errorf("values = %v", out.DLI.Values)
 	}
-	if _, err := s.OpenDLI("nosuch"); err == nil {
+	if _, err := s.Open("nosuch", "dli"); err == nil {
 		t.Error("phantom database accepted")
 	}
-	if _, err := s.OpenSQL("school"); err == nil {
+	if _, err := s.Open("school", "sql"); err == nil {
 		t.Error("SQL session on hierarchical database accepted")
 	}
 
@@ -417,7 +417,7 @@ SEGMENT NAME IS course PARENT IS dept
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess2, err := s2.OpenDLI("school")
+	sess2, err := s2.Open("school", "dli")
 	if err != nil {
 		t.Fatal(err)
 	}

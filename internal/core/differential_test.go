@@ -74,7 +74,7 @@ func newDiffDrivers(t *testing.T, s *System) []*diffDriver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqlSess, err := s.OpenSQL("diff_rel")
+	sqlSess, err := s.Open("diff_rel", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func newDiffDrivers(t *testing.T, s *System) []*diffDriver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dliSess, err := s.OpenDLI("diff_hie")
+	dliSess, err := s.Open("diff_hie", "dli")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func newDiffDrivers(t *testing.T, s *System) []*diffDriver {
 			// segment occurrences with GN and filter in the program, as a
 			// DL/I application would.
 			var names []string
-			fresh, err := s.OpenDLI("diff_hie")
+			fresh, err := s.Open("diff_hie", "dli")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ SET NAME IS system_emp;
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmlSess, err := s.OpenDML("diff_net")
+	dmlSess, err := s.Open("diff_net", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ END DATABASE;
 	if err != nil {
 		t.Fatal(err)
 	}
-	dapSess, err := s.OpenDaplex("diff_fun")
+	dapSess, err := s.Open("diff_fun", "daplex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ END DATABASE;
 	if err != nil {
 		t.Fatal(err)
 	}
-	abdlSess, err := s.OpenABDL("diff_abdl")
+	abdlSess, err := s.Open("diff_abdl", "abdl")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func TestSaveRestoreFunctionalDatabase(t *testing.T) {
 	db1 := newLoadedUniv(t, s1)
 
 	// Mutate state through both interfaces so the image reflects live data.
-	dml, err := s1.OpenDML("university")
+	dml, err := s1.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSaveRestoreFunctionalDatabase(t *testing.T) {
 	}
 
 	// The stored person survives with its data.
-	dml2, err := s2.OpenDML("university")
+	dml2, err := s2.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSaveRestoreFunctionalDatabase(t *testing.T) {
 	}
 
 	// Daplex sees the restored data identically.
-	dap, err := s2.OpenDaplex("university")
+	dap, err := s2.Open("university", "daplex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ RECORD NAME IS emp
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := s1.OpenDML("shop")
+	sess, err := s1.Open("shop", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ RECORD NAME IS emp
 	if db2.Model != NetworkModel || db2.Kernel.Len() != 1 {
 		t.Fatalf("restored = %+v len=%d", db2.Model, db2.Kernel.Len())
 	}
-	sess2, err := s2.OpenDML("shop")
+	sess2, err := s2.Open("shop", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestImagePlusJournalRecovery(t *testing.T) {
 	// Journal subsequent session mutations.
 	var journal bytes.Buffer
 	db1.Ctrl.AttachJournal(&journal)
-	dml, err := s1.OpenDML("university")
+	dml, err := s1.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestImagePlusJournalRecovery(t *testing.T) {
 	if _, err := db2.Ctrl.ReplayJournal(&journal); err != nil {
 		t.Fatal(err)
 	}
-	dml2, err := s2.OpenDML("university")
+	dml2, err := s2.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}

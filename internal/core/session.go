@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"mlds/internal/abdl"
 	"mlds/internal/cdc"
 	"mlds/internal/codasyl"
+	"mlds/internal/currency"
 	"mlds/internal/dapkms"
 	"mlds/internal/daplex"
 	"mlds/internal/dli"
@@ -36,8 +38,121 @@ const (
 	LangABDL   = "abdl"
 )
 
-// languages lists the five language interfaces.
-var languages = [...]string{LangDML, LangDaplex, LangSQL, LangDLI, LangABDL}
+// plug runs one statement of a session's language: parse (through the plan
+// cache), translate and execute through the language's kernel mapping
+// system, format through the kernel formatting system — filling the
+// outcome's payload and Rendered text. A session binds its plug once, when
+// it opens.
+type plug func(ctx context.Context, text string, out *Outcome) error
+
+// language is one row of the language table: a front end over the shared
+// kernel controller and kernel.
+type language struct {
+	name    string   // canonical name, reported by Session.Language
+	aliases []string // accepted spellings, lower case
+	models  []Model  // database models it serves; nil serves every model
+	bind    func(s *session) plug
+}
+
+// languages is the language table. A language interface is one row: its
+// parser, its kernel mapping system and its formatter, bound into a plug.
+var languages = [...]language{
+	{LangDML, []string{"dml", "codasyl", "codasyl-dml"}, []Model{NetworkModel, FunctionalModel}, bindDML},
+	{LangDaplex, []string{"daplex"}, []Model{FunctionalModel}, func(s *session) plug {
+		db := s.db
+		return bind(s, "kms.translate", daplex.ParseDML, dapkms.New(db.Mapping, db.AB, db.Ctrl).ExecCtx,
+			func(out *Outcome, rows []dapkms.Row) { out.Rows = rows }, formatRows)
+	}},
+	{LangSQL, []string{"sql"}, []Model{RelationalModel}, func(s *session) plug {
+		return bind(s, "kms.translate", sql.Parse, relkms.New(s.db.Rel, s.db.Ctrl).ExecCtx,
+			func(out *Outcome, rs *relkms.ResultSet) { out.SQL = rs }, kfs.FormatResultSet)
+	}},
+	{LangDLI, []string{"dli", "dl/i", "dl1", "dl/1"}, []Model{HierarchicalModel}, func(s *session) plug {
+		return bind(s, "kms.translate", dli.Parse, hiekms.New(s.db.Hie, s.db.Ctrl).ExecCtx,
+			func(out *Outcome, res *hiekms.Outcome) { out.DLI = res }, kfs.FormatDLI)
+	}},
+	// ABDL is the kernel's own language: no mapping system, so no
+	// translate span — requests go straight to the controller.
+	{LangABDL, []string{"abdl"}, nil, func(s *session) plug {
+		return bind(s, "", abdl.Parse, s.db.Ctrl.ExecCtx,
+			func(out *Outcome, res *kdb.Result) { out.Kernel = res }, kfs.FormatResult)
+	}},
+}
+
+// bindDML binds a CODASYL-DML session: natively to a network database, or
+// to a functional database through its transformed schema. The translator
+// holds the run-unit's currency, which the session exposes through CIT.
+func bindDML(s *session) plug {
+	db := s.db
+	var tr *kms.Translator
+	if db.Model == FunctionalModel {
+		tr = kms.NewFunctional(db.Mapping, db.AB, db.Ctrl)
+	} else {
+		tr = kms.NewNetwork(db.Net, db.AB, db.Ctrl)
+	}
+	s.cit = tr.CIT()
+	return bind(s, "kms.translate", codasyl.ParseStmt, tr.ExecCtx,
+		func(out *Outcome, o *kms.Outcome) { out.DML = o },
+		func(o *kms.Outcome) string { return kfs.FormatOutcome(o, tr.Schema()) })
+}
+
+// formatRows renders a Daplex result; statements other than FOR EACH
+// return no rows.
+func formatRows(rows []dapkms.Row) string {
+	if len(rows) == 0 {
+		return "ok"
+	}
+	return kfs.FormatRowsAuto(rows)
+}
+
+// bind builds a plug from a language's parser, its mapping system's
+// statement entry point, the setter that files the result in the Outcome and
+// its formatter. span names the trace span around the mapping system; ""
+// opens none.
+func bind[S, R any](s *session, span string, parse func(string) (S, error),
+	exec func(context.Context, S) (R, error), set func(*Outcome, R), format func(R) string) plug {
+	return func(ctx context.Context, text string, out *Outcome) error {
+		st, err := plan(ctx, s, text, parse)
+		if err != nil {
+			return err
+		}
+		tctx, tspan := ctx, (*obs.Span)(nil)
+		if span != "" {
+			tctx, tspan = obs.StartSpan(ctx, span)
+		}
+		res, err := exec(tctx, st)
+		tspan.End()
+		set(out, res)
+		if err != nil {
+			return err
+		}
+		_, fspan := obs.StartSpan(ctx, "kfs.format")
+		out.Rendered = format(res)
+		fspan.End()
+		return nil
+	}
+}
+
+// lookupLanguage finds a language's row by any of its spellings,
+// case-insensitively.
+func lookupLanguage(language string) *language {
+	name := strings.ToLower(strings.TrimSpace(language))
+	for i := range languages {
+		if slices.Contains(languages[i].aliases, name) {
+			return &languages[i]
+		}
+	}
+	return nil
+}
+
+// CanonLanguage normalises a language name or alias to its canonical
+// Lang* constant, or "" if unrecognised.
+func CanonLanguage(language string) string {
+	if l := lookupLanguage(language); l != nil {
+		return l.name
+	}
+	return ""
+}
 
 // stmtMetrics holds the metric handles every statement of one language on one
 // database charges. They are resolved once, when the database is registered:
@@ -97,8 +212,9 @@ type Outcome struct {
 }
 
 // Session is one user's connection to a database through one language
-// interface. All five session types implement it, so callers (the REPL, the
-// experiments, load generators) need not switch over concrete types.
+// interface. Local sessions (System.Open) and remote ones (client.Open)
+// implement it, so callers (the REPL, the experiments, load generators) need
+// not care which language or which side of the network they talk to.
 //
 // Every session is transactional. With no transaction open, each statement
 // runs in its own implicit transaction committed as the statement returns
@@ -137,14 +253,30 @@ type Session interface {
 }
 
 // SessionOption configures a session at open time.
-type SessionOption func(*txnState)
+type SessionOption func(*session)
 
 // SnapshotSession makes every implicit (auto-commit) statement of the
 // session run inside its own read-only snapshot transaction: reads never
 // take locks and never wait on writers, and mutations fail with
 // txn.ErrReadOnly. Explicit BEGIN/BEGIN WORK READ ONLY still work as usual.
 func SnapshotSession() SessionOption {
-	return func(ts *txnState) { ts.snapMode = true }
+	return func(s *session) { s.snapMode = true }
+}
+
+// session is the one local Session: a language's plug bound to a database,
+// plus the user's open explicit transaction.
+type session struct {
+	db   *Database
+	lang string
+	exec plug
+	m    *stmtMetrics
+	cit  *currency.CIT // the run-unit's currency (CODASYL-DML sessions only)
+	// snapMode runs every implicit statement in its own read-only snapshot
+	// transaction (SnapshotSession).
+	snapMode bool
+
+	mu sync.Mutex
+	tx *txn.Txn
 }
 
 // Open opens a session on the named database in the given language. This is
@@ -152,70 +284,69 @@ func SnapshotSession() SessionOption {
 // serving tier all come through here. The language is matched
 // case-insensitively and accepts the common aliases ("dml", "codasyl",
 // "codasyl-dml"; "daplex"; "sql"; "dli", "dl/i", "dl1"; "abdl"). An
-// unrecognised name fails wrapping ErrUnknownLanguage.
+// unrecognised name fails wrapping ErrUnknownLanguage, a missing database
+// ErrNoDatabase, and a database whose model the language cannot serve
+// ErrWrongModel.
 func (s *System) Open(dbname, language string, opts ...SessionOption) (Session, error) {
-	switch CanonLanguage(language) {
-	case LangDML:
-		return s.openDML(dbname, opts...)
-	case LangDaplex:
-		return s.openDaplex(dbname, opts...)
-	case LangSQL:
-		return s.openSQL(dbname, opts...)
-	case LangDLI:
-		return s.openDLI(dbname, opts...)
-	case LangABDL:
-		return s.openABDL(dbname, opts...)
-	default:
+	l := lookupLanguage(language)
+	if l == nil {
 		return nil, fmt.Errorf("%w: %q (want dml, daplex, sql, dli or abdl)", ErrUnknownLanguage, language)
 	}
-}
-
-// CanonLanguage normalises a language name or alias to its canonical
-// Lang* constant, or "" if unrecognised.
-func CanonLanguage(language string) string {
-	switch strings.ToLower(strings.TrimSpace(language)) {
-	case "dml", "codasyl", "codasyl-dml":
-		return LangDML
-	case "daplex":
-		return LangDaplex
-	case "sql":
-		return LangSQL
-	case "dli", "dl/i", "dl1", "dl/1":
-		return LangDLI
-	case "abdl":
-		return LangABDL
+	db, err := s.lookup(dbname)
+	if err != nil {
+		return nil, err
 	}
-	return ""
-}
-
-// txnState carries a session's open explicit transaction. It is embedded in
-// every session type, so the Session transaction methods are written once.
-type txnState struct {
-	db *Database
-	// snapMode runs every implicit statement in its own read-only snapshot
-	// transaction (SnapshotSession).
-	snapMode bool
-	mu       sync.Mutex
-	tx       *txn.Txn
-}
-
-// apply applies session options; the openers call it on the embedded state.
-func (s *txnState) apply(opts []SessionOption) {
+	if l.models != nil && !slices.Contains(l.models, db.Model) {
+		return nil, fmt.Errorf("%w: the %s interface cannot serve a %s database", ErrWrongModel, l.name, db.Model)
+	}
+	sess := &session{db: db, lang: l.name, m: db.stmt[l.name]}
 	for _, o := range opts {
-		o(s)
+		o(sess)
 	}
+	sess.exec = l.bind(sess)
+	return sess, nil
+}
+
+// CIT returns the currency indicator table of a local CODASYL-DML session's
+// run-unit, or nil for any other session.
+func CIT(sess Session) *currency.CIT {
+	if s, ok := sess.(*session); ok {
+		return s.cit
+	}
+	return nil
+}
+
+// Language reports the session's language interface.
+func (s *session) Language() string { return s.lang }
+
+// Close releases the session, rolling back any open transaction: an
+// abandoned transaction must not keep its locks.
+func (s *session) Close() error {
+	if tx := s.take(); tx != nil {
+		return s.db.Ctrl.Txns().Abort(tx)
+	}
+	return nil
 }
 
 // current returns the open explicit transaction, if any.
-func (s *txnState) current() *txn.Txn {
+func (s *session) current() *txn.Txn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.tx
 }
 
+// take removes and returns the open explicit transaction, if any.
+func (s *session) take() *txn.Txn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tx := s.tx
+	s.tx = nil
+	return tx
+}
+
 // clearIf forgets tx if it is still the session's open transaction — used
 // after the manager rolled it back (deadlock victim, lock timeout).
-func (s *txnState) clearIf(tx *txn.Txn) {
+func (s *session) clearIf(tx *txn.Txn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tx == tx {
@@ -223,34 +354,26 @@ func (s *txnState) clearIf(tx *txn.Txn) {
 	}
 }
 
-// Begin opens an explicit transaction on the session.
-func (s *txnState) Begin() error {
+// begin opens an explicit transaction with start, unless one is open.
+func (s *session) begin(start func() *txn.Txn) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tx != nil {
 		return fmt.Errorf("core: transaction %d already open (COMMIT or ROLLBACK first)", s.tx.ID())
 	}
-	s.tx = s.db.Ctrl.Txns().Begin()
+	s.tx = start()
 	return nil
 }
+
+// Begin opens an explicit transaction on the session.
+func (s *session) Begin() error { return s.begin(s.db.Ctrl.Txns().Begin) }
 
 // BeginSnapshot opens an explicit read-only snapshot transaction.
-func (s *txnState) BeginSnapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tx != nil {
-		return fmt.Errorf("core: transaction %d already open (COMMIT or ROLLBACK first)", s.tx.ID())
-	}
-	s.tx = s.db.Ctrl.Txns().BeginSnapshot()
-	return nil
-}
+func (s *session) BeginSnapshot() error { return s.begin(s.db.Ctrl.Txns().BeginSnapshot) }
 
 // Commit commits the session's open explicit transaction.
-func (s *txnState) Commit() error {
-	s.mu.Lock()
-	tx := s.tx
-	s.tx = nil
-	s.mu.Unlock()
+func (s *session) Commit() error {
+	tx := s.take()
 	if tx == nil {
 		return ErrNoTxn
 	}
@@ -258,11 +381,8 @@ func (s *txnState) Commit() error {
 }
 
 // Rollback aborts the session's open explicit transaction.
-func (s *txnState) Rollback() error {
-	s.mu.Lock()
-	tx := s.tx
-	s.tx = nil
-	s.mu.Unlock()
+func (s *session) Rollback() error {
+	tx := s.take()
 	if tx == nil {
 		return ErrNoTxn
 	}
@@ -270,20 +390,7 @@ func (s *txnState) Rollback() error {
 }
 
 // InTxn reports whether an explicit transaction is open.
-func (s *txnState) InTxn() bool { return s.current() != nil }
-
-// endTxn closes any open transaction when the session closes: an abandoned
-// transaction must not keep its locks.
-func (s *txnState) endTxn() error {
-	s.mu.Lock()
-	tx := s.tx
-	s.tx = nil
-	s.mu.Unlock()
-	if tx == nil {
-		return nil
-	}
-	return s.db.Ctrl.Txns().Abort(tx)
-}
+func (s *session) InTxn() bool { return s.current() != nil }
 
 // txnVerb recognises the transaction-control statements every language
 // interface accepts, normalising case, interior whitespace and a trailing
@@ -306,7 +413,7 @@ func txnVerb(text string) (string, bool) {
 }
 
 // control applies one transaction-control verb.
-func (s *txnState) control(verb string, out *Outcome) error {
+func (s *session) control(verb string, out *Outcome) error {
 	var err error
 	switch verb {
 	case "begin":
@@ -331,8 +438,8 @@ func (s *txnState) control(verb string, out *Outcome) error {
 // exponential backoff breaks that livelock.
 const maxStatementRetries = 8
 
-// execInTxn runs the statement inside the session's transaction: the open
-// explicit transaction if there is one, otherwise a fresh implicit
+// execInTxn runs the statement's plug inside the session's transaction: the
+// open explicit transaction if there is one, otherwise a fresh implicit
 // transaction committed (or, on error, rolled back) as the statement ends.
 //
 // An implicit transaction IS the statement, so when the manager aborts it —
@@ -342,33 +449,31 @@ const maxStatementRetries = 8
 // already seen succeed, so its abort must surface: the error is returned
 // (*txn.AbortedError) and the session's handle cleared so the next
 // statement starts clean.
-func (db *Database) execInTxn(ctx context.Context, ts *txnState, out *Outcome, exec func(ctx context.Context, out *Outcome) error) error {
-	if ts == nil {
-		return exec(ctx, out)
-	}
-	if tx := ts.current(); tx != nil {
-		err := exec(txn.NewContext(ctx, tx), out)
+func (s *session) execInTxn(ctx context.Context, text string, out *Outcome) error {
+	txns := s.db.Ctrl.Txns()
+	if tx := s.current(); tx != nil {
+		err := s.exec(txn.NewContext(ctx, tx), text, out)
 		var ae *txn.AbortedError
 		if errors.As(err, &ae) {
-			ts.clearIf(tx)
+			s.clearIf(tx)
 		}
 		return err
 	}
-	if ts.snapMode {
+	if s.snapMode {
 		// A snapshot session runs each implicit statement in its own
 		// read-only snapshot transaction: lock-free, so never a deadlock
 		// victim — no retry loop. Commit just unregisters the snapshot.
-		tx := db.Ctrl.Txns().BeginSnapshot()
-		err := exec(txn.NewContext(ctx, tx), out)
-		if cerr := db.Ctrl.Txns().Commit(tx); err == nil {
+		tx := txns.BeginSnapshot()
+		err := s.exec(txn.NewContext(ctx, tx), text, out)
+		if cerr := txns.Commit(tx); err == nil {
 			err = cerr
 		}
 		return err
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		tx := db.Ctrl.Txns().Begin()
-		err = exec(txn.NewContext(ctx, tx), out)
+		tx := txns.Begin()
+		err = s.exec(txn.NewContext(ctx, tx), text, out)
 		var ae *txn.AbortedError
 		if errors.As(err, &ae) {
 			// Already rolled back by the manager; retry the statement.
@@ -379,40 +484,40 @@ func (db *Database) execInTxn(ctx context.Context, ts *txnState, out *Outcome, e
 			return err
 		}
 		if err != nil {
-			db.Ctrl.Txns().Abort(tx)
+			txns.Abort(tx)
 			return err
 		}
-		return db.Ctrl.Txns().Commit(tx)
+		return txns.Commit(tx)
 	}
 }
 
-// run executes one statement through the observability envelope shared by
-// every session type: it starts the root "request" span when tracing is on,
+// Execute runs one statement through the observability envelope every
+// language shares: it starts the root "request" span when tracing is on,
 // times the statement, charges the session metrics, and feeds the slow log.
-// exec fills the outcome's language-specific payload and Rendered text.
-// Transaction-control statements (BEGIN WORK, COMMIT, ROLLBACK, …) are
-// intercepted here — before any language parser — so all five interfaces
-// share one spelling; everything else executes inside the session's
-// transaction via execInTxn.
-func (db *Database) run(ts *txnState, lang, text string, exec func(ctx context.Context, out *Outcome) error) (*Outcome, error) {
+// Transaction-control statements (BEGIN WORK, COMMIT, ROLLBACK, …) and the
+// change-capture verbs are intercepted here — before any language parser —
+// so all five interfaces share one spelling; everything else runs the
+// session's plug inside its transaction via execInTxn.
+func (s *session) Execute(text string) (*Outcome, error) {
+	db := s.db
 	ctx := context.Background()
-	out := &Outcome{Language: lang, Text: text}
+	out := &Outcome{Language: s.lang, Text: text}
 	var root *obs.Span
 	if db.tracing {
 		ctx, root = obs.NewTrace(ctx, "request")
 		root.SetAttr("db", db.Name)
-		root.SetAttr("language", lang)
+		root.SetAttr("language", s.lang)
 		out.Trace = root
 	}
 	start := time.Now()
 	simBefore := db.Ctrl.SimTime()
 	var err error
-	if verb, ok := txnVerb(text); ok && ts != nil {
-		err = ts.control(verb, out)
+	if verb, ok := txnVerb(text); ok {
+		err = s.control(verb, out)
 	} else if wv, arg, ok := watchVerb(text); ok {
 		err = db.watchControl(wv, arg, out)
 	} else {
-		err = db.execInTxn(ctx, ts, out, exec)
+		err = s.execInTxn(ctx, text, out)
 	}
 	out.Wall = time.Since(start)
 	out.Code = CodeOf(err)
@@ -423,13 +528,12 @@ func (db *Database) run(ts *txnState, lang, text string, exec func(ctx context.C
 	}
 	root.End()
 
-	m := db.stmt[lang]
-	m.requests.Inc()
+	s.m.requests.Inc()
 	if err != nil {
-		m.errors.Inc()
+		s.m.errors.Inc()
 	}
-	m.seconds.Observe(out.Wall.Seconds())
-	if db.slow.Record(obs.SlowEntry{DB: db.Name, Language: lang, Text: text, Wall: out.Wall, Sim: out.Sim}) {
+	s.m.seconds.Observe(out.Wall.Seconds())
+	if db.slow.Record(obs.SlowEntry{DB: db.Name, Language: s.lang, Text: text, Wall: out.Wall, Sim: out.Sim}) {
 		db.reg.Counter("mlds_slow_requests_total",
 			"statements at or above the slow threshold", obs.L("db", db.Name)).Inc()
 	}
@@ -441,195 +545,77 @@ func (db *Database) run(ts *txnState, lang, text string, exec func(ctx context.C
 // reuse the AST. Every kernel mapping system treats its ASTs as read-only,
 // so a cached plan is safe to share across sessions. With caching disabled
 // (a nil cache) every statement parses.
-func plan[T any](ctx context.Context, db *Database, lang, text string, parse func(string) (T, error)) (T, error) {
+func plan[T any](ctx context.Context, s *session, text string, parse func(string) (T, error)) (T, error) {
 	_, pspan := obs.StartSpan(ctx, "parse")
 	defer pspan.End()
-	key := plancache.Key(lang, text)
-	if v, ok := db.plans.Get(key); ok {
+	key := plancache.Key(s.lang, text)
+	if v, ok := s.db.plans.Get(key); ok {
 		pspan.SetAttr("plan", "hit")
-		db.stmt[lang].planHits.Inc()
+		s.m.planHits.Inc()
 		return v.(T), nil
 	}
-	db.stmt[lang].planMisses.Inc()
+	s.m.planMisses.Inc()
 	st, err := parse(text)
 	if err != nil {
 		return st, &ParseError{Err: err}
 	}
-	db.plans.Put(key, st)
+	s.db.plans.Put(key, st)
 	return st, nil
 }
 
-// Execute parses and runs one DML statement.
-func (sess *DMLSession) Execute(text string) (*Outcome, error) {
-	return sess.DB.run(&sess.txnState, LangDML, text, func(ctx context.Context, out *Outcome) error {
-		st, err := plan(ctx, sess.DB, LangDML, text, codasyl.ParseStmt)
-		if err != nil {
-			return err
-		}
-		tctx, tspan := obs.StartSpan(ctx, "kms.translate")
-		dmlOut, err := sess.Tr.ExecCtx(tctx, st)
-		tspan.End()
-		out.DML = dmlOut
-		if err != nil {
-			return err
-		}
-		_, fspan := obs.StartSpan(ctx, "kfs.format")
-		out.Rendered = kfs.FormatOutcome(dmlOut, sess.Tr.Schema())
-		fspan.End()
-		return nil
-	})
-}
+// maxLoopIterations bounds PERFORM loops against scripts that never reach
+// end-of-set.
+const maxLoopIterations = 1_000_000
 
-// RunScript parses and runs a transaction script (statements plus PERFORM
-// loops), returning the typed outcome of every executed statement.
-func (sess *DMLSession) RunScript(text string) ([]*kms.Outcome, error) {
+// RunScript runs a CODASYL-DML transaction script — one statement per line,
+// with PERFORM UNTIL END-OF-SET ... END-PERFORM loops — on a local DML
+// session, one Execute per statement: each statement joins the session's
+// open transaction (or runs in its own implicit one) and is counted, traced
+// and slow-logged like any other. A loop repeats its body until the body's
+// final statement reports end-of-set (Outcome.DML.EndOfSet) — the
+// conventional shape places the iterating FIND NEXT last, as the thesis's
+// Chapter VI example does. End-of-set from earlier statements is recorded in
+// their outcomes but does not end the loop (the host program inspects the
+// status, as a COBOL run-unit would). It returns the outcome of every
+// executed statement in order, the failing one included.
+func RunScript(sess Session, text string) ([]*Outcome, error) {
 	script, err := codasyl.ParseScript(text)
 	if err != nil {
 		return nil, err
 	}
-	return sess.Tr.ExecScript(script)
-}
-
-// Close releases the session, rolling back any open transaction.
-func (sess *DMLSession) Close() error { return sess.endTxn() }
-
-// Language reports the session's language interface.
-func (sess *DMLSession) Language() string { return LangDML }
-
-// Execute parses and runs one Daplex DML statement.
-func (sess *DaplexSession) Execute(text string) (*Outcome, error) {
-	return sess.DB.run(&sess.txnState, LangDaplex, text, func(ctx context.Context, out *Outcome) error {
-		st, err := plan(ctx, sess.DB, LangDaplex, text, daplex.ParseDML)
-		if err != nil {
-			return err
+	var outs []*Outcome
+	var run func(nodes []codasyl.Node) (lastEnd bool, err error)
+	run = func(nodes []codasyl.Node) (bool, error) {
+		lastEnd := false
+		for _, n := range nodes {
+			switch v := n.(type) {
+			case codasyl.StmtNode:
+				out, err := sess.Execute(v.Stmt.String())
+				if out != nil {
+					outs = append(outs, out)
+				}
+				if err != nil {
+					return false, fmt.Errorf("%s: %w", v.Stmt, err)
+				}
+				lastEnd = out.DML != nil && out.DML.EndOfSet
+			case codasyl.Loop:
+				for i := 0; ; i++ {
+					if i > maxLoopIterations {
+						return false, fmt.Errorf("core: PERFORM loop exceeded %d iterations", maxLoopIterations)
+					}
+					end, err := run(v.Body)
+					if err != nil {
+						return false, err
+					}
+					if end {
+						break
+					}
+				}
+				lastEnd = false
+			}
 		}
-		tctx, tspan := obs.StartSpan(ctx, "kms.translate")
-		rows, err := sess.If.ExecCtx(tctx, st)
-		tspan.End()
-		out.Rows = rows
-		if err != nil {
-			return err
-		}
-		_, fspan := obs.StartSpan(ctx, "kfs.format")
-		if len(rows) > 0 {
-			out.Rendered = kfs.FormatRowsAuto(rows)
-		} else {
-			out.Rendered = "ok"
-		}
-		fspan.End()
-		return nil
-	})
-}
-
-// Close releases the session, rolling back any open transaction.
-func (sess *DaplexSession) Close() error { return sess.endTxn() }
-
-// Language reports the session's language interface.
-func (sess *DaplexSession) Language() string { return LangDaplex }
-
-// Execute parses and runs one SQL statement.
-func (sess *SQLSession) Execute(text string) (*Outcome, error) {
-	return sess.DB.run(&sess.txnState, LangSQL, text, func(ctx context.Context, out *Outcome) error {
-		st, err := plan(ctx, sess.DB, LangSQL, text, sql.Parse)
-		if err != nil {
-			return err
-		}
-		tctx, tspan := obs.StartSpan(ctx, "kms.translate")
-		rs, err := sess.If.ExecCtx(tctx, st)
-		tspan.End()
-		out.SQL = rs
-		if err != nil {
-			return err
-		}
-		_, fspan := obs.StartSpan(ctx, "kfs.format")
-		out.Rendered = kfs.FormatResultSet(rs)
-		fspan.End()
-		return nil
-	})
-}
-
-// Close releases the session, rolling back any open transaction.
-func (sess *SQLSession) Close() error { return sess.endTxn() }
-
-// Language reports the session's language interface.
-func (sess *SQLSession) Language() string { return LangSQL }
-
-// Execute parses and runs one DL/I call.
-func (sess *DLISession) Execute(text string) (*Outcome, error) {
-	return sess.DB.run(&sess.txnState, LangDLI, text, func(ctx context.Context, out *Outcome) error {
-		call, err := plan(ctx, sess.DB, LangDLI, text, dli.Parse)
-		if err != nil {
-			return err
-		}
-		tctx, tspan := obs.StartSpan(ctx, "kms.translate")
-		res, err := sess.If.ExecCtx(tctx, call)
-		tspan.End()
-		out.DLI = res
-		if err != nil {
-			return err
-		}
-		_, fspan := obs.StartSpan(ctx, "kfs.format")
-		out.Rendered = kfs.FormatDLI(res)
-		fspan.End()
-		return nil
-	})
-}
-
-// Close releases the session, rolling back any open transaction.
-func (sess *DLISession) Close() error { return sess.endTxn() }
-
-// Language reports the session's language interface.
-func (sess *DLISession) Language() string { return LangDLI }
-
-// ABDLSession is a raw attribute-based session: statements are single ABDL
-// requests executed directly against the kernel — the fifth language
-// interface of the paper's Figure 1.2.
-type ABDLSession struct {
-	DB *Database
-	txnState
-}
-
-// OpenABDL opens a raw ABDL session.
-//
-// Deprecated: use Open(dbname, "abdl", opts...); this wrapper remains for
-// callers that need the concrete *ABDLSession.
-func (s *System) OpenABDL(dbname string, opts ...SessionOption) (*ABDLSession, error) {
-	return s.openABDL(dbname, opts...)
-}
-
-// openABDL opens a raw ABDL session. Every database model is served: ABDL
-// addresses the kernel representation beneath all of them.
-func (s *System) openABDL(dbname string, opts ...SessionOption) (*ABDLSession, error) {
-	db, err := s.lookup(dbname)
-	if err != nil {
-		return nil, err
+		return lastEnd, nil
 	}
-	sess := &ABDLSession{DB: db, txnState: txnState{db: db}}
-	sess.apply(opts)
-	return sess, nil
+	_, err = run(script)
+	return outs, err
 }
-
-// Execute parses and runs one ABDL request.
-func (sess *ABDLSession) Execute(text string) (*Outcome, error) {
-	return sess.DB.run(&sess.txnState, LangABDL, text, func(ctx context.Context, out *Outcome) error {
-		req, err := plan(ctx, sess.DB, LangABDL, text, abdl.Parse)
-		if err != nil {
-			return err
-		}
-		res, err := sess.DB.Ctrl.ExecCtx(ctx, req)
-		out.Kernel = res
-		if err != nil {
-			return err
-		}
-		_, fspan := obs.StartSpan(ctx, "kfs.format")
-		out.Rendered = kfs.FormatResult(res)
-		fspan.End()
-		return nil
-	})
-}
-
-// Close releases the session, rolling back any open transaction.
-func (sess *ABDLSession) Close() error { return sess.endTxn() }
-
-// Language reports the session's language interface.
-func (sess *ABDLSession) Language() string { return LangABDL }

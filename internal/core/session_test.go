@@ -59,13 +59,13 @@ func TestOpenSentinelErrors(t *testing.T) {
 	if _, err := s.Open("nope", "dml"); !errors.Is(err, ErrNoDatabase) {
 		t.Errorf("missing database: err = %v, want ErrNoDatabase", err)
 	}
-	if _, err := s.OpenSQL("university"); !errors.Is(err, ErrWrongModel) {
+	if _, err := s.Open("university", "sql"); !errors.Is(err, ErrWrongModel) {
 		t.Errorf("SQL on functional: err = %v, want ErrWrongModel", err)
 	}
-	if _, err := s.OpenDLI("university"); !errors.Is(err, ErrWrongModel) {
+	if _, err := s.Open("university", "dli"); !errors.Is(err, ErrWrongModel) {
 		t.Errorf("DL/I on functional: err = %v, want ErrWrongModel", err)
 	}
-	if _, err := s.OpenDaplex("missing"); !errors.Is(err, ErrNoDatabase) {
+	if _, err := s.Open("missing", "daplex"); !errors.Is(err, ErrNoDatabase) {
 		t.Errorf("Daplex on missing: err = %v, want ErrNoDatabase", err)
 	}
 }
@@ -100,7 +100,7 @@ func TestTracedDMLRequest(t *testing.T) {
 	s := NewSystem(Config{Kernel: mbds.DefaultConfig(2), Tracing: true})
 	t.Cleanup(s.Close)
 	newLoadedUniv(t, s)
-	sess, err := s.OpenDML("university")
+	sess, err := s.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,12 @@ func TestBeginWorkReadOnly(t *testing.T) {
 	if _, err := s.CreateRelational("shop", "CREATE TABLE emp (ename CHAR(20), pay INTEGER);"); err != nil {
 		t.Fatal(err)
 	}
-	reader, err := s.OpenSQL("shop")
+	reader, err := s.Open("shop", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reader.Close()
-	writer, err := s.OpenSQL("shop")
+	writer, err := s.Open("shop", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSnapshotSessionOption(t *testing.T) {
 	if _, err := s.CreateRelational("shop", "CREATE TABLE emp (ename CHAR(20), pay INTEGER);"); err != nil {
 		t.Fatal(err)
 	}
-	writer, err := s.OpenSQL("shop")
+	writer, err := s.Open("shop", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}

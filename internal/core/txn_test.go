@@ -34,7 +34,7 @@ CREATE TABLE dl (v INTEGER);
 // transaction: BEGIN, read the balance, write back balance+1, COMMIT. Under
 // strict 2PL the read's S lock is held to commit, so two concurrent rounds
 // can never both base their write on the same starting balance.
-func increment(sess *ABDLSession) error {
+func increment(sess Session) error {
 	if _, err := sess.Execute("BEGIN WORK"); err != nil {
 		return err
 	}
@@ -56,9 +56,9 @@ func increment(sess *ABDLSession) error {
 // forceDeadlock stages a guaranteed S→X upgrade deadlock on the dl file:
 // both sessions read under S, then both try to write, each waiting on the
 // other's read lock. It returns the victim's error; the survivor commits.
-func forceDeadlock(t *testing.T, a, b *ABDLSession) error {
+func forceDeadlock(t *testing.T, a, b Session) error {
 	t.Helper()
-	for _, sess := range []*ABDLSession{a, b} {
+	for _, sess := range []Session{a, b} {
 		if _, err := sess.Execute("BEGIN WORK"); err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func forceDeadlock(t *testing.T, a, b *ABDLSession) error {
 		}
 	}
 	errs := make(chan error, 2)
-	for _, sess := range []*ABDLSession{a, b} {
+	for _, sess := range []Session{a, b} {
 		sess := sess
 		go func() {
 			_, err := sess.Execute("UPDATE ((FILE = dl)) (v = 1)")
@@ -100,7 +100,7 @@ func TestConcurrentTxnSerializable(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
-		sess, err := s.OpenABDL("bank")
+		sess, err := s.Open("bank", "abdl")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,8 +148,8 @@ func TestConcurrentTxnSerializable(t *testing.T) {
 	// The S→X upgrade pattern all but guarantees deadlocks above, but the
 	// scheduler could serialize every round; stage a deterministic one if so.
 	if db.Ctrl.Txns().Stats().Deadlocks == 0 {
-		a, _ := s.OpenABDL("bank")
-		b, _ := s.OpenABDL("bank")
+		a, _ := s.Open("bank", "abdl")
+		b, _ := s.Open("bank", "abdl")
 		defer a.Close()
 		defer b.Close()
 		verr := forceDeadlock(t, a, b)
@@ -170,8 +170,8 @@ func TestConcurrentTxnSerializable(t *testing.T) {
 func TestDeadlockVictimRecovers(t *testing.T) {
 	s := newSystem(t)
 	db := newBank(t, s)
-	a, _ := s.OpenABDL("bank")
-	b, _ := s.OpenABDL("bank")
+	a, _ := s.Open("bank", "abdl")
+	b, _ := s.Open("bank", "abdl")
 	defer a.Close()
 	defer b.Close()
 
@@ -271,7 +271,7 @@ func TestExplicitRollbackAcrossStatements(t *testing.T) {
 	if _, err := s.CreateRelational("shop", "CREATE TABLE emp (ename CHAR(20), pay INTEGER);"); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := s.OpenSQL("shop")
+	sess, err := s.Open("shop", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // This file is the change-capture surface of the engine: the WATCH and
 // CREATE VIEW / DROP VIEW / SHOW VIEWS verbs every language interface
-// accepts (intercepted in Database.run, like the transaction verbs, so all
+// accepts (intercepted in session.Execute, like the transaction verbs, so all
 // five front ends share one spelling), the Session.Watch channel API, and
 // the database's registry of live materialized views.
 //
@@ -34,9 +34,8 @@ func (db *Database) openWatch(text string) (*cdc.Watcher, error) {
 	return cdc.Open(db.Ctrl, def, cdc.Options{Metrics: db.reg, DB: db.Name, Name: name})
 }
 
-// Watch opens a change subscription on the session's database (txnState
-// implements it once for all five local session types).
-func (s *txnState) Watch(query string) (*cdc.Watcher, error) {
+// Watch opens a change subscription on the session's database.
+func (s *session) Watch(query string) (*cdc.Watcher, error) {
 	return s.db.openWatch(query)
 }
 

@@ -99,11 +99,11 @@ func TestWatchAcrossLanguages(t *testing.T) {
 	s := newSystem(t)
 	drivers := newDiffDrivers(t, s)
 	open := map[string]func(string) (Session, error){
-		"sql":    func(db string) (Session, error) { return s.OpenSQL(db) },
-		"dli":    func(db string) (Session, error) { return s.OpenDLI(db) },
-		"dml":    func(db string) (Session, error) { return s.OpenDML(db) },
-		"daplex": func(db string) (Session, error) { return s.OpenDaplex(db) },
-		"abdl":   func(db string) (Session, error) { return s.OpenABDL(db) },
+		"sql":    func(db string) (Session, error) { return s.Open(db, "sql") },
+		"dli":    func(db string) (Session, error) { return s.Open(db, "dli") },
+		"dml":    func(db string) (Session, error) { return s.Open(db, "dml") },
+		"daplex": func(db string) (Session, error) { return s.Open(db, "daplex") },
+		"abdl":   func(db string) (Session, error) { return s.Open(db, "abdl") },
 	}
 	for _, d := range drivers {
 		t.Run(d.lang, func(t *testing.T) {
@@ -166,7 +166,7 @@ func TestSessionWatchChannelAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachJournal(t, db)
-	sess, err := s.OpenSQL("w_rel")
+	sess, err := s.Open("w_rel", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestViewVerbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachJournal(t, db)
-	sess, err := s.OpenSQL("v_rel")
+	sess, err := s.Open("v_rel", "sql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ END DATABASE;
 		t.Fatal(err)
 	}
 	attachJournal(t, db)
-	sess, err := s.OpenDaplex("payroll_fun")
+	sess, err := s.Open("payroll_fun", "daplex")
 	if err != nil {
 		t.Fatal(err)
 	}

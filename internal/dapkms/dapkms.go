@@ -8,7 +8,6 @@ package dapkms
 
 import (
 	"context"
-
 	"fmt"
 	"sort"
 
@@ -27,7 +26,6 @@ type Interface struct {
 	mapping *xform.Mapping
 	ab      *xform.ABSchema
 	kc      *kc.Controller
-	reqCtx  context.Context // set by ExecCtx for the statement's duration
 }
 
 // New builds a Daplex interface over a transformed functional database.
@@ -42,34 +40,27 @@ type Row struct {
 	Values map[string][]abdm.Value
 }
 
-// Exec runs one DML statement. ForEach returns rows; the other statements
-// return nil rows.
-func (i *Interface) Exec(st daplex.DMLStmt) ([]Row, error) {
+// ExecCtx runs one DML statement under the request context: every kernel
+// request it issues carries ctx, so the controller joins the context's
+// transaction and attaches its trace spans beneath the caller's. FOR EACH
+// returns rows; the other statements return nil rows.
+func (i *Interface) ExecCtx(ctx context.Context, st daplex.DMLStmt) ([]Row, error) {
 	switch v := st.(type) {
 	case *daplex.ForEach:
-		return i.ForEach(v)
+		return i.forEach(ctx, v)
 	case *daplex.Create:
-		return nil, i.Create(v)
+		return nil, i.create(ctx, v)
 	case *daplex.Let:
-		return nil, i.Let(v)
+		return nil, i.let(ctx, v)
 	case *daplex.Destroy:
-		return nil, i.Destroy(v)
+		return nil, i.destroy(ctx, v)
 	case *daplex.Include:
-		return nil, i.Include(v)
+		return nil, i.include(ctx, v)
 	case *daplex.Exclude:
-		return nil, i.Exclude(v)
+		return nil, i.exclude(ctx, v)
 	default:
 		return nil, fmt.Errorf("dapkms: unsupported statement %T", st)
 	}
-}
-
-// ExecText parses and runs one DML statement.
-func (i *Interface) ExecText(src string) ([]Row, error) {
-	st, err := daplex.ParseDML(src)
-	if err != nil {
-		return nil, err
-	}
-	return i.Exec(st)
 }
 
 // homeOf resolves a function visible on typeName to its declaring type,
@@ -104,10 +95,10 @@ func filePredOf(typeName string) abdm.Predicate {
 
 // keysMatching returns the distinct entity keys in file whose records
 // satisfy the conjunction, sorted.
-func (i *Interface) keysMatching(file string, conds abdm.Conjunction) (map[currency.Key]bool, error) {
+func (i *Interface) keysMatching(ctx context.Context, file string, conds abdm.Conjunction) (map[currency.Key]bool, error) {
 	q := abdm.Conjunction{filePredOf(file)}
 	q = append(q, conds...)
-	res, err := i.kcExec(abdl.NewRetrieve(abdm.Query{q}, i.ab.KeyOf(file)))
+	res, err := i.kc.ExecCtx(ctx, abdl.NewRetrieve(abdm.Query{q}, i.ab.KeyOf(file)))
 	if err != nil {
 		return nil, err
 	}
@@ -124,8 +115,8 @@ func (i *Interface) keysMatching(file string, conds abdm.Conjunction) (map[curre
 // against its function's home file, and the per-condition key sets are
 // intersected with the type's own key set (a key-equijoin across the
 // entity's hierarchy files).
-func (i *Interface) resolveWhere(typeName string, where []daplex.Cond) ([]currency.Key, error) {
-	result, err := i.keysMatching(typeName, nil)
+func (i *Interface) resolveWhere(ctx context.Context, typeName string, where []daplex.Cond) ([]currency.Key, error) {
+	result, err := i.keysMatching(ctx, typeName, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +129,7 @@ func (i *Interface) resolveWhere(typeName string, where []daplex.Cond) ([]curren
 		if f.Result.IsEntity() && !val.IsNull() && val.Kind() != abdm.KindInt {
 			return nil, fmt.Errorf("dapkms: function %q is entity-valued; compare with a key", c.Func)
 		}
-		ks, err := i.keysMatching(home, abdm.Conjunction{{Attr: c.Func, Op: c.Op, Val: val}})
+		ks, err := i.keysMatching(ctx, home, abdm.Conjunction{{Attr: c.Func, Op: c.Op, Val: val}})
 		if err != nil {
 			return nil, err
 		}
@@ -156,10 +147,10 @@ func (i *Interface) resolveWhere(typeName string, where []daplex.Cond) ([]curren
 	return out, nil
 }
 
-// ForEach evaluates the retrieval statement and returns one row per
+// forEach evaluates the retrieval statement and returns one row per
 // qualifying entity, keys ascending.
-func (i *Interface) ForEach(st *daplex.ForEach) ([]Row, error) {
-	keys, err := i.resolveWhere(st.Type, st.Where)
+func (i *Interface) forEach(ctx context.Context, st *daplex.ForEach) ([]Row, error) {
+	keys, err := i.resolveWhere(ctx, st.Type, st.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +180,7 @@ func (i *Interface) ForEach(st *daplex.ForEach) ([]Row, error) {
 				{Attr: i.ab.KeyOf(home), Op: abdm.OpEq, Val: abdm.Int(k)},
 			})
 		}
-		res, err := i.kcExec(abdl.NewRetrieve(q, append([]string{i.ab.KeyOf(home)}, fns...)...))
+		res, err := i.kc.ExecCtx(ctx, abdl.NewRetrieve(q, append([]string{i.ab.KeyOf(home)}, fns...)...))
 		if err != nil {
 			return nil, err
 		}
@@ -225,11 +216,11 @@ func containsValue(vs []abdm.Value, v abdm.Value) bool {
 	return false
 }
 
-// Create makes a new entity of the type: one kernel record per file in its
+// create makes a new entity of the type: one kernel record per file in its
 // hierarchy, sharing a fresh key, with the assigned function values placed
 // in their home files. Uniqueness constraints are enforced the same way the
 // CODASYL STORE translation enforces them.
-func (i *Interface) Create(st *daplex.Create) error {
+func (i *Interface) create(ctx context.Context, st *daplex.Create) error {
 	if !i.fun.IsType(st.Type) {
 		return fmt.Errorf("dapkms: unknown type %q", st.Type)
 	}
@@ -282,7 +273,7 @@ func (i *Interface) Create(st *daplex.Create) error {
 		if !complete {
 			continue
 		}
-		ks, err := i.keysMatching(homeFile, conj)
+		ks, err := i.keysMatching(ctx, homeFile, conj)
 		if err != nil {
 			return err
 		}
@@ -306,7 +297,7 @@ func (i *Interface) Create(st *daplex.Create) error {
 				rec.Set(attr, abdm.Null())
 			}
 		}
-		if _, err := i.kcExec(abdl.NewInsert(rec)); err != nil {
+		if _, err := i.kc.ExecCtx(ctx, abdl.NewInsert(rec)); err != nil {
 			return err
 		}
 	}
@@ -323,8 +314,8 @@ func coerce(v abdm.Value, want abdm.Kind) (abdm.Value, error) {
 	return abdm.Value{}, fmt.Errorf("value %v is %v, function wants %v", v, v.Kind(), want)
 }
 
-// Let updates a single-valued function over the matching entities.
-func (i *Interface) Let(st *daplex.Let) error {
+// let updates a single-valued function over the matching entities.
+func (i *Interface) let(ctx context.Context, st *daplex.Let) error {
 	home, f, err := i.homeOf(st.Type, st.Func)
 	if err != nil {
 		return err
@@ -337,7 +328,7 @@ func (i *Interface) Let(st *daplex.Let) error {
 	if err != nil {
 		return fmt.Errorf("dapkms: %q: %w", st.Func, err)
 	}
-	keys, err := i.resolveWhere(st.Type, st.Where)
+	keys, err := i.resolveWhere(ctx, st.Type, st.Where)
 	if err != nil {
 		return err
 	}
@@ -346,18 +337,18 @@ func (i *Interface) Let(st *daplex.Let) error {
 			abdm.And(filePredOf(home), abdm.Predicate{Attr: i.ab.KeyOf(home), Op: abdm.OpEq, Val: abdm.Int(k)}),
 			abdl.Modifier{Attr: st.Func, Val: val},
 		)
-		if _, err := i.kcExec(req); err != nil {
+		if _, err := i.kc.ExecCtx(ctx, req); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Destroy removes the matching entities and their subtype hierarchy (the
+// destroy removes the matching entities and their subtype hierarchy (the
 // Daplex DESTROY semantics), aborting if any entity is referenced by a
 // database function.
-func (i *Interface) Destroy(st *daplex.Destroy) error {
-	keys, err := i.resolveWhere(st.Type, st.Where)
+func (i *Interface) destroy(ctx context.Context, st *daplex.Destroy) error {
+	keys, err := i.resolveWhere(ctx, st.Type, st.Where)
 	if err != nil {
 		return err
 	}
@@ -367,7 +358,7 @@ func (i *Interface) Destroy(st *daplex.Destroy) error {
 		files = append(files, i.fun.SubtypesOf(files[n])...)
 	}
 	for _, k := range keys {
-		if err := i.checkUnreferenced(files, k); err != nil {
+		if err := i.checkUnreferenced(ctx, files, k); err != nil {
 			return err
 		}
 	}
@@ -377,7 +368,7 @@ func (i *Interface) Destroy(st *daplex.Destroy) error {
 				filePredOf(file),
 				abdm.Predicate{Attr: i.ab.KeyOf(file), Op: abdm.OpEq, Val: abdm.Int(k)},
 			))
-			if _, err := i.kcExec(req); err != nil {
+			if _, err := i.kc.ExecCtx(ctx, req); err != nil {
 				return err
 			}
 		}
@@ -387,7 +378,7 @@ func (i *Interface) Destroy(st *daplex.Destroy) error {
 
 // checkUnreferenced verifies no database function references the entity in
 // any of the files being destroyed.
-func (i *Interface) checkUnreferenced(files []string, key currency.Key) error {
+func (i *Interface) checkUnreferenced(ctx context.Context, files []string, key currency.Key) error {
 	inFiles := func(name string) bool {
 		for _, f := range files {
 			if f == name {
@@ -419,7 +410,7 @@ func (i *Interface) checkUnreferenced(files []string, key currency.Key) error {
 		if inFiles(refFile) {
 			continue // the referencing records are being destroyed too
 		}
-		res, err := i.kcExec(abdl.NewRetrieve(
+		res, err := i.kc.ExecCtx(ctx, abdl.NewRetrieve(
 			abdm.And(filePredOf(refFile),
 				abdm.Predicate{Attr: aset.Attr, Op: abdm.OpEq, Val: abdm.Int(key)}),
 			i.ab.KeyOf(refFile),

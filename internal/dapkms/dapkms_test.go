@@ -1,13 +1,24 @@
 package dapkms
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"mlds/internal/abdm"
+	"mlds/internal/daplex"
 	"mlds/internal/kc"
 	"mlds/internal/univgen"
 )
+
+// execText parses one statement and executes it, as a session does.
+func execText(i *Interface, src string) ([]Row, error) {
+	st, err := daplex.ParseDML(src)
+	if err != nil {
+		return nil, err
+	}
+	return i.ExecCtx(context.Background(), st)
+}
 
 func newInterface(t *testing.T) *Interface {
 	t.Helper()
@@ -30,7 +41,7 @@ func newInterface(t *testing.T) *Interface {
 
 func run(t *testing.T, i *Interface, src string) []Row {
 	t.Helper()
-	rows, err := i.ExecText(src)
+	rows, err := execText(i, src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -103,14 +114,14 @@ func TestForEachMultiValued(t *testing.T) {
 
 func TestForEachUnknowns(t *testing.T) {
 	i := newInterface(t)
-	if _, err := i.ExecText("FOR EACH nothing PRINT x;"); err == nil {
+	if _, err := execText(i, "FOR EACH nothing PRINT x;"); err == nil {
 		t.Error("unknown type accepted")
 	}
-	if _, err := i.ExecText("FOR EACH student PRINT nothing;"); err == nil {
+	if _, err := execText(i, "FOR EACH student PRINT nothing;"); err == nil {
 		t.Error("unknown function accepted")
 	}
 	// rank belongs to faculty, not student.
-	if _, err := i.ExecText("FOR EACH student PRINT rank;"); err == nil {
+	if _, err := execText(i, "FOR EACH student PRINT rank;"); err == nil {
 		t.Error("inapplicable function accepted")
 	}
 }
@@ -136,7 +147,7 @@ func TestCreateAndRetrieve(t *testing.T) {
 func TestCreateUniquenessViolation(t *testing.T) {
 	i := newInterface(t)
 	run(t, i, "CREATE person (pname := 'A', ssn := 600000001);")
-	if _, err := i.ExecText("CREATE person (pname := 'B', ssn := 600000001);"); err == nil {
+	if _, err := execText(i, "CREATE person (pname := 'B', ssn := 600000001);"); err == nil {
 		t.Error("duplicate ssn accepted")
 	}
 }
@@ -162,7 +173,7 @@ func TestDestroyRemovesHierarchy(t *testing.T) {
 func TestDestroyReferencedAborts(t *testing.T) {
 	i := newInterface(t)
 	// Faculty 000 advises students: advisor references must abort DESTROY.
-	if _, err := i.ExecText("DESTROY faculty WHERE pname = 'Faculty 000';"); err == nil {
+	if _, err := execText(i, "DESTROY faculty WHERE pname = 'Faculty 000';"); err == nil {
 		t.Error("referenced faculty destroyed")
 	} else if !strings.Contains(err.Error(), "referenced") {
 		t.Errorf("err = %v", err)

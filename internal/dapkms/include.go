@@ -1,6 +1,7 @@
 package dapkms
 
 import (
+	"context"
 	"fmt"
 
 	"mlds/internal/abdl"
@@ -11,11 +12,11 @@ import (
 	"mlds/internal/xform"
 )
 
-// Include adds members to a multi-valued function over the matching
+// include adds members to a multi-valued function over the matching
 // entities: entity targets for entity-valued functions (one-to-many or
 // many-to-many), a scalar literal for scalar multi-valued functions.
-func (i *Interface) Include(st *daplex.Include) error {
-	owners, fn, aset, err := i.resolveMV(st.Type, st.Func, st.Where)
+func (i *Interface) include(ctx context.Context, st *daplex.Include) error {
+	owners, fn, aset, err := i.resolveMV(ctx, st.Type, st.Func, st.Where)
 	if err != nil {
 		return err
 	}
@@ -43,7 +44,7 @@ func (i *Interface) Include(st *daplex.Include) error {
 				return fmt.Errorf("dapkms: function %q ranges over %q, not %q", st.Func, fn.Result.Entity, st.TargetType)
 			}
 		}
-		targets, err = i.resolveWhere(st.TargetType, st.TargetWhere)
+		targets, err = i.resolveWhere(ctx, st.TargetType, st.TargetWhere)
 		if err != nil {
 			return err
 		}
@@ -57,7 +58,7 @@ func (i *Interface) Include(st *daplex.Include) error {
 		case xform.PlaceOwnerAttr:
 			vals := targetValues(targets, scalar, st.HasScalar)
 			for _, v := range vals {
-				if err := i.includeOwnerSide(aset, owner, v); err != nil {
+				if err := i.includeOwnerSide(ctx, aset, owner, v); err != nil {
 					return err
 				}
 			}
@@ -68,7 +69,7 @@ func (i *Interface) Include(st *daplex.Include) error {
 				link.Set(i.ab.KeyOf(si.LinkRecord), abdm.Int(i.kc.NextKey()))
 				link.Set(st.Func, abdm.Int(owner))
 				link.Set(si.PairSet, abdm.Int(tgt))
-				if _, err := i.kcExec(abdl.NewInsert(link)); err != nil {
+				if _, err := i.kc.ExecCtx(ctx, abdl.NewInsert(link)); err != nil {
 					return err
 				}
 			}
@@ -79,9 +80,9 @@ func (i *Interface) Include(st *daplex.Include) error {
 	return nil
 }
 
-// Exclude removes members from a multi-valued function.
-func (i *Interface) Exclude(st *daplex.Exclude) error {
-	owners, fn, aset, err := i.resolveMV(st.Type, st.Func, st.Where)
+// exclude removes members from a multi-valued function.
+func (i *Interface) exclude(ctx context.Context, st *daplex.Exclude) error {
+	owners, fn, aset, err := i.resolveMV(ctx, st.Type, st.Func, st.Where)
 	if err != nil {
 		return err
 	}
@@ -97,7 +98,7 @@ func (i *Interface) Exclude(st *daplex.Exclude) error {
 			return fmt.Errorf("dapkms: %q: %w", st.Func, err)
 		}
 	} else {
-		targets, err = i.resolveWhere(st.TargetType, st.TargetWhere)
+		targets, err = i.resolveWhere(ctx, st.TargetType, st.TargetWhere)
 		if err != nil {
 			return err
 		}
@@ -106,7 +107,7 @@ func (i *Interface) Exclude(st *daplex.Exclude) error {
 		switch aset.Place {
 		case xform.PlaceOwnerAttr:
 			for _, v := range targetValues(targets, scalar, st.HasScalar) {
-				if err := i.excludeOwnerSide(aset, owner, v); err != nil {
+				if err := i.excludeOwnerSide(ctx, aset, owner, v); err != nil {
 					return err
 				}
 			}
@@ -118,7 +119,7 @@ func (i *Interface) Exclude(st *daplex.Exclude) error {
 					abdm.Predicate{Attr: st.Func, Op: abdm.OpEq, Val: abdm.Int(owner)},
 					abdm.Predicate{Attr: si.PairSet, Op: abdm.OpEq, Val: abdm.Int(tgt)},
 				)
-				if _, err := i.kcExec(abdl.NewDelete(q)); err != nil {
+				if _, err := i.kc.ExecCtx(ctx, abdl.NewDelete(q)); err != nil {
 					return err
 				}
 			}
@@ -131,7 +132,7 @@ func (i *Interface) Exclude(st *daplex.Exclude) error {
 
 // resolveMV resolves a multi-valued function, its kernel placement, and the
 // owner keys selected by the WHERE clause.
-func (i *Interface) resolveMV(typeName, fnName string, where []daplex.Cond) ([]currency.Key, *funcmodel.Function, xform.ABSet, error) {
+func (i *Interface) resolveMV(ctx context.Context, typeName, fnName string, where []daplex.Cond) ([]currency.Key, *funcmodel.Function, xform.ABSet, error) {
 	home, fn, err := i.homeOf(typeName, fnName)
 	if err != nil {
 		return nil, nil, xform.ABSet{}, err
@@ -149,7 +150,7 @@ func (i *Interface) resolveMV(typeName, fnName string, where []daplex.Cond) ([]c
 		// side, without a set entry.
 		aset = xform.ABSet{Place: xform.PlaceOwnerAttr, File: home, Attr: fnName}
 	}
-	owners, err := i.resolveWhere(typeName, where)
+	owners, err := i.resolveWhere(ctx, typeName, where)
 	if err != nil {
 		return nil, nil, xform.ABSet{}, err
 	}
@@ -162,8 +163,8 @@ func (i *Interface) resolveMV(typeName, fnName string, where []daplex.Cond) ([]c
 // includeOwnerSide fills a NULL occurrence of the attribute or inserts a
 // record copy — the Chapter VI.D.2.a cases, shared with the CODASYL CONNECT
 // translation's semantics.
-func (i *Interface) includeOwnerSide(aset xform.ABSet, owner currency.Key, val abdm.Value) error {
-	copies, err := i.copiesOf(aset.File, owner)
+func (i *Interface) includeOwnerSide(ctx context.Context, aset xform.ABSet, owner currency.Key, val abdm.Value) error {
+	copies, err := i.copiesOf(ctx, aset.File, owner)
 	if err != nil {
 		return err
 	}
@@ -190,18 +191,18 @@ func (i *Interface) includeOwnerSide(aset xform.ABSet, owner currency.Key, val a
 			),
 			abdl.Modifier{Attr: aset.Attr, Val: val},
 		)
-		_, err := i.kcExec(req)
+		_, err := i.kc.ExecCtx(ctx, req)
 		return err
 	}
 	cp := copies[0].Clone()
 	cp.Set(aset.Attr, val)
-	_, err = i.kcExec(abdl.NewInsert(cp))
+	_, err = i.kc.ExecCtx(ctx, abdl.NewInsert(cp))
 	return err
 }
 
 // excludeOwnerSide nulls a singleton occurrence or deletes matching copies.
-func (i *Interface) excludeOwnerSide(aset xform.ABSet, owner currency.Key, val abdm.Value) error {
-	copies, err := i.copiesOf(aset.File, owner)
+func (i *Interface) excludeOwnerSide(ctx context.Context, aset xform.ABSet, owner currency.Key, val abdm.Value) error {
+	copies, err := i.copiesOf(ctx, aset.File, owner)
 	if err != nil {
 		return err
 	}
@@ -223,16 +224,16 @@ func (i *Interface) excludeOwnerSide(aset xform.ABSet, owner currency.Key, val a
 		abdm.Predicate{Attr: aset.Attr, Op: abdm.OpEq, Val: val},
 	)
 	if others > 0 {
-		_, err := i.kcExec(abdl.NewDelete(qual))
+		_, err := i.kc.ExecCtx(ctx, abdl.NewDelete(qual))
 		return err
 	}
-	_, err = i.kcExec(abdl.NewUpdate(qual, abdl.Modifier{Attr: aset.Attr, Val: abdm.Null()}))
+	_, err = i.kc.ExecCtx(ctx, abdl.NewUpdate(qual, abdl.Modifier{Attr: aset.Attr, Val: abdm.Null()}))
 	return err
 }
 
 // copiesOf fetches every kernel record copy of the entity in the file.
-func (i *Interface) copiesOf(file string, key currency.Key) ([]*abdm.Record, error) {
-	res, err := i.kcExec(abdl.NewRetrieve(abdm.And(
+func (i *Interface) copiesOf(ctx context.Context, file string, key currency.Key) ([]*abdm.Record, error) {
+	res, err := i.kc.ExecCtx(ctx, abdl.NewRetrieve(abdm.And(
 		filePredOf(file),
 		abdm.Predicate{Attr: i.ab.KeyOf(file), Op: abdm.OpEq, Val: abdm.Int(key)},
 	), abdl.AllAttrs))

@@ -126,11 +126,11 @@ func TestIncludeValidation(t *testing.T) {
 		"INCLUDE course WHERE title = 'No Course' IN enrollments OF student WHERE pname = 'Student 0000';",
 	}
 	for _, src := range cases {
-		if _, err := i.ExecText(src); err == nil {
+		if _, err := execText(i, src); err == nil {
 			t.Errorf("accepted: %s", src)
 		}
 	}
-	if _, err := i.ExecText("EXCLUDE course WHERE title = 'Advanced Database' FROM enrollments OF student WHERE pname = 'Student 0001';"); err == nil {
+	if _, err := execText(i, "EXCLUDE course WHERE title = 'Advanced Database' FROM enrollments OF student WHERE pname = 'Student 0001';"); err == nil {
 		// Student 0001 may or may not take course 0; only assert the
 		// not-included error path when it truly is not included.
 		_ = err

@@ -33,7 +33,7 @@ func E10FiveInterfaces() *Report {
 	if !check("create functional", err) {
 		return report(id, title, false, b.String())
 	}
-	dap, _ := sys.OpenDaplex("university")
+	dap, _ := sys.Open("university", "daplex")
 	if _, err := dap.Execute("CREATE department (dname := 'History', building := 'Hall H');"); check("daplex CREATE", err) {
 		rows, err := dap.Execute("FOR EACH department PRINT dname;")
 		if check("daplex FOR EACH", err) {
@@ -42,7 +42,7 @@ func E10FiveInterfaces() *Report {
 	}
 
 	// Network / CODASYL-DML on the same functional database.
-	dml, _ := sys.OpenDML("university")
+	dml, _ := sys.Open("university", "dml")
 	for _, stmt := range []string{
 		"MOVE 'History' TO dname IN department",
 		"FIND ANY department USING dname IN department",
@@ -60,7 +60,7 @@ func E10FiveInterfaces() *Report {
 	// Relational / SQL.
 	_, err = sys.CreateRelational("shop", "CREATE TABLE emp (ename CHAR(20) NOT NULL, pay INTEGER);")
 	if check("create relational", err) {
-		sq, _ := sys.OpenSQL("shop")
+		sq, _ := sys.Open("shop", "sql")
 		_, err = sq.Execute("INSERT INTO emp (ename, pay) VALUES ('Ann', 900)")
 		if check("sql INSERT", err) {
 			rs, err := sq.Execute("SELECT COUNT(*) FROM emp")
@@ -73,7 +73,7 @@ func E10FiveInterfaces() *Report {
 	// Hierarchical / DL-I.
 	_, err = sys.CreateHierarchical("school", "DBD NAME IS school\nSEGMENT NAME IS dept\n    FIELD dname CHAR 20\nSEGMENT NAME IS course PARENT IS dept\n    FIELD ctitle CHAR 30\n")
 	if check("create hierarchical", err) {
-		dl, _ := sys.OpenDLI("school")
+		dl, _ := sys.Open("school", "dli")
 		for _, call := range []string{
 			"ISRT dept (dname = 'CS')",
 			"ISRT course (ctitle = 'DB')",

@@ -196,7 +196,7 @@ func TxnContention(sessions, txnsPer, opsPer int, conflict float64) *Report {
 
 	// bump reads owner's balance and writes back balance+1 inside the open
 	// transaction.
-	bump := func(sess *core.ABDLSession, owner int) error {
+	bump := func(sess core.Session, owner int) error {
 		out, err := sess.Execute(fmt.Sprintf("RETRIEVE ((FILE = acct) AND (owner = %d)) (bal)", owner))
 		if err != nil {
 			return err
@@ -215,12 +215,12 @@ func TxnContention(sessions, txnsPer, opsPer int, conflict float64) *Report {
 	var werr atomic.Value
 	start := time.Now()
 	for i := 0; i < sessions; i++ {
-		sess, err := sys.OpenABDL("txnbench")
+		sess, err := sys.Open("txnbench", "abdl")
 		if err != nil {
 			return failf(id, title, "open session %d: %v", i, err)
 		}
 		wg.Add(1)
-		go func(i int, sess *core.ABDLSession) {
+		go func(i int, sess core.Session) {
 			defer wg.Done()
 			defer sess.Close()
 			rng := rand.New(rand.NewSource(int64(i)))

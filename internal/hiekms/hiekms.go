@@ -7,7 +7,6 @@ package hiekms
 
 import (
 	"context"
-
 	"fmt"
 
 	"mlds/internal/abdl"
@@ -85,7 +84,6 @@ type position struct {
 type Interface struct {
 	schema *hiemodel.Schema
 	kc     *kc.Controller
-	reqCtx context.Context // set by ExecCtx for the call's duration
 
 	pos    position // current position (last GU/GN/GNP/ISRT target)
 	anchor position // parentage for GNP, set by GU/GN
@@ -96,30 +94,23 @@ func New(s *hiemodel.Schema, ctrl *kc.Controller) *Interface {
 	return &Interface{schema: s, kc: ctrl}
 }
 
-// ExecText parses and executes one DL/I call.
-func (i *Interface) ExecText(src string) (*Outcome, error) {
-	call, err := dli.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return i.Exec(call)
-}
-
-// Exec executes one parsed call.
-func (i *Interface) Exec(call dli.Call) (*Outcome, error) {
+// ExecCtx executes one parsed call under the request context: every kernel
+// request it issues carries ctx, so the controller joins the context's
+// transaction and attaches its trace spans beneath the caller's.
+func (i *Interface) ExecCtx(ctx context.Context, call dli.Call) (*Outcome, error) {
 	switch v := call.(type) {
 	case *dli.GU:
-		return i.execGU(v)
+		return i.execGU(ctx, v)
 	case *dli.GN:
-		return i.execGN(v)
+		return i.execGN(ctx, v)
 	case *dli.GNP:
-		return i.execGNP(v)
+		return i.execGNP(ctx, v)
 	case *dli.ISRT:
-		return i.execISRT(v)
+		return i.execISRT(ctx, v)
 	case *dli.REPL:
-		return i.execREPL(v)
+		return i.execREPL(ctx, v)
 	case *dli.DLET:
-		return i.execDLET()
+		return i.execDLET(ctx)
 	default:
 		return nil, fmt.Errorf("hiekms: unsupported call %T", call)
 	}
@@ -133,7 +124,7 @@ func filePred(seg string) abdm.Predicate {
 
 // occurrences retrieves segment occurrences, optionally qualified and
 // optionally restricted to one parent, ordered by key.
-func (i *Interface) occurrences(seg *hiemodel.Segment, conds []dli.Cond, parent *currency.Key) ([]*abdm.Record, error) {
+func (i *Interface) occurrences(ctx context.Context, seg *hiemodel.Segment, conds []dli.Cond, parent *currency.Key) ([]*abdm.Record, error) {
 	conj := abdm.Conjunction{filePred(seg.Name)}
 	if parent != nil {
 		conj = append(conj, abdm.Predicate{Attr: seg.Parent, Op: abdm.OpEq, Val: abdm.Int(*parent)})
@@ -146,7 +137,7 @@ func (i *Interface) occurrences(seg *hiemodel.Segment, conds []dli.Cond, parent 
 		_ = f
 		conj = append(conj, abdm.Predicate{Attr: c.Field, Op: c.Op, Val: c.Val})
 	}
-	res, err := i.kcExec(abdl.NewRetrieve(abdm.Query{conj}, abdl.AllAttrs))
+	res, err := i.kc.ExecCtx(ctx, abdl.NewRetrieve(abdm.Query{conj}, abdl.AllAttrs))
 	if err != nil {
 		return nil, err
 	}
@@ -178,14 +169,14 @@ func keyOf(rec *abdm.Record, seg string) currency.Key {
 }
 
 // fetch retrieves one occurrence by position.
-func (i *Interface) fetch(p position) (*abdm.Record, error) {
+func (i *Interface) fetch(ctx context.Context, p position) (*abdm.Record, error) {
 	seg, ok := i.schema.Segment(p.Seg)
 	if !ok {
 		return nil, fmt.Errorf("hiekms: unknown segment %q", p.Seg)
 	}
 	conj := abdm.Conjunction{filePred(seg.Name),
 		{Attr: seg.Name, Op: abdm.OpEq, Val: abdm.Int(p.Key)}}
-	res, err := i.kcExec(abdl.NewRetrieve(abdm.Query{conj}, abdl.AllAttrs))
+	res, err := i.kc.ExecCtx(ctx, abdl.NewRetrieve(abdm.Query{conj}, abdl.AllAttrs))
 	if err != nil {
 		return nil, err
 	}
@@ -197,10 +188,10 @@ func (i *Interface) fetch(p position) (*abdm.Record, error) {
 
 // children lists a position's child occurrences: child segment types in
 // declaration order, occurrences key-ascending within each type.
-func (i *Interface) children(p position) ([]position, error) {
+func (i *Interface) children(ctx context.Context, p position) ([]position, error) {
 	var out []position
 	for _, child := range i.schema.Children(p.Seg) {
-		recs, err := i.occurrences(child, nil, &p.Key)
+		recs, err := i.occurrences(ctx, child, nil, &p.Key)
 		if err != nil {
 			return nil, err
 		}
@@ -212,10 +203,10 @@ func (i *Interface) children(p position) ([]position, error) {
 }
 
 // rootList lists the root occurrences in hierarchic order.
-func (i *Interface) rootList() ([]position, error) {
+func (i *Interface) rootList(ctx context.Context) ([]position, error) {
 	var out []position
 	for _, root := range i.schema.Roots() {
-		recs, err := i.occurrences(root, nil, nil)
+		recs, err := i.occurrences(ctx, root, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -227,12 +218,12 @@ func (i *Interface) rootList() ([]position, error) {
 }
 
 // parentOf resolves a position's parent occurrence.
-func (i *Interface) parentOf(p position) (position, error) {
+func (i *Interface) parentOf(ctx context.Context, p position) (position, error) {
 	seg, _ := i.schema.Segment(p.Seg)
 	if seg == nil || seg.Parent == "" {
 		return position{}, nil
 	}
-	rec, err := i.fetch(p)
+	rec, err := i.fetch(ctx, p)
 	if err != nil {
 		return position{}, err
 	}
@@ -244,9 +235,9 @@ func (i *Interface) parentOf(p position) (position, error) {
 }
 
 // nextPreorder advances one step in hierarchic order.
-func (i *Interface) nextPreorder(cur position) (position, error) {
+func (i *Interface) nextPreorder(ctx context.Context, cur position) (position, error) {
 	// Descend first.
-	kids, err := i.children(cur)
+	kids, err := i.children(ctx, cur)
 	if err != nil {
 		return position{}, err
 	}
@@ -255,15 +246,15 @@ func (i *Interface) nextPreorder(cur position) (position, error) {
 	}
 	// Otherwise the next sibling, ascending as needed.
 	for cur.Valid {
-		parent, err := i.parentOf(cur)
+		parent, err := i.parentOf(ctx, cur)
 		if err != nil {
 			return position{}, err
 		}
 		var sibs []position
 		if parent.Valid {
-			sibs, err = i.children(parent)
+			sibs, err = i.children(ctx, parent)
 		} else {
-			sibs, err = i.rootList()
+			sibs, err = i.rootList(ctx)
 		}
 		if err != nil {
 			return position{}, err
@@ -282,13 +273,13 @@ func (i *Interface) nextPreorder(cur position) (position, error) {
 }
 
 // within reports whether p lies in the subtree rooted at anchor.
-func (i *Interface) within(p, anchor position) (bool, error) {
+func (i *Interface) within(ctx context.Context, p, anchor position) (bool, error) {
 	for p.Valid {
 		if p.Seg == anchor.Seg && p.Key == anchor.Key {
 			return true, nil
 		}
 		var err error
-		p, err = i.parentOf(p)
+		p, err = i.parentOf(ctx, p)
 		if err != nil {
 			return false, err
 		}
@@ -297,8 +288,8 @@ func (i *Interface) within(p, anchor position) (bool, error) {
 }
 
 // outcomeFor builds a successful outcome from a position.
-func (i *Interface) outcomeFor(p position) (*Outcome, error) {
-	rec, err := i.fetch(p)
+func (i *Interface) outcomeFor(ctx context.Context, p position) (*Outcome, error) {
+	rec, err := i.fetch(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +308,7 @@ func (i *Interface) outcomeFor(p position) (*Outcome, error) {
 // execGU resolves the SSA path level by level: each SSA's candidates are
 // qualified occurrences whose parent is the chosen occurrence of the
 // previous SSA. Consecutive SSAs must be parent and child segment types.
-func (i *Interface) execGU(gu *dli.GU) (*Outcome, error) {
+func (i *Interface) execGU(ctx context.Context, gu *dli.GU) (*Outcome, error) {
 	var found position
 	var search func(level int, parent *currency.Key) (bool, error)
 	search = func(level int, parent *currency.Key) (bool, error) {
@@ -329,7 +320,7 @@ func (i *Interface) execGU(gu *dli.GU) (*Outcome, error) {
 		if level > 0 && seg.Parent != gu.Path[level-1].Segment {
 			return false, fmt.Errorf("hiekms: %q is not a child segment of %q", ssa.Segment, gu.Path[level-1].Segment)
 		}
-		recs, err := i.occurrences(seg, ssa.Conds, parent)
+		recs, err := i.occurrences(ctx, seg, ssa.Conds, parent)
 		if err != nil {
 			return false, err
 		}
@@ -355,18 +346,18 @@ func (i *Interface) execGU(gu *dli.GU) (*Outcome, error) {
 	}
 	i.pos = found
 	i.anchor = found
-	return i.outcomeFor(found)
+	return i.outcomeFor(ctx, found)
 }
 
 // execGN advances in hierarchic order; with a segment filter it skips until
 // a matching occurrence.
-func (i *Interface) execGN(gn *dli.GN) (*Outcome, error) {
+func (i *Interface) execGN(ctx context.Context, gn *dli.GN) (*Outcome, error) {
 	cur := i.pos
 	for {
 		var next position
 		var err error
 		if !cur.Valid {
-			roots, rerr := i.rootList()
+			roots, rerr := i.rootList(ctx)
 			if rerr != nil {
 				return nil, rerr
 			}
@@ -375,7 +366,7 @@ func (i *Interface) execGN(gn *dli.GN) (*Outcome, error) {
 			}
 			next = roots[0]
 		} else {
-			next, err = i.nextPreorder(cur)
+			next, err = i.nextPreorder(ctx, cur)
 			if err != nil {
 				return nil, err
 			}
@@ -386,7 +377,7 @@ func (i *Interface) execGN(gn *dli.GN) (*Outcome, error) {
 		if gn.Segment == "" || next.Seg == gn.Segment {
 			i.pos = next
 			i.anchor = next
-			return i.outcomeFor(next)
+			return i.outcomeFor(ctx, next)
 		}
 		cur = next
 	}
@@ -394,20 +385,20 @@ func (i *Interface) execGN(gn *dli.GN) (*Outcome, error) {
 
 // execGNP advances in hierarchic order within the subtree of the current
 // anchor (the last GU/GN target).
-func (i *Interface) execGNP(gnp *dli.GNP) (*Outcome, error) {
+func (i *Interface) execGNP(ctx context.Context, gnp *dli.GNP) (*Outcome, error) {
 	if !i.anchor.Valid {
 		return nil, fmt.Errorf("hiekms: GNP requires an established parent (issue GU or GN first)")
 	}
 	cur := i.pos
 	for {
-		next, err := i.nextPreorder(cur)
+		next, err := i.nextPreorder(ctx, cur)
 		if err != nil {
 			return nil, err
 		}
 		if !next.Valid {
 			return &Outcome{Status: StatusGE}, nil
 		}
-		in, err := i.within(next, i.anchor)
+		in, err := i.within(ctx, next, i.anchor)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +407,7 @@ func (i *Interface) execGNP(gnp *dli.GNP) (*Outcome, error) {
 		}
 		if gnp.Segment == "" || next.Seg == gnp.Segment {
 			i.pos = next // the anchor stays: more GNPs continue the scan
-			return i.outcomeFor(next)
+			return i.outcomeFor(ctx, next)
 		}
 		cur = next
 	}
@@ -425,7 +416,7 @@ func (i *Interface) execGNP(gnp *dli.GNP) (*Outcome, error) {
 // execISRT inserts a new occurrence. A root segment needs no position; a
 // dependent segment's parent occurrence is the current position or one of
 // its ancestors.
-func (i *Interface) execISRT(is *dli.ISRT) (*Outcome, error) {
+func (i *Interface) execISRT(ctx context.Context, is *dli.ISRT) (*Outcome, error) {
 	seg, ok := i.schema.Segment(is.Segment)
 	if !ok {
 		return nil, fmt.Errorf("hiekms: unknown segment %q", is.Segment)
@@ -434,7 +425,7 @@ func (i *Interface) execISRT(is *dli.ISRT) (*Outcome, error) {
 	key := i.kc.NextKey()
 	rec.Set(seg.Name, abdm.Int(key))
 	if seg.Parent != "" {
-		parentKey, err := i.resolveParent(seg.Parent)
+		parentKey, err := i.resolveParent(ctx, seg.Parent)
 		if err != nil {
 			return nil, err
 		}
@@ -458,25 +449,25 @@ func (i *Interface) execISRT(is *dli.ISRT) (*Outcome, error) {
 			rec.Set(f.Name, abdm.Null())
 		}
 	}
-	if _, err := i.kcExec(abdl.NewInsert(rec)); err != nil {
+	if _, err := i.kc.ExecCtx(ctx, abdl.NewInsert(rec)); err != nil {
 		return nil, err
 	}
 	i.pos = position{Seg: seg.Name, Key: key, Valid: true}
 	i.anchor = i.pos
-	return i.outcomeFor(i.pos)
+	return i.outcomeFor(ctx, i.pos)
 }
 
 // resolveParent finds the parent occurrence for an ISRT: the current
 // position if it is of the parent type, else the nearest ancestor of that
 // type.
-func (i *Interface) resolveParent(parentSeg string) (currency.Key, error) {
+func (i *Interface) resolveParent(ctx context.Context, parentSeg string) (currency.Key, error) {
 	p := i.pos
 	for p.Valid {
 		if p.Seg == parentSeg {
 			return p.Key, nil
 		}
 		var err error
-		p, err = i.parentOf(p)
+		p, err = i.parentOf(ctx, p)
 		if err != nil {
 			return 0, err
 		}
@@ -509,7 +500,7 @@ func coerceField(v abdm.Value, f *hiemodel.Field) (abdm.Value, error) {
 }
 
 // execREPL updates fields of the current occurrence.
-func (i *Interface) execREPL(r *dli.REPL) (*Outcome, error) {
+func (i *Interface) execREPL(ctx context.Context, r *dli.REPL) (*Outcome, error) {
 	if !i.pos.Valid {
 		return nil, fmt.Errorf("hiekms: REPL requires a current position")
 	}
@@ -528,20 +519,20 @@ func (i *Interface) execREPL(r *dli.REPL) (*Outcome, error) {
 	}
 	q := abdm.And(filePred(seg.Name),
 		abdm.Predicate{Attr: seg.Name, Op: abdm.OpEq, Val: abdm.Int(i.pos.Key)})
-	if _, err := i.kcExec(abdl.NewUpdate(q, mods...)); err != nil {
+	if _, err := i.kc.ExecCtx(ctx, abdl.NewUpdate(q, mods...)); err != nil {
 		return nil, err
 	}
-	return i.outcomeFor(i.pos)
+	return i.outcomeFor(ctx, i.pos)
 }
 
 // execDLET deletes the current occurrence and all of its dependents (IMS
 // deletes the whole subtree).
-func (i *Interface) execDLET() (*Outcome, error) {
+func (i *Interface) execDLET(ctx context.Context) (*Outcome, error) {
 	if !i.pos.Valid {
 		return nil, fmt.Errorf("hiekms: DLET requires a current position")
 	}
 	deleted := i.pos
-	if err := i.deleteSubtree(i.pos); err != nil {
+	if err := i.deleteSubtree(ctx, i.pos); err != nil {
 		return nil, err
 	}
 	i.pos = position{}
@@ -549,18 +540,18 @@ func (i *Interface) execDLET() (*Outcome, error) {
 	return &Outcome{Status: StatusOK, Segment: deleted.Seg, Key: deleted.Key}, nil
 }
 
-func (i *Interface) deleteSubtree(p position) error {
-	kids, err := i.children(p)
+func (i *Interface) deleteSubtree(ctx context.Context, p position) error {
+	kids, err := i.children(ctx, p)
 	if err != nil {
 		return err
 	}
 	for _, k := range kids {
-		if err := i.deleteSubtree(k); err != nil {
+		if err := i.deleteSubtree(ctx, k); err != nil {
 			return err
 		}
 	}
 	q := abdm.And(filePred(p.Seg),
 		abdm.Predicate{Attr: p.Seg, Op: abdm.OpEq, Val: abdm.Int(p.Key)})
-	_, err = i.kcExec(abdl.NewDelete(q))
+	_, err = i.kc.ExecCtx(ctx, abdl.NewDelete(q))
 	return err
 }

@@ -1,13 +1,24 @@
 package hiekms
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"mlds/internal/dli"
 	"mlds/internal/hiemodel"
 	"mlds/internal/kc"
 	"mlds/internal/mbds"
 )
+
+// execText parses one statement and executes it, as a session does.
+func execText(i *Interface, src string) (*Outcome, error) {
+	st, err := dli.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return i.ExecCtx(context.Background(), st)
+}
 
 // The classic IMS-style school database: dept → course → enroll, with a
 // second child type (office) under dept to exercise sibling-type ordering.
@@ -50,7 +61,7 @@ func newIf(t *testing.T) *Interface {
 
 func exec(t *testing.T, i *Interface, call string) *Outcome {
 	t.Helper()
-	out, err := i.ExecText(call)
+	out, err := execText(i, call)
 	if err != nil {
 		t.Fatalf("%s: %v", call, err)
 	}
@@ -106,7 +117,7 @@ func TestGUQualifiedPath(t *testing.T) {
 		t.Errorf("status = %q, want GE", ge.Status)
 	}
 	// Non-child path is an error.
-	if _, err := i.ExecText("GU dept (dname = 'CS') enroll (sname = 'Ann')"); err == nil {
+	if _, err := execText(i, "GU dept (dname = 'CS') enroll (sname = 'Ann')"); err == nil {
 		t.Error("skipped-level SSA accepted")
 	}
 }
@@ -120,7 +131,7 @@ func TestGNHierarchicOrder(t *testing.T) {
 	// Walk everything from the first root.
 	i2 := New(i.schema, i.kc)
 	for {
-		out, err := i2.ExecText("GN")
+		out, err := execText(i2, "GN")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +152,7 @@ func TestGNWithSegmentFilter(t *testing.T) {
 	i2 := New(i.schema, i.kc)
 	var titles []string
 	for {
-		out, err := i2.ExecText("GN course")
+		out, err := execText(i2, "GN course")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +172,7 @@ func TestGNPWithinParent(t *testing.T) {
 	ok(t, i, "GU dept (dname = 'CS') course (title = 'DB')")
 	var names []string
 	for {
-		out, err := i.ExecText("GNP enroll")
+		out, err := execText(i, "GNP enroll")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +207,7 @@ func TestREPL(t *testing.T) {
 	if again.Values["credits"].AsInt() != 5 {
 		t.Error("REPL not persisted")
 	}
-	if _, err := i.ExecText("REPL (nosuch = 1)"); err == nil {
+	if _, err := execText(i, "REPL (nosuch = 1)"); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
@@ -217,7 +228,7 @@ func TestDLETDeletesSubtree(t *testing.T) {
 	i2 := New(i.schema, i.kc)
 	count := 0
 	for {
-		o, err := i2.ExecText("GN enroll")
+		o, err := execText(i2, "GN enroll")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,28 +241,28 @@ func TestDLETDeletesSubtree(t *testing.T) {
 		t.Errorf("enrollments left = %d, want 1", count)
 	}
 	// Position is invalidated.
-	if _, err := i.ExecText("REPL (credits = 1)"); err == nil {
+	if _, err := execText(i, "REPL (credits = 1)"); err == nil {
 		t.Error("REPL after DLET accepted")
 	}
 }
 
 func TestISRTRequiresParent(t *testing.T) {
 	i := newIf(t)
-	if _, err := i.ExecText("ISRT course (title = 'Orphan')"); err == nil {
+	if _, err := execText(i, "ISRT course (title = 'Orphan')"); err == nil {
 		t.Error("dependent ISRT without position accepted")
 	}
-	if _, err := i.ExecText("ISRT nosuch (a = 1)"); err == nil {
+	if _, err := execText(i, "ISRT nosuch (a = 1)"); err == nil {
 		t.Error("unknown segment accepted")
 	}
 	ok(t, i, "ISRT dept (dname = 'X')")
-	if _, err := i.ExecText("ISRT course (nosuch = 1)"); err == nil {
+	if _, err := execText(i, "ISRT course (nosuch = 1)"); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
 
 func TestGNPRequiresAnchor(t *testing.T) {
 	i := newIf(t)
-	if _, err := i.ExecText("GNP"); err == nil {
+	if _, err := execText(i, "GNP"); err == nil {
 		t.Error("GNP without anchor accepted")
 	}
 }

@@ -279,6 +279,27 @@ func (s *Store) Insert(rec *abdm.Record) (abdm.RecordID, error) {
 	return id, nil
 }
 
+// InsertWithID stores a record under a caller-supplied database key. MBDS
+// uses it when it redistributes records across backends; the key must not
+// already be in use.
+func (s *Store) InsertWithID(id abdm.RecordID, rec *abdm.Record) error {
+	if err := s.dir.ValidateRecord(rec); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.fileOf[id]; dup {
+		return fmt.Errorf("kdb: database key %d already in use", id)
+	}
+	if s.seedID != nil {
+		s.seedID(id)
+	}
+	cp := rec.Clone()
+	s.addLocked(id, cp)
+	s.applyBacking(id, cp, 0)
+	return nil
+}
+
 // insertForcedLocked stores the record under a caller-chosen database key,
 // taking ownership of it like addLocked. Re-inserting an existing key
 // replaces that record, which makes replicated INSERTs idempotent when the

@@ -1,6 +1,7 @@
 package kms
 
 import (
+	"context"
 	"fmt"
 
 	"mlds/internal/abdm"
@@ -11,20 +12,20 @@ import (
 )
 
 // execFind dispatches the FIND variants (Chapter VI.B).
-func (t *Translator) execFind(f *codasyl.Find, out *Outcome) error {
+func (t *Translator) execFind(ctx context.Context, f *codasyl.Find, out *Outcome) error {
 	switch f.Kind {
 	case codasyl.FindAny:
-		return t.findAny(f, out)
+		return t.findAny(ctx, f, out)
 	case codasyl.FindCurrent:
 		return t.findCurrent(f, out)
 	case codasyl.FindDuplicate:
 		return t.findDuplicate(f, out)
 	case codasyl.FindFirst, codasyl.FindLast, codasyl.FindNext, codasyl.FindPrior:
-		return t.findPositional(f, out)
+		return t.findPositional(ctx, f, out)
 	case codasyl.FindOwner:
-		return t.findOwner(f, out)
+		return t.findOwner(ctx, f, out)
 	case codasyl.FindWithinCurrent:
-		return t.findWithinCurrent(f, out)
+		return t.findWithinCurrent(ctx, f, out)
 	default:
 		return fmt.Errorf("kms: unsupported FIND variant %v", f.Kind)
 	}
@@ -33,7 +34,7 @@ func (t *Translator) execFind(f *codasyl.Find, out *Outcome) error {
 // findAny locates a record whose values for the listed items equal the
 // record template in the UWA, translating to a single RETRIEVE whose first
 // predicate is (FILE = record_type).
-func (t *Translator) findAny(f *codasyl.Find, out *Outcome) error {
+func (t *Translator) findAny(ctx context.Context, f *codasyl.Find, out *Outcome) error {
 	rec, ok := t.net.Record(f.Record)
 	if !ok {
 		return fmt.Errorf("kms: FIND ANY names unknown record type %q", f.Record)
@@ -49,7 +50,7 @@ func (t *Translator) findAny(f *codasyl.Find, out *Outcome) error {
 		}
 		conj = append(conj, abdm.Predicate{Attr: item, Op: abdm.OpEq, Val: v})
 	}
-	recs, err := t.retrieveAll(abdm.Query{conj})
+	recs, err := t.retrieveAll(ctx, abdm.Query{conj})
 	if err != nil {
 		return err
 	}
@@ -93,7 +94,7 @@ func (t *Translator) findCurrent(f *codasyl.Find, out *Outcome) error {
 // findPositional implements FIND FIRST/LAST/NEXT/PRIOR record WITHIN set.
 // FIRST and LAST (re)retrieve the set occurrence into the result buffer;
 // NEXT and PRIOR walk the buffer established earlier.
-func (t *Translator) findPositional(f *codasyl.Find, out *Outcome) error {
+func (t *Translator) findPositional(ctx context.Context, f *codasyl.Find, out *Outcome) error {
 	st, aset, err := t.setInfo(f.Set)
 	if err != nil {
 		return err
@@ -108,7 +109,7 @@ func (t *Translator) findPositional(f *codasyl.Find, out *Outcome) error {
 	var buf *currency.Buffer
 	switch f.Kind {
 	case codasyl.FindFirst, codasyl.FindLast:
-		recs, err := t.members(st, aset, ownerKey)
+		recs, err := t.members(ctx, st, aset, ownerKey)
 		if err != nil {
 			return err
 		}
@@ -226,7 +227,7 @@ func (t *Translator) findDuplicate(f *codasyl.Find, out *Outcome) error {
 // findOwner identifies the owner of the current occurrence of the set: all
 // the needed information is present in the CIT, so a single RETRIEVE by the
 // owner's key suffices.
-func (t *Translator) findOwner(f *codasyl.Find, out *Outcome) error {
+func (t *Translator) findOwner(ctx context.Context, f *codasyl.Find, out *Outcome) error {
 	st, aset, err := t.setInfo(f.Set)
 	if err != nil {
 		return err
@@ -238,7 +239,7 @@ func (t *Translator) findOwner(f *codasyl.Find, out *Outcome) error {
 	if !ok {
 		return fmt.Errorf("%w: set %q", ErrNoSetOccurrence, f.Set)
 	}
-	recs, err := t.retrieveByKey(st.Owner, sc.OwnerKey)
+	recs, err := t.retrieveByKey(ctx, st.Owner, sc.OwnerKey)
 	if err != nil {
 		return err
 	}
@@ -259,7 +260,7 @@ func (t *Translator) findOwner(f *codasyl.Find, out *Outcome) error {
 // findWithinCurrent locates a member of the current set occurrence whose
 // values match the UWA template for the listed items — FIND DUPLICATE's
 // shape, but matching against user-supplied values.
-func (t *Translator) findWithinCurrent(f *codasyl.Find, out *Outcome) error {
+func (t *Translator) findWithinCurrent(ctx context.Context, f *codasyl.Find, out *Outcome) error {
 	st, aset, err := t.setInfo(f.Set)
 	if err != nil {
 		return err
@@ -271,7 +272,7 @@ func (t *Translator) findWithinCurrent(f *codasyl.Find, out *Outcome) error {
 	if err != nil {
 		return err
 	}
-	recs, err := t.members(st, aset, ownerKey)
+	recs, err := t.members(ctx, st, aset, ownerKey)
 	if err != nil {
 		return err
 	}
@@ -313,7 +314,7 @@ func (t *Translator) findWithinCurrent(f *codasyl.Find, out *Outcome) error {
 
 // execGet implements the three GET forms (Chapter VI.C): the current record
 // of the run-unit (or selected items of it) moves into the UWA.
-func (t *Translator) execGet(g *codasyl.Get, out *Outcome) error {
+func (t *Translator) execGet(ctx context.Context, g *codasyl.Get, out *Outcome) error {
 	if !t.cit.RunUnit.Valid {
 		return ErrNoCurrentRunUnit
 	}
@@ -323,7 +324,7 @@ func (t *Translator) execGet(g *codasyl.Get, out *Outcome) error {
 	}
 	rec := t.currentRec
 	if rec == nil {
-		recs, err := t.retrieveByKey(record, t.cit.RunUnit.Key)
+		recs, err := t.retrieveByKey(ctx, record, t.cit.RunUnit.Key)
 		if err != nil {
 			return err
 		}

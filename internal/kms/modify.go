@@ -1,6 +1,7 @@
 package kms
 
 import (
+	"context"
 	"fmt"
 
 	"mlds/internal/abdl"
@@ -14,7 +15,7 @@ import (
 // execStore creates a new record occurrence from the UWA template and makes
 // it the current of the run-unit (Chapter VI.G). The mapping enforces the
 // duplicate condition, the overlap constraints, and automatic set insertion.
-func (t *Translator) execStore(s *codasyl.Store, out *Outcome) error {
+func (t *Translator) execStore(ctx context.Context, s *codasyl.Store, out *Outcome) error {
 	rec, ok := t.net.Record(s.Record)
 	if !ok {
 		return fmt.Errorf("kms: STORE names unknown record type %q", s.Record)
@@ -28,12 +29,12 @@ func (t *Translator) execStore(s *codasyl.Store, out *Outcome) error {
 
 	// Duplicate condition: a RETRIEVE per uniqueness group determines
 	// whether an equal record already exists.
-	if err := t.checkDuplicates(s.Record, rec); err != nil {
+	if err := t.checkDuplicates(ctx, s.Record, rec); err != nil {
 		return err
 	}
 
 	// Overlap constraints (functional targets only).
-	if err := t.checkOverlap(s.Record, key); err != nil {
+	if err := t.checkOverlap(ctx, s.Record, key); err != nil {
 		return err
 	}
 
@@ -59,7 +60,7 @@ func (t *Translator) execStore(s *codasyl.Store, out *Outcome) error {
 			}
 		}
 	}
-	if _, err := t.kcExec(abdl.NewInsert(kws)); err != nil {
+	if _, err := t.kcExec(ctx, abdl.NewInsert(kws)); err != nil {
 		return err
 	}
 	if _, err := t.makeCurrent(s.Record, kws); err != nil {
@@ -108,7 +109,7 @@ func (t *Translator) storeKeyAndAutoSets(record string) (currency.Key, map[strin
 // uniqueness constraints; for native targets the record's no-duplicate items
 // form one group. Groups with any uninitialised value are skipped — the
 // kernel stores NULL there and NULL never collides.
-func (t *Translator) checkDuplicates(record string, rec *netmodel.RecordType) error {
+func (t *Translator) checkDuplicates(ctx context.Context, record string, rec *netmodel.RecordType) error {
 	var groups [][]string
 	if t.fun != nil {
 		for _, u := range t.fun.Uniques {
@@ -133,7 +134,7 @@ func (t *Translator) checkDuplicates(record string, rec *netmodel.RecordType) er
 		if !complete {
 			continue
 		}
-		res, err := t.kcExec(abdl.NewRetrieve(abdm.Query{conj}, t.ab.KeyOf(record)))
+		res, err := t.kcExec(ctx, abdl.NewRetrieve(abdm.Query{conj}, t.ab.KeyOf(record)))
 		if err != nil {
 			return err
 		}
@@ -147,7 +148,7 @@ func (t *Translator) checkDuplicates(record string, rec *netmodel.RecordType) er
 // checkOverlap verifies that storing a record of a terminal subtype under an
 // entity key does not violate the schema's overlap constraints: functional
 // subtypes are disjoint unless an overlap was declared.
-func (t *Translator) checkOverlap(record string, key currency.Key) error {
+func (t *Translator) checkOverlap(ctx context.Context, record string, key currency.Key) error {
 	if t.fun == nil {
 		return nil
 	}
@@ -158,7 +159,7 @@ func (t *Translator) checkOverlap(record string, key currency.Key) error {
 		if st.Name == record || !t.fun.IsTerminal(st.Name) {
 			continue
 		}
-		res, err := t.kcExec(abdl.NewRetrieve(
+		res, err := t.kcExec(ctx, abdl.NewRetrieve(
 			abdm.And(filePred(st.Name), t.keyPred(st.Name, key)),
 			t.ab.KeyOf(st.Name),
 		))
@@ -174,7 +175,7 @@ func (t *Translator) checkOverlap(record string, key currency.Key) error {
 
 // execConnect manually inserts the current of the run-unit into the current
 // occurrences of the named sets (Chapter VI.D).
-func (t *Translator) execConnect(c *codasyl.Connect, out *Outcome) error {
+func (t *Translator) execConnect(ctx context.Context, c *codasyl.Connect, out *Outcome) error {
 	runKey, err := t.requireRunUnit(c.Record)
 	if err != nil {
 		return err
@@ -202,11 +203,11 @@ func (t *Translator) execConnect(c *codasyl.Connect, out *Outcome) error {
 				abdm.And(filePred(aset.File), t.keyPred(aset.File, runKey)),
 				abdl.Modifier{Attr: aset.Attr, Val: abdm.Int(sc.OwnerKey)},
 			)
-			if _, err := t.kcExec(req); err != nil {
+			if _, err := t.kcExec(ctx, req); err != nil {
 				return err
 			}
 		case xform.PlaceOwnerAttr:
-			if err := t.connectOwnerSide(st, aset, sc.OwnerKey, runKey); err != nil {
+			if err := t.connectOwnerSide(ctx, st, aset, sc.OwnerKey, runKey); err != nil {
 				return err
 			}
 		default:
@@ -224,8 +225,8 @@ func (t *Translator) execConnect(c *codasyl.Connect, out *Outcome) error {
 // occurrence of the set attribute the null is replaced; otherwise a new
 // record copy is inserted, duplicating the owner's other attribute-value
 // pairs.
-func (t *Translator) connectOwnerSide(st *netmodel.SetType, aset xform.ABSet, ownerKey, runKey currency.Key) error {
-	copies, err := t.retrieveByKey(st.Owner, ownerKey)
+func (t *Translator) connectOwnerSide(ctx context.Context, st *netmodel.SetType, aset xform.ABSet, ownerKey, runKey currency.Key) error {
+	copies, err := t.retrieveByKey(ctx, st.Owner, ownerKey)
 	if err != nil {
 		return err
 	}
@@ -252,20 +253,20 @@ func (t *Translator) connectOwnerSide(st *netmodel.SetType, aset xform.ABSet, ow
 			),
 			abdl.Modifier{Attr: aset.Attr, Val: abdm.Int(runKey)},
 		)
-		_, err := t.kcExec(req)
+		_, err := t.kcExec(ctx, req)
 		return err
 	}
 	// Cases (3) and (4): insert a copy of the owner record whose set
 	// attribute holds the new member's key.
 	cp := copies[0].Clone()
 	cp.Set(aset.Attr, abdm.Int(runKey))
-	_, err = t.kcExec(abdl.NewInsert(cp))
+	_, err = t.kcExec(ctx, abdl.NewInsert(cp))
 	return err
 }
 
 // execDisconnect detaches the current of the run-unit from the named sets;
 // the record remains in the database (Chapter VI.E).
-func (t *Translator) execDisconnect(d *codasyl.Disconnect, out *Outcome) error {
+func (t *Translator) execDisconnect(ctx context.Context, d *codasyl.Disconnect, out *Outcome) error {
 	runKey, err := t.requireRunUnit(d.Record)
 	if err != nil {
 		return err
@@ -283,7 +284,7 @@ func (t *Translator) execDisconnect(d *codasyl.Disconnect, out *Outcome) error {
 		}
 		switch aset.Place {
 		case xform.PlaceMemberAttr, xform.PlaceLinkAttr:
-			if err := t.disconnectMemberSide(st, aset, runKey); err != nil {
+			if err := t.disconnectMemberSide(ctx, st, aset, runKey); err != nil {
 				return err
 			}
 		case xform.PlaceOwnerAttr:
@@ -291,7 +292,7 @@ func (t *Translator) execDisconnect(d *codasyl.Disconnect, out *Outcome) error {
 			if !ok {
 				return fmt.Errorf("%w: set %q", ErrNoSetOccurrence, set)
 			}
-			if err := t.disconnectOwnerSide(st, aset, sc.OwnerKey, runKey); err != nil {
+			if err := t.disconnectOwnerSide(ctx, st, aset, sc.OwnerKey, runKey); err != nil {
 				return err
 			}
 		default:
@@ -305,8 +306,8 @@ func (t *Translator) execDisconnect(d *codasyl.Disconnect, out *Outcome) error {
 
 // disconnectMemberSide nulls the member record's set attribute: by the
 // schema transformation this is always a singleton function set.
-func (t *Translator) disconnectMemberSide(st *netmodel.SetType, aset xform.ABSet, runKey currency.Key) error {
-	copies, err := t.retrieveByKey(aset.File, runKey)
+func (t *Translator) disconnectMemberSide(ctx context.Context, st *netmodel.SetType, aset xform.ABSet, runKey currency.Key) error {
+	copies, err := t.retrieveByKey(ctx, aset.File, runKey)
 	if err != nil {
 		return err
 	}
@@ -324,15 +325,15 @@ func (t *Translator) disconnectMemberSide(st *netmodel.SetType, aset xform.ABSet
 		abdm.And(filePred(aset.File), t.keyPred(aset.File, runKey)),
 		abdl.Modifier{Attr: aset.Attr, Val: abdm.Null()},
 	)
-	_, err = t.kcExec(req)
+	_, err = t.kcExec(ctx, req)
 	return err
 }
 
 // disconnectOwnerSide handles function sets whose information resides in the
 // owner record. A singleton set occurrence has its value nulled out; a set
 // with multiple members has the matching record copies deleted.
-func (t *Translator) disconnectOwnerSide(st *netmodel.SetType, aset xform.ABSet, ownerKey, runKey currency.Key) error {
-	copies, err := t.retrieveByKey(st.Owner, ownerKey)
+func (t *Translator) disconnectOwnerSide(ctx context.Context, st *netmodel.SetType, aset xform.ABSet, ownerKey, runKey currency.Key) error {
+	copies, err := t.retrieveByKey(ctx, st.Owner, ownerKey)
 	if err != nil {
 		return err
 	}
@@ -356,17 +357,17 @@ func (t *Translator) disconnectOwnerSide(st *netmodel.SetType, aset xform.ABSet,
 	)
 	if others > 0 {
 		// The function set has multiple members: delete the matching copies.
-		_, err := t.kcExec(abdl.NewDelete(qual))
+		_, err := t.kcExec(ctx, abdl.NewDelete(qual))
 		return err
 	}
 	// Singleton: null out the value, keeping the record.
-	_, err = t.kcExec(abdl.NewUpdate(qual, abdl.Modifier{Attr: aset.Attr, Val: abdm.Null()}))
+	_, err = t.kcExec(ctx, abdl.NewUpdate(qual, abdl.Modifier{Attr: aset.Attr, Val: abdm.Null()}))
 	return err
 }
 
 // execModify alters the current record of the run-unit: the whole record or
 // selected items (Chapter VI.F). One UPDATE is issued per modified field.
-func (t *Translator) execModify(m *codasyl.Modify, out *Outcome) error {
+func (t *Translator) execModify(ctx context.Context, m *codasyl.Modify, out *Outcome) error {
 	runKey, err := t.requireRunUnit(m.Record)
 	if err != nil {
 		return err
@@ -396,7 +397,7 @@ func (t *Translator) execModify(m *codasyl.Modify, out *Outcome) error {
 			abdm.And(filePred(m.Record), t.keyPred(m.Record, runKey)),
 			abdl.Modifier{Attr: item, Val: v},
 		)
-		if _, err := t.kcExec(req); err != nil {
+		if _, err := t.kcExec(ctx, req); err != nil {
 			return err
 		}
 	}
@@ -409,7 +410,7 @@ func (t *Translator) execModify(m *codasyl.Modify, out *Outcome) error {
 // both the CODASYL constraint (the record may not own a non-empty set
 // occurrence) and the Daplex constraint (the entity may not be referenced by
 // a database function).
-func (t *Translator) execErase(e *codasyl.Erase, out *Outcome) error {
+func (t *Translator) execErase(ctx context.Context, e *codasyl.Erase, out *Outcome) error {
 	if e.All {
 		return ErrEraseAll
 	}
@@ -441,7 +442,7 @@ func (t *Translator) execErase(e *codasyl.Erase, out *Outcome) error {
 		default:
 			continue
 		}
-		res, err := t.kcExec(abdl.NewRetrieve(q, t.ab.KeyOf(targetFile)))
+		res, err := t.kcExec(ctx, abdl.NewRetrieve(q, t.ab.KeyOf(targetFile)))
 		if err != nil {
 			return err
 		}
@@ -459,7 +460,7 @@ func (t *Translator) execErase(e *codasyl.Erase, out *Outcome) error {
 		if aset.Place != xform.PlaceOwnerAttr {
 			continue
 		}
-		res, err := t.kcExec(abdl.NewRetrieve(
+		res, err := t.kcExec(ctx, abdl.NewRetrieve(
 			abdm.And(filePred(st.Owner),
 				abdm.Predicate{Attr: aset.Attr, Op: abdm.OpEq, Val: abdm.Int(runKey)}),
 			t.ab.KeyOf(st.Owner),
@@ -471,7 +472,7 @@ func (t *Translator) execErase(e *codasyl.Erase, out *Outcome) error {
 			return fmt.Errorf("%w: function %q references it", ErrEraseReferenced, st.Name)
 		}
 	}
-	if _, err := t.kcExec(abdl.NewDelete(abdm.And(filePred(e.Record), t.keyPred(e.Record, runKey)))); err != nil {
+	if _, err := t.kcExec(ctx, abdl.NewDelete(abdm.And(filePred(e.Record), t.keyPred(e.Record, runKey)))); err != nil {
 		return err
 	}
 	t.cit.InvalidateCurrent(e.Record, runKey)

@@ -5,6 +5,7 @@ package kms
 // MLDS network interface of Emdi), served by the same translator.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -137,11 +138,11 @@ func TestNetworkAutomaticSetStore(t *testing.T) {
 	}
 	// Automatic STORE without an owner current fails.
 	tr2 := newNetSession(t)
-	if _, err := tr2.Exec(mustParse(t, "MOVE 1 TO code IN badge")); err != nil {
+	if _, err := tr2.ExecCtx(context.Background(), mustParse(t, "MOVE 1 TO code IN badge")); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := codasyl.ParseStmt("STORE badge")
-	if _, err := tr2.Exec(st); !errors.Is(err, ErrNoSetOccurrence) {
+	if _, err := tr2.ExecCtx(context.Background(), st); !errors.Is(err, ErrNoSetOccurrence) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"mlds/internal/currency"
 	"mlds/internal/funcmodel"
 	"mlds/internal/kc"
+	"mlds/internal/kdb"
 	"mlds/internal/netmodel"
 	"mlds/internal/xform"
 )
@@ -66,8 +67,8 @@ type Translator struct {
 
 	cit        *currency.CIT
 	uwa        *currency.WorkArea
-	currentRec *abdm.Record    // cached content of the run-unit current
-	reqCtx     context.Context // set by ExecCtx for the statement's duration
+	currentRec *abdm.Record // cached content of the run-unit current
+	issued     []string     // ABDL requests of the statement in progress
 }
 
 // NewNetwork builds a translator for a natively-defined network database.
@@ -98,87 +99,44 @@ func (t *Translator) UWA() *currency.WorkArea { return t.uwa }
 // addresses.
 func (t *Translator) Schema() *netmodel.Schema { return t.net }
 
-// Exec validates and executes one DML statement.
-func (t *Translator) Exec(st codasyl.Stmt) (*Outcome, error) {
-	t.kc.StartTrace()
-	defer t.kc.StopTrace()
+// ExecCtx validates and executes one DML statement under the request
+// context: every kernel request it issues carries ctx, so the controller
+// joins the context's transaction and attaches its trace spans beneath the
+// caller's. The outcome lists the requests this translator issued for the
+// statement — and only those, though other sessions share the controller.
+func (t *Translator) ExecCtx(ctx context.Context, st codasyl.Stmt) (*Outcome, error) {
 	out := &Outcome{Stmt: st.String()}
 	var err error
 	switch v := st.(type) {
 	case *codasyl.Move:
 		err = t.execMove(v, out)
 	case *codasyl.Find:
-		err = t.execFind(v, out)
+		err = t.execFind(ctx, v, out)
 	case *codasyl.Get:
-		err = t.execGet(v, out)
+		err = t.execGet(ctx, v, out)
 	case *codasyl.Store:
-		err = t.execStore(v, out)
+		err = t.execStore(ctx, v, out)
 	case *codasyl.Connect:
-		err = t.execConnect(v, out)
+		err = t.execConnect(ctx, v, out)
 	case *codasyl.Disconnect:
-		err = t.execDisconnect(v, out)
+		err = t.execDisconnect(ctx, v, out)
 	case *codasyl.Modify:
-		err = t.execModify(v, out)
+		err = t.execModify(ctx, v, out)
 	case *codasyl.Erase:
-		err = t.execErase(v, out)
+		err = t.execErase(ctx, v, out)
 	default:
 		err = fmt.Errorf("kms: unsupported statement %T", st)
 	}
-	out.Requests = t.kc.Trace()
-	if err != nil {
-		return out, err
-	}
-	return out, nil
+	out.Requests, t.issued = t.issued, nil
+	return out, err
 }
 
-// ExecScript runs a parsed transaction script. A PERFORM UNTIL END-OF-SET
-// loop repeats its body until the body's *final* statement reports
-// end-of-set — the conventional shape places the iterating FIND NEXT last,
-// as the thesis's Chapter VI example does. End-of-set from earlier
-// statements is recorded in the outcomes but does not terminate the loop
-// (the host program inspects the status, as a COBOL run-unit would). It
-// returns the outcome of every executed statement in order.
-func (t *Translator) ExecScript(script codasyl.Script) ([]*Outcome, error) {
-	var outs []*Outcome
-	var run func(nodes []codasyl.Node) (lastEnd bool, err error)
-	run = func(nodes []codasyl.Node) (bool, error) {
-		lastEnd := false
-		for _, n := range nodes {
-			switch v := n.(type) {
-			case codasyl.StmtNode:
-				out, err := t.Exec(v.Stmt)
-				if out != nil {
-					outs = append(outs, out)
-				}
-				if err != nil {
-					return false, fmt.Errorf("%s: %w", v.Stmt, err)
-				}
-				lastEnd = out.EndOfSet
-			case codasyl.Loop:
-				for i := 0; ; i++ {
-					if i > maxLoopIterations {
-						return false, fmt.Errorf("kms: PERFORM loop exceeded %d iterations", maxLoopIterations)
-					}
-					end, err := run(v.Body)
-					if err != nil {
-						return false, err
-					}
-					if end {
-						break
-					}
-				}
-				lastEnd = false
-			}
-		}
-		return lastEnd, nil
-	}
-	_, err := run(script)
-	return outs, err
+// kcExec issues one kernel request under the statement's context and records
+// its ABDL text in the statement's request list.
+func (t *Translator) kcExec(ctx context.Context, req *abdl.Request) (*kdb.Result, error) {
+	t.issued = append(t.issued, req.String())
+	return t.kc.ExecCtx(ctx, req)
 }
-
-// maxLoopIterations bounds PERFORM loops against scripts that never reach
-// end-of-set.
-const maxLoopIterations = 1_000_000
 
 func (t *Translator) execMove(m *codasyl.Move, out *Outcome) error {
 	rec, ok := t.net.Record(m.Record)
@@ -236,8 +194,8 @@ func (t *Translator) keyPred(file string, key currency.Key) abdm.Predicate {
 }
 
 // retrieveAll runs a RETRIEVE of all attributes and returns the records.
-func (t *Translator) retrieveAll(q abdm.Query) ([]*abdm.Record, error) {
-	res, err := t.kcExec(abdl.NewRetrieve(q, abdl.AllAttrs))
+func (t *Translator) retrieveAll(ctx context.Context, q abdm.Query) ([]*abdm.Record, error) {
+	res, err := t.kcExec(ctx, abdl.NewRetrieve(q, abdl.AllAttrs))
 	if err != nil {
 		return nil, err
 	}
@@ -250,8 +208,8 @@ func (t *Translator) retrieveAll(q abdm.Query) ([]*abdm.Record, error) {
 
 // retrieveByKey fetches every kernel record (copy) of the entity with the
 // key in the file.
-func (t *Translator) retrieveByKey(file string, key currency.Key) ([]*abdm.Record, error) {
-	return t.retrieveAll(abdm.And(filePred(file), t.keyPred(file, key)))
+func (t *Translator) retrieveByKey(ctx context.Context, file string, key currency.Key) ([]*abdm.Record, error) {
+	return t.retrieveAll(ctx, abdm.And(filePred(file), t.keyPred(file, key)))
 }
 
 // keyOf extracts a record's database key given its file.
@@ -299,25 +257,25 @@ func (t *Translator) setInfo(set string) (*netmodel.SetType, xform.ABSet, error)
 // members retrieves every member record of the set occurrence owned by
 // ownerKey, deduplicated, in key order. The retrieval strategy depends on
 // where the set's membership attribute lives.
-func (t *Translator) members(st *netmodel.SetType, aset xform.ABSet, ownerKey currency.Key) ([]*abdm.Record, error) {
+func (t *Translator) members(ctx context.Context, st *netmodel.SetType, aset xform.ABSet, ownerKey currency.Key) ([]*abdm.Record, error) {
 	switch aset.Place {
 	case xform.PlaceNone:
 		// SYSTEM-owned singular set: every record of the member file.
-		recs, err := t.retrieveAll(abdm.And(filePred(st.Member)))
+		recs, err := t.retrieveAll(ctx, abdm.And(filePred(st.Member)))
 		if err != nil {
 			return nil, err
 		}
 		return t.dedupeByKey(st.Member, recs), nil
 	case xform.PlaceSharedKey:
 		// ISA: the member record shares the owner's key.
-		recs, err := t.retrieveAll(abdm.And(filePred(st.Member), t.keyPred(st.Member, ownerKey)))
+		recs, err := t.retrieveAll(ctx, abdm.And(filePred(st.Member), t.keyPred(st.Member, ownerKey)))
 		if err != nil {
 			return nil, err
 		}
 		return t.dedupeByKey(st.Member, recs), nil
 	case xform.PlaceMemberAttr, xform.PlaceLinkAttr:
 		// Membership attribute in the member (or LINK) file holds the owner key.
-		recs, err := t.retrieveAll(abdm.And(
+		recs, err := t.retrieveAll(ctx, abdm.And(
 			filePred(aset.File),
 			abdm.Predicate{Attr: aset.Attr, Op: abdm.OpEq, Val: abdm.Int(ownerKey)},
 		))
@@ -328,7 +286,7 @@ func (t *Translator) members(st *netmodel.SetType, aset xform.ABSet, ownerKey cu
 	case xform.PlaceOwnerAttr:
 		// The owner file holds one record copy per member key: an auxiliary
 		// retrieve collects the keys, a second fetches the member records.
-		ownerRecs, err := t.kcExec(abdl.NewRetrieve(
+		ownerRecs, err := t.kcExec(ctx, abdl.NewRetrieve(
 			abdm.And(filePred(st.Owner), t.keyPred(st.Owner, ownerKey)),
 			aset.Attr,
 		))
@@ -352,7 +310,7 @@ func (t *Translator) members(st *netmodel.SetType, aset xform.ABSet, ownerKey cu
 		for _, k := range keys {
 			q = append(q, abdm.Conjunction{filePred(st.Member), t.keyPred(st.Member, k)})
 		}
-		recs, err := t.retrieveAll(q)
+		recs, err := t.retrieveAll(ctx, q)
 		if err != nil {
 			return nil, err
 		}

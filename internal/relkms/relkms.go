@@ -6,7 +6,6 @@ package relkms
 
 import (
 	"context"
-
 	"fmt"
 	"sort"
 
@@ -52,7 +51,6 @@ func DeriveAB(s *relmodel.Schema) (*abdm.Directory, error) {
 type Interface struct {
 	schema *relmodel.Schema
 	kc     *kc.Controller
-	reqCtx context.Context // set by ExecCtx for the statement's duration
 }
 
 // New builds a SQL interface.
@@ -68,26 +66,19 @@ type ResultSet struct {
 	Count   int
 }
 
-// ExecText parses and executes one SQL statement.
-func (i *Interface) ExecText(src string) (*ResultSet, error) {
-	st, err := sql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return i.Exec(st)
-}
-
-// Exec executes one parsed statement.
-func (i *Interface) Exec(st sql.Stmt) (*ResultSet, error) {
+// ExecCtx executes one parsed statement under the request context: every
+// kernel request it issues carries ctx, so the controller joins the
+// context's transaction and attaches its trace spans beneath the caller's.
+func (i *Interface) ExecCtx(ctx context.Context, st sql.Stmt) (*ResultSet, error) {
 	switch v := st.(type) {
 	case *sql.Select:
-		return i.execSelect(v)
+		return i.execSelect(ctx, v)
 	case *sql.Insert:
-		return i.execInsert(v)
+		return i.execInsert(ctx, v)
 	case *sql.Update:
-		return i.execUpdate(v)
+		return i.execUpdate(ctx, v)
 	case *sql.Delete:
-		return i.execDelete(v)
+		return i.execDelete(ctx, v)
 	case *sql.Watch, *sql.CreateView:
 		// Change subscriptions and view maintenance live above the mapping
 		// system (the session layer intercepts these verbs before parsing).
@@ -158,7 +149,7 @@ func (i *Interface) table(name string) (*relmodel.Table, error) {
 	return t, nil
 }
 
-func (i *Interface) execSelect(st *sql.Select) (*ResultSet, error) {
+func (i *Interface) execSelect(ctx context.Context, st *sql.Select) (*ResultSet, error) {
 	table, err := i.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -210,7 +201,7 @@ func (i *Interface) execSelect(st *sql.Select) (*ResultSet, error) {
 		}
 		req.By = st.GroupBy
 	}
-	res, err := i.kcExec(req)
+	res, err := i.kc.ExecCtx(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +296,7 @@ func (i *Interface) execSelect(st *sql.Select) (*ResultSet, error) {
 	return out, nil
 }
 
-func (i *Interface) execInsert(st *sql.Insert) (*ResultSet, error) {
+func (i *Interface) execInsert(ctx context.Context, st *sql.Insert) (*ResultSet, error) {
 	table, err := i.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -337,7 +328,7 @@ func (i *Interface) execInsert(st *sql.Insert) (*ResultSet, error) {
 			return nil, fmt.Errorf("relkms: column %q is NOT NULL", col.Name)
 		}
 		if col.Unique && !v.IsNull() {
-			res, err := i.kcExec(abdl.NewRetrieve(abdm.And(
+			res, err := i.kc.ExecCtx(ctx, abdl.NewRetrieve(abdm.And(
 				abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String(st.Table)},
 				abdm.Predicate{Attr: col.Name, Op: abdm.OpEq, Val: v},
 			), col.Name))
@@ -349,13 +340,13 @@ func (i *Interface) execInsert(st *sql.Insert) (*ResultSet, error) {
 			}
 		}
 	}
-	if _, err := i.kcExec(abdl.NewInsert(rec)); err != nil {
+	if _, err := i.kc.ExecCtx(ctx, abdl.NewInsert(rec)); err != nil {
 		return nil, err
 	}
 	return &ResultSet{Count: 1}, nil
 }
 
-func (i *Interface) execUpdate(st *sql.Update) (*ResultSet, error) {
+func (i *Interface) execUpdate(ctx context.Context, st *sql.Update) (*ResultSet, error) {
 	table, err := i.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -379,14 +370,14 @@ func (i *Interface) execUpdate(st *sql.Update) (*ResultSet, error) {
 		}
 		mods = append(mods, abdl.Modifier{Attr: a.Column, Val: val})
 	}
-	res, err := i.kcExec(abdl.NewUpdate(q, mods...))
+	res, err := i.kc.ExecCtx(ctx, abdl.NewUpdate(q, mods...))
 	if err != nil {
 		return nil, err
 	}
 	return &ResultSet{Count: res.Count}, nil
 }
 
-func (i *Interface) execDelete(st *sql.Delete) (*ResultSet, error) {
+func (i *Interface) execDelete(ctx context.Context, st *sql.Delete) (*ResultSet, error) {
 	table, err := i.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -395,7 +386,7 @@ func (i *Interface) execDelete(st *sql.Delete) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := i.kcExec(abdl.NewDelete(q))
+	res, err := i.kc.ExecCtx(ctx, abdl.NewDelete(q))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package relkms
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +10,15 @@ import (
 	"mlds/internal/mbds"
 	"mlds/internal/sql"
 )
+
+// execText parses one statement and executes it, as a session does.
+func execText(i *Interface, src string) (*ResultSet, error) {
+	st, err := sql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return i.ExecCtx(context.Background(), st)
+}
 
 const shopDDL = `
 CREATE TABLE dept (
@@ -42,7 +52,7 @@ func newInterface(t *testing.T) *Interface {
 
 func exec(t *testing.T, i *Interface, src string) *ResultSet {
 	t.Helper()
-	rs, err := i.ExecText(src)
+	rs, err := execText(i, src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -152,16 +162,16 @@ func TestSelectGroupBy(t *testing.T) {
 func TestInsertConstraints(t *testing.T) {
 	i := newInterface(t)
 	loadShop(t, i)
-	if _, err := i.ExecText("INSERT INTO dept (dname, floor) VALUES ('CS', 9)"); err == nil || !strings.Contains(err.Error(), "UNIQUE") {
+	if _, err := execText(i, "INSERT INTO dept (dname, floor) VALUES ('CS', 9)"); err == nil || !strings.Contains(err.Error(), "UNIQUE") {
 		t.Errorf("unique violation: %v", err)
 	}
-	if _, err := i.ExecText("INSERT INTO dept (floor) VALUES (1)"); err == nil || !strings.Contains(err.Error(), "NOT NULL") {
+	if _, err := execText(i, "INSERT INTO dept (floor) VALUES (1)"); err == nil || !strings.Contains(err.Error(), "NOT NULL") {
 		t.Errorf("not-null violation: %v", err)
 	}
-	if _, err := i.ExecText("INSERT INTO dept (nosuch) VALUES (1)"); err == nil {
+	if _, err := execText(i, "INSERT INTO dept (nosuch) VALUES (1)"); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := i.ExecText("INSERT INTO dept (dname, floor) VALUES ('X', 'high')"); err == nil {
+	if _, err := execText(i, "INSERT INTO dept (dname, floor) VALUES ('X', 'high')"); err == nil {
 		t.Error("type mismatch accepted")
 	}
 }
@@ -187,7 +197,7 @@ func TestUpdateAndDelete(t *testing.T) {
 		t.Errorf("rows = %v", rows.Rows)
 	}
 	// NOT NULL enforcement on update.
-	if _, err := i.ExecText("UPDATE emp SET ename = NULL"); err == nil {
+	if _, err := execText(i, "UPDATE emp SET ename = NULL"); err == nil {
 		t.Error("NOT NULL update accepted")
 	}
 	del := exec(t, i, "DELETE FROM emp WHERE dept = 'EE'")
@@ -212,16 +222,16 @@ func TestIntFloatCoercion(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	i := newInterface(t)
-	if _, err := i.ExecText("SELECT * FROM nosuch"); err == nil {
+	if _, err := execText(i, "SELECT * FROM nosuch"); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := i.ExecText("SELECT nosuch FROM emp"); err == nil {
+	if _, err := execText(i, "SELECT nosuch FROM emp"); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := i.ExecText("SELECT ename FROM emp WHERE nosuch = 1"); err == nil {
+	if _, err := execText(i, "SELECT ename FROM emp WHERE nosuch = 1"); err == nil {
 		t.Error("unknown where column accepted")
 	}
-	if _, err := i.ExecText("SELECT ename FROM emp ORDER BY pay"); err == nil {
+	if _, err := execText(i, "SELECT ename FROM emp ORDER BY pay"); err == nil {
 		t.Error("ORDER BY outside select list accepted")
 	}
 }

@@ -64,17 +64,8 @@ type (
 	Config = core.Config
 	// Model identifies a database's defining data model.
 	Model = core.Model
-	// DMLSession is a CODASYL-DML user session.
-	DMLSession = core.DMLSession
-	// DaplexSession is a Daplex user session.
-	DaplexSession = core.DaplexSession
-	// SQLSession is a SQL user session on a relational database.
-	SQLSession = core.SQLSession
-	// DLISession is a DL/I user session on a hierarchical database.
-	DLISession = core.DLISession
-	// ABDLSession is a raw attribute-based (ABDL) user session.
-	ABDLSession = core.ABDLSession
-	// Session is the unified interface implemented by all session types.
+	// Session is one user's session on a database in one language, opened
+	// by System.Open (or, remotely, Client.Open).
 	Session = core.Session
 	// DatabaseInfo describes one catalog entry in a Databases listing.
 	DatabaseInfo = core.DatabaseInfo
@@ -171,6 +162,16 @@ var (
 	FormatResult = kfs.FormatResult
 )
 
+// CODASYL-DML run-unit helpers.
+var (
+	// RunScript runs a CODASYL-DML transaction script (statements plus
+	// PERFORM UNTIL END-OF-SET loops) on a session, one Execute per
+	// statement, inside the session's transaction.
+	RunScript = core.RunScript
+	// CIT returns a local CODASYL-DML session's currency indicator table.
+	CIT = core.CIT
+)
+
 // Catalog lookup sentinels, for errors.Is on Open errors.
 var (
 	// ErrNoDatabase reports a name absent from the catalog.
@@ -227,7 +228,7 @@ var (
 	ErrReadOnly = txn.ErrReadOnly
 	// SnapshotSession makes every implicit statement of a session run in
 	// its own read-only snapshot transaction: lock-free reads that never
-	// wait on writers. Pass it to System.Open or a typed opener.
+	// wait on writers. Pass it to System.Open.
 	SnapshotSession = core.SnapshotSession
 )
 

@@ -23,7 +23,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// CODASYL-DML over the functional database.
-	dml, err := sys.OpenDML("university")
+	dml, err := sys.Open("university", "dml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Daplex over the same database.
-	dap, err := sys.OpenDaplex("university")
+	dap, err := sys.Open("university", "daplex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPublicTransactionSurface(t *testing.T) {
 	if _, err := sys.CreateFunctional("u", UniversityDDL); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := sys.OpenDaplex("u")
+	sess, err := sys.Open("u", "daplex")
 	if err != nil {
 		t.Fatal(err)
 	}
