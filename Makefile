@@ -93,6 +93,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDLI$$' -fuzztime $(FUZZ_TIME) ./internal/dli
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZ_TIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime $(FUZZ_TIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZ_TIME) ./internal/pager
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/kdb
 
 bench:
 	$(GO) run ./cmd/mldsbench -json BENCH_10.json

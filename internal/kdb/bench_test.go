@@ -2,13 +2,14 @@ package kdb
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
 )
 
-func benchStore(b *testing.B, n int, opts ...Option) *Store {
+func benchDir(b *testing.B) *abdm.Directory {
 	b.Helper()
 	d := abdm.NewDirectory()
 	for _, def := range []struct {
@@ -22,7 +23,19 @@ func benchStore(b *testing.B, n int, opts ...Option) *Store {
 	if err := d.DefineFile("course", []string{"title", "dept", "credits"}); err != nil {
 		b.Fatal(err)
 	}
-	s := NewStore(d, opts...)
+	return d
+}
+
+func benchStore(b *testing.B, n int, opts ...Option) *Store {
+	b.Helper()
+	s := NewStore(benchDir(b), opts...)
+	fillBenchStore(b, s, n)
+	return s
+}
+
+// fillBenchStore inserts n courses, a quarter of them in each department.
+func fillBenchStore(b *testing.B, s *Store, n int) {
+	b.Helper()
 	for i := 0; i < n; i++ {
 		rec := abdm.NewRecord("course",
 			abdm.Keyword{Attr: "title", Val: abdm.String(fmt.Sprintf("T%06d", i))},
@@ -33,7 +46,6 @@ func benchStore(b *testing.B, n int, opts ...Option) *Store {
 			b.Fatal(err)
 		}
 	}
-	return s
 }
 
 func BenchmarkStoreInsert(b *testing.B) {
@@ -122,6 +134,31 @@ func BenchmarkStoreRetrieveProjected(b *testing.B) {
 	req := abdl.NewRetrieve(abdm.And(
 		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
 	), "title", "credits")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(req)
+		if err != nil || len(res.Records) != 200 {
+			b.Fatalf("%d records, err %v; want 200", len(res.Records), err)
+		}
+	}
+}
+
+// BenchmarkBackedRetrieveIndexedCold is the cold read path: the same
+// 200-row index-eq read over a backed store whose bodies all live in the
+// page heap, read through an 8-frame pool, so nearly every page it needs is
+// a miss. Every execution bypasses the result cache.
+func BenchmarkBackedRetrieveIndexedCold(b *testing.B) {
+	b.ReportAllocs()
+	s, err := CreateBacked(filepath.Join(b.TempDir(), "cold.pgf"), benchDir(b),
+		WithPoolPages(8), WithResultCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.CloseBacking()
+	fillBenchStore(b, s, 800)
+	req := abdl.NewRetrieve(abdm.And(
+		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
+	), abdl.AllAttrs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := s.Exec(req)

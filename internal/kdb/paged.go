@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"sync/atomic"
 
 	"mlds/internal/abdm"
 	"mlds/internal/pager"
@@ -59,6 +61,7 @@ type backing struct {
 	heap *pager.Heap
 
 	rids     map[abdm.RecordID]pager.RID
+	names    nameTable                // interned attribute and file names for the decoder
 	fileOfC  map[abdm.RecordID]string // committed file per record (image contents)
 	cIndexes map[string]*attrIndex    // attr indexes over committed state only
 	pending  map[abdm.RecordID]int    // records with uncommitted versions in RAM
@@ -170,6 +173,7 @@ func openBacked(path string, dir *abdm.Directory, bound *uint64, opts []Option) 
 		appliedEpoch: baseEpoch, baseEpoch: baseEpoch,
 		maxID: meta.NextID,
 	}
+	b.names.learn(append(dir.Attrs(), dir.Files()...))
 	if meta.HasIndex {
 		err = s.openFromImage(b, meta)
 	} else {
@@ -221,7 +225,7 @@ func (s *Store) openFromImage(b *backing, meta pager.Meta) error {
 		// The image was written by a WithoutIndexes store but this store
 		// wants indexes: rebuild them by scanning the heap once.
 		err := b.heap.Scan(func(_ pager.RID, cell []byte) error {
-			id, rec, err := decodeRecord(cell)
+			id, rec, err := decodeRecord(cell, &b.names)
 			if err != nil {
 				return err
 			}
@@ -245,7 +249,7 @@ func (s *Store) openFromScan(b *backing) error {
 	}
 	b.heap = heap
 	err = heap.Scan(func(rid pager.RID, cell []byte) error {
-		id, rec, err := decodeRecord(cell)
+		id, rec, err := decodeRecord(cell, &b.names)
 		if err != nil {
 			return err
 		}
@@ -302,6 +306,7 @@ func (s *Store) attachBacking(f *pager.File) {
 		pending:   make(map[abdm.RecordID]int),
 		baseEpoch: 1,
 	}
+	s.backing.names.learn(append(s.dir.Attrs(), s.dir.Files()...))
 }
 
 // Backed reports whether the store writes through to a page file.
@@ -375,17 +380,17 @@ func (s *Store) applyBackingNow(id abdm.RecordID, rec *abdm.Record, epoch uint64
 	// The committed index is maintained by diffing the heap cell being
 	// replaced against the new committed value.
 	if exists && !s.noIndex {
-		var cell []byte
-		if cell, err = b.heap.Get(rid); err == nil {
-			var old *abdm.Record
-			if _, old, err = decodeRecord(cell); err == nil {
-				for _, kw := range old.Keywords {
-					if ix := b.cIndexes[kw.Attr]; ix != nil {
-						ix.remove(kw.Val, id)
-					}
+		var old *abdm.Record
+		if old, err = s.fetchLocked(id); err == nil {
+			for _, kw := range old.Keywords {
+				if ix := b.cIndexes[kw.Attr]; ix != nil {
+					ix.remove(kw.Val, id)
 				}
 			}
 		}
+	}
+	if rec != nil {
+		b.names.learnRecord(rec)
 	}
 	if err == nil {
 		switch {
@@ -634,7 +639,7 @@ func (s *Store) ScanBacking(fn func(id abdm.RecordID, rec *abdm.Record) error) e
 		return ErrNoBacking
 	}
 	return b.heap.Scan(func(_ pager.RID, cell []byte) error {
-		id, rec, err := decodeRecord(cell)
+		id, rec, err := decodeRecord(cell, &b.names)
 		if err != nil {
 			return err
 		}
@@ -665,7 +670,10 @@ func encodeRecord(id abdm.RecordID, rec *abdm.Record) []byte {
 
 var errShortRecord = errors.New("kdb: truncated record cell")
 
-func decodeRecord(cell []byte) (abdm.RecordID, *abdm.Record, error) {
+// decodeRecord decodes one heap cell into a fresh record. Attribute names
+// and the FILE value come from names when it holds them, so they share the
+// table's strings instead of allocating per row; names may be nil.
+func decodeRecord(cell []byte, names *nameTable) (abdm.RecordID, *abdm.Record, error) {
 	idU, n := binary.Uvarint(cell)
 	if n <= 0 {
 		return 0, nil, errShortRecord
@@ -676,6 +684,10 @@ func decodeRecord(cell []byte) (abdm.RecordID, *abdm.Record, error) {
 		return 0, nil, errShortRecord
 	}
 	cell = cell[n:]
+	// Every keyword takes at least two bytes (name length, value kind).
+	if nkw > uint64(len(cell)/2) {
+		return 0, nil, errShortRecord
+	}
 	rec := &abdm.Record{Keywords: make([]abdm.Keyword, 0, nkw)}
 	for i := uint64(0); i < nkw; i++ {
 		ln, n := binary.Uvarint(cell)
@@ -686,13 +698,19 @@ func decodeRecord(cell []byte) (abdm.RecordID, *abdm.Record, error) {
 		if uint64(len(cell)) < ln {
 			return 0, nil, errShortRecord
 		}
-		attr := string(cell[:ln])
+		attr := names.intern(cell[:ln])
 		cell = cell[ln:]
+		// String values are data and get their own copy; the FILE value is a
+		// file name and is interned like the attribute names.
+		var valNames *nameTable
+		if attr == abdm.FileAttr {
+			valNames = names
+		}
 		var (
 			val abdm.Value
 			err error
 		)
-		if val, cell, err = readValue(cell); err != nil {
+		if val, cell, err = readValue(cell, valNames); err != nil {
 			return 0, nil, err
 		}
 		rec.Keywords = append(rec.Keywords, abdm.Keyword{Attr: attr, Val: val})
@@ -707,4 +725,73 @@ func decodeRecord(cell []byte) (abdm.RecordID, *abdm.Record, error) {
 	}
 	rec.Text = string(cell[:ln])
 	return abdm.RecordID(idU), rec, nil
+}
+
+// nameTable interns the attribute and file names the record decoder meets,
+// so paging a row in allocates no string for them. It is copy-on-write:
+// decoders load the current map without a lock (ScanBacking decodes outside
+// the store lock), and a new map replaces it whenever a name is added. Every
+// writer holds the store's write lock or owns a store still being opened.
+type nameTable struct {
+	m atomic.Pointer[map[string]string]
+}
+
+// intern returns b as a string, the table's own copy when it holds one. A
+// nil table always copies.
+func (t *nameTable) intern(b []byte) string {
+	if t != nil {
+		if m := t.m.Load(); m != nil {
+			if s, ok := (*m)[string(b)]; ok {
+				return s
+			}
+		}
+	}
+	return string(b)
+}
+
+func (t *nameTable) has(name string) bool {
+	m := t.m.Load()
+	if m == nil {
+		return false
+	}
+	_, ok := (*m)[name]
+	return ok
+}
+
+// learn publishes a table that also holds names, if any of them is new.
+func (t *nameTable) learn(names []string) {
+	var next map[string]string
+	for _, n := range names {
+		if n == "" || t.has(n) || next[n] != "" {
+			continue
+		}
+		if next == nil {
+			next = make(map[string]string)
+			if m := t.m.Load(); m != nil {
+				next = maps.Clone(*m)
+			}
+		}
+		next[n] = n
+	}
+	if next != nil {
+		t.m.Store(&next)
+	}
+}
+
+// learnRecord adds the record's attribute names and file name, checking
+// first so that a record with nothing new allocates nothing.
+func (t *nameTable) learnRecord(rec *abdm.Record) {
+	file := rec.File()
+	fresh := file != "" && !t.has(file)
+	for _, kw := range rec.Keywords {
+		fresh = fresh || !t.has(kw.Attr)
+	}
+	if !fresh {
+		return
+	}
+	names := []string{file}
+	for _, kw := range rec.Keywords {
+		names = append(names, kw.Attr)
+	}
+	t.learn(names)
 }

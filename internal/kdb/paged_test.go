@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mlds/internal/abdl"
@@ -43,7 +44,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		abdm.Keyword{Attr: "dept", Val: abdm.Null()},
 	)
 	rec.Text = "a body with\nnewlines and ünïcode"
-	id, got, err := decodeRecord(encodeRecord(99, rec))
+	id, got, err := decodeRecord(encodeRecord(99, rec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if v, _ := got.Get("rating"); v.AsFloat() != 3.25 {
 		t.Fatalf("rating = %v", v.AsFloat())
 	}
-	if _, _, err := decodeRecord([]byte{0x05}); err == nil {
+	if _, _, err := decodeRecord([]byte{0x05}, nil); err == nil {
 		t.Fatal("truncated cell decoded without error")
 	}
 }
@@ -341,5 +342,174 @@ func TestBackingStats(t *testing.T) {
 	}
 	if _, _, ok := NewStore(testDir(t)).BackingStats(); ok {
 		t.Fatal("plain store claims a backing")
+	}
+}
+
+// TestBackedIndexEqBatchesByPage: an index-eq lookup over 200 non-resident
+// rows, packed a few to a heap page, pins each distinct page once — not once
+// per row — and returns the same Result as the in-memory store.
+func TestBackedIndexEqBatchesByPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cold.pgf")
+	backed, err := CreateBacked(path, testDir(t), WithPageSize(512), WithPoolPages(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backed.CloseBacking()
+	mem := NewStore(testDir(t))
+	loadCourses(t, backed, 600)
+	loadCourses(t, mem, 600)
+	if n := backed.ResidentRecords(); n != 0 {
+		t.Fatalf("%d bodies resident after committed inserts, want 0", n)
+	}
+	q := abdm.And(abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")})
+	want := retrieveAll(t, mem, q)
+	pages := make(map[uint32]bool)
+	for _, sr := range want.Records {
+		pages[backed.backing.rids[sr.ID].Page] = true
+	}
+	if len(want.Records) != 200 || len(pages) >= len(want.Records) {
+		t.Fatalf("%d rows on %d pages: the test needs 200 rows sharing pages", len(want.Records), len(pages))
+	}
+
+	before, _, _ := backed.BackingStats()
+	got := retrieveAll(t, backed, q)
+	after, _, _ := backed.BackingStats()
+	if pins := (after.Hits + after.Misses) - (before.Hits + before.Misses); pins != uint64(len(pages)) {
+		t.Fatalf("%d pool pins for 200 rows on %d distinct pages, want one per page", pins, len(pages))
+	}
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("backed store returned %d rows, memory store %d", len(got.Records), len(want.Records))
+	}
+	for i, sr := range got.Records {
+		if sr.ID != want.Records[i].ID || !sr.Rec.Equal(want.Records[i].Rec) {
+			t.Fatalf("row %d: backed %d %v, memory %d %v", i, sr.ID, sr.Rec, want.Records[i].ID, want.Records[i].Rec)
+		}
+	}
+	if fmt.Sprint(got.Paths, got.Cost) != fmt.Sprint(want.Paths, want.Cost) {
+		t.Fatalf("backed paths/cost %v %+v, memory %v %+v", got.Paths, got.Cost, want.Paths, want.Cost)
+	}
+}
+
+// TestBackedPointReadAllocs: paging one record in decodes it straight from
+// its pinned frame, so it allocates no more than copying the cell out with
+// Heap.Get and decoding the copy did.
+func TestBackedPointReadAllocs(t *testing.T) {
+	s, _ := backedStore(t)
+	loadCourses(t, s, 20)
+	const id = 7
+	rid := s.backing.rids[id]
+	viaGet := testing.AllocsPerRun(100, func() {
+		cell, err := s.backing.heap.Get(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeRecord(cell, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	inPlace := testing.AllocsPerRun(100, func() {
+		if _, err := s.fetchLocked(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if inPlace > viaGet {
+		t.Fatalf("point read allocates %.0f times, copy-and-decode %.0f", inPlace, viaGet)
+	}
+}
+
+// TestBackedPoolExhaustedSurfaces: when every frame of a backed store's pool
+// is pinned, a read that needs another page fails with an error that
+// errors.Is matches to pager.ErrPoolExhausted through kdb's wrapping, and
+// succeeds again once the frames are released.
+func TestBackedPoolExhaustedSurfaces(t *testing.T) {
+	s, _ := backedStore(t) // 8 frames of 512 bytes
+	loadCourses(t, s, 200)
+	pool := s.backing.pool
+	var held []uint32
+	for id := uint32(0); len(held) < pool.Cap(); id++ {
+		if _, err := pool.Pin(id); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, id)
+	}
+	title := ""
+	for id, rid := range s.backing.rids {
+		if rid.Page >= uint32(len(held)) {
+			title = fmt.Sprintf("Course %03d", id-1)
+			break
+		}
+	}
+	if title == "" {
+		t.Fatal("every record sits on a held page")
+	}
+	_, err := s.Exec(abdl.NewRetrieve(courseQuery(title), abdl.AllAttrs))
+	if !errors.Is(err, pager.ErrPoolExhausted) {
+		t.Fatalf("read with every frame pinned = %v, want ErrPoolExhausted", err)
+	}
+	for _, id := range held {
+		pool.Unpin(id, false)
+	}
+	if res := retrieveAll(t, s, courseQuery(title)); len(res.Records) != 1 {
+		t.Fatalf("after unpinning: %d rows for %q, want 1", len(res.Records), title)
+	}
+	if st, _, _ := s.BackingStats(); st.Resident > pool.Cap() {
+		t.Fatalf("%d frames resident, cap %d", st.Resident, pool.Cap())
+	}
+}
+
+// TestBackedScanWhileNamesGrow runs ScanBacking, which decodes outside the
+// store lock, while writes keep bringing attribute names the interning
+// table has not seen, so each write-through publishes a new table. Under
+// -race this checks the table's copy-on-write publication; every decoded
+// row must still carry its own attribute names.
+func TestBackedScanWhileNamesGrow(t *testing.T) {
+	dir := testDir(t)
+	s, err := CreateBacked(filepath.Join(t.TempDir(), "names.pgf"), dir, WithPageSize(512), WithPoolPages(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseBacking()
+	loadCourses(t, s, 20)
+	done := make(chan struct{})
+	scanErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				scanErr <- nil
+				return
+			default:
+			}
+			err := s.ScanBacking(func(id abdm.RecordID, rec *abdm.Record) error {
+				for _, kw := range rec.Keywords {
+					if strings.HasPrefix(kw.Attr, "tag") && kw.Val.AsString() != kw.Attr {
+						return fmt.Errorf("record %d: %s = %v", id, kw.Attr, kw.Val)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				scanErr <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		attr := fmt.Sprintf("tag%02d", i)
+		if err := dir.DefineAttr(attr, abdm.KindString); err != nil {
+			t.Fatal(err)
+		}
+		rec := courseRec(fmt.Sprintf("Tagged %02d", i), 1)
+		rec.Set(attr, abdm.String(attr))
+		if _, err := s.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-scanErr; err != nil {
+		t.Fatal(err)
+	}
+	if got := scanBackingIDs(t, s); len(got) != 70 {
+		t.Fatalf("backing holds %d records, want 70", len(got))
 	}
 }

@@ -63,8 +63,8 @@ func appendValue(buf []byte, v abdm.Value) []byte {
 }
 
 // readValue decodes one value written by appendValue, returning the rest of
-// the buffer.
-func readValue(buf []byte) (abdm.Value, []byte, error) {
+// the buffer. A string value is interned through names (which may be nil).
+func readValue(buf []byte, names *nameTable) (abdm.Value, []byte, error) {
 	if len(buf) < 1 {
 		return abdm.Value{}, nil, errShortRecord
 	}
@@ -90,7 +90,7 @@ func readValue(buf []byte) (abdm.Value, []byte, error) {
 		if n <= 0 || uint64(len(buf)-n) < ln {
 			return abdm.Value{}, nil, errShortRecord
 		}
-		return abdm.String(string(buf[n : n+int(ln)])), buf[n+int(ln):], nil
+		return abdm.String(names.intern(buf[n : n+int(ln)])), buf[n+int(ln):], nil
 	default:
 		return abdm.Value{}, nil, fmt.Errorf("kdb: unknown value kind %d", kind)
 	}
@@ -322,7 +322,7 @@ func decodeImage(buf []byte) (*storeImage, error) {
 		}
 		for j := uint64(0); j < nVals; j++ {
 			var v abdm.Value
-			v, buf, err = readValue(buf)
+			v, buf, err = readValue(buf, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", errBadImage, err)
 			}

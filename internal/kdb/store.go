@@ -403,32 +403,18 @@ func (s *Store) GetByID(id abdm.RecordID) (*abdm.Record, bool) {
 // The returned record is a fresh decode the caller owns. Caller holds at
 // least the read lock.
 func (s *Store) fetchLocked(id abdm.RecordID) (*abdm.Record, error) {
-	b := s.backing
-	if b == nil {
-		return nil, fmt.Errorf("kdb: record %d has no resident body", id)
-	}
-	rid, ok := b.rids[id]
-	if !ok {
-		return nil, fmt.Errorf("kdb: record %d has no backing cell", id)
-	}
-	cell, err := b.heap.Get(rid)
-	if err != nil {
-		return nil, fmt.Errorf("kdb: paging in record %d: %w", id, err)
-	}
-	gotID, rec, err := decodeRecord(cell)
-	if err != nil {
-		return nil, fmt.Errorf("kdb: paging in record %d: %w", id, err)
-	}
-	if gotID != id {
-		return nil, fmt.Errorf("kdb: backing cell for record %d holds record %d", id, gotID)
-	}
-	return rec, nil
+	var out *abdm.Record
+	err := s.fetchEach([]abdm.RecordID{id}, func(_ abdm.RecordID, rec *abdm.Record) error {
+		out = rec
+		return nil
+	})
+	return out, err
 }
 
 // fetchEach pages the given non-resident records in grouped by heap page —
-// one pool pin per distinct page — calling fn with each decoded body. The
-// visit order follows the heap, not ids. Caller holds at least the read
-// lock.
+// one pool pin per distinct page — decoding each cell in place in its pinned
+// frame and calling fn with the body. The visit order follows the heap, not
+// ids. Caller holds at least the read lock.
 func (s *Store) fetchEach(ids []abdm.RecordID, fn func(id abdm.RecordID, rec *abdm.Record) error) error {
 	if len(ids) == 0 {
 		return nil
@@ -436,6 +422,35 @@ func (s *Store) fetchEach(ids []abdm.RecordID, fn func(id abdm.RecordID, rec *ab
 	b := s.backing
 	if b == nil {
 		return fmt.Errorf("kdb: %d records have no resident body", len(ids))
+	}
+	// decode hands one pinned cell to fn. Its errors come back from GetMany
+	// as they are; anything else GetMany returns is the heap's own failure
+	// (a pin, a dead slot) and is wrapped as a paging error.
+	var cbErr error
+	decode := func(id abdm.RecordID, cell []byte) error {
+		gotID, rec, err := decodeRecord(cell, &b.names)
+		switch {
+		case err != nil:
+			cbErr = fmt.Errorf("kdb: paging in record %d: %w", id, err)
+		case gotID != id:
+			cbErr = fmt.Errorf("kdb: backing cell for record %d holds record %d", id, gotID)
+		default:
+			cbErr = fn(id, rec)
+		}
+		return cbErr
+	}
+	if len(ids) == 1 {
+		// A point read: nothing to sort, nothing allocated besides the decode.
+		id := ids[0]
+		rid, ok := b.rids[id]
+		if !ok {
+			return fmt.Errorf("kdb: record %d has no backing cell", id)
+		}
+		err := b.heap.GetMany([]pager.RID{rid}, func(_ int, cell []byte) error { return decode(id, cell) })
+		if err != nil && err != cbErr {
+			return fmt.Errorf("kdb: paging in record %d: %w", id, err)
+		}
+		return err
 	}
 	type pinned struct {
 		id  abdm.RecordID
@@ -456,16 +471,11 @@ func (s *Store) fetchEach(ids []abdm.RecordID, fn func(id abdm.RecordID, rec *ab
 	for i := range prs {
 		rids[i] = prs[i].rid
 	}
-	return b.heap.GetMany(rids, func(i int, cell []byte) error {
-		gotID, rec, err := decodeRecord(cell)
-		if err != nil {
-			return fmt.Errorf("kdb: paging in record %d: %w", prs[i].id, err)
-		}
-		if gotID != prs[i].id {
-			return fmt.Errorf("kdb: backing cell for record %d holds record %d", prs[i].id, gotID)
-		}
-		return fn(prs[i].id, rec)
-	})
+	err := b.heap.GetMany(rids, func(i int, cell []byte) error { return decode(prs[i].id, cell) })
+	if err != nil && err != cbErr {
+		return fmt.Errorf("kdb: paging in %d records: %w", len(ids), err)
+	}
+	return err
 }
 
 // removeByIDLocked removes a record by key, paging its body in first when
@@ -593,33 +603,38 @@ func (s *Store) qualifyConj(conj abdm.Conjunction, matched map[abdm.RecordID]*ab
 		}
 	}
 
-	// verify pages the body in when the candidate is not resident.
 	verify := func(id abdm.RecordID, rec *abdm.Record) error {
-		if rec == nil {
-			var err error
-			if rec, err = s.fetchLocked(id); err != nil {
-				return err
-			}
-		}
 		c.RecordsExam++
 		if conj.Matches(rec) {
 			matched[id] = rec
 		}
 		return nil
 	}
-
-	if best != nil {
-		c.DirProbes++
-		ids := s.indexes[best.Attr].lookupEq(best.Val)
-		c.BlocksRead += s.disk.blocks(len(ids))
+	// verifyIDs checks index candidates: resident bodies directly, the
+	// others paged in with one fetchEach, grouped by heap page.
+	verifyIDs := func(ids []abdm.RecordID) error {
+		var one [1]abdm.RecordID // a point read's miss stays on the stack
+		misses := one[:0]
 		for _, id := range ids {
 			f := s.fileOf[id]
 			if hasFile && f != file {
 				continue
 			}
-			if err := verify(id, s.files[f][id]); err != nil {
-				return "", err
+			if rec := s.files[f][id]; rec != nil {
+				verify(id, rec)
+			} else {
+				misses = append(misses, id)
 			}
+		}
+		return s.fetchEach(misses, verify)
+	}
+
+	if best != nil {
+		c.DirProbes++
+		ids := s.indexes[best.Attr].lookupEq(best.Val)
+		c.BlocksRead += s.disk.blocks(len(ids))
+		if err := verifyIDs(ids); err != nil {
+			return "", err
 		}
 		return "index-eq(" + best.Attr + ")", nil
 	}
@@ -642,14 +657,8 @@ func (s *Store) qualifyConj(conj abdm.Conjunction, matched map[abdm.RecordID]*ab
 			ids, probes := ix.lookupRange(p.Op, p.Val)
 			c.DirProbes += probes
 			c.BlocksRead += s.disk.blocks(len(ids))
-			for _, id := range ids {
-				f := s.fileOf[id]
-				if hasFile && f != file {
-					continue
-				}
-				if err := verify(id, s.files[f][id]); err != nil {
-					return "", err
-				}
+			if err := verifyIDs(ids); err != nil {
+				return "", err
 			}
 			return "index-range(" + p.Attr + ")", nil
 		}
@@ -666,9 +675,7 @@ func (s *Store) qualifyConj(conj abdm.Conjunction, matched map[abdm.RecordID]*ab
 				misses = append(misses, id)
 				continue
 			}
-			if err := verify(id, rec); err != nil {
-				return err
-			}
+			verify(id, rec)
 		}
 		return s.fetchEach(misses, verify)
 	}

@@ -3,6 +3,7 @@ package pager
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -16,14 +17,24 @@ type RID struct {
 var ErrNotFound = errors.New("pager: record not found")
 
 // Heap is an unordered record heap over a buffer pool: records go wherever
-// they fit, addressed by RID. Free space per page is tracked in memory and
-// rebuilt by scanning on open.
+// they fit, addressed by RID. Free space per page is tracked in memory —
+// rebuilt by scanning on open, or restored from a checkpoint's snapshot —
+// and indexed by size class, so an insert finds a page with room without
+// ranging over every page.
 type Heap struct {
 	pool *Pool
 
 	mu    sync.Mutex
 	avail map[uint32]int // page -> usable bytes (after compaction)
+	// classes[c] holds the pages whose usable bytes have bit length c. Every
+	// page in a class above bits.Len(need) has room for need bytes; pages in
+	// class bits.Len(need) itself may or may not.
+	classes []map[uint32]struct{}
 }
+
+// classProbes bounds how many pages of the need's own size class an insert
+// checks before it looks only at classes that are sure to fit.
+const classProbes = 4
 
 // NewHeap opens a heap over the pool, scanning existing pages to rebuild
 // the free-space map. Freed pages and index blob pages are skipped. On a
@@ -40,7 +51,7 @@ func NewHeap(pool *Pool) (*Heap, error) {
 			return nil, err
 		}
 		if PageKindOf(data) == PageKindHeap {
-			h.avail[id] = page(data).usable()
+			h.setAvailLocked(id, page(data).usable())
 		}
 		pool.Unpin(id, false)
 	}
@@ -53,9 +64,48 @@ func NewHeap(pool *Pool) (*Heap, error) {
 func NewHeapAt(pool *Pool, avail map[uint32]int) *Heap {
 	h := &Heap{pool: pool, avail: make(map[uint32]int, len(avail))}
 	for id, n := range avail {
-		h.avail[id] = n
+		h.setAvailLocked(id, n)
 	}
 	return h
+}
+
+// setAvailLocked records page id's usable bytes and files it under its size
+// class.
+func (h *Heap) setAvailLocked(id uint32, n int) {
+	n = max(n, 0)
+	c := bits.Len(uint(n))
+	if old, ok := h.avail[id]; ok && bits.Len(uint(old)) != c {
+		delete(h.classes[bits.Len(uint(old))], id)
+	}
+	h.avail[id] = n
+	for len(h.classes) <= c {
+		h.classes = append(h.classes, make(map[uint32]struct{}))
+	}
+	h.classes[c][id] = struct{}{}
+}
+
+// roomyPageLocked picks a page with at least need usable bytes: one of a
+// few pages of need's own size class that fits, else any page of the
+// smallest class above it.
+func (h *Heap) roomyPageLocked(need int) (uint32, bool) {
+	c := bits.Len(uint(need))
+	if c < len(h.classes) {
+		probes := 0
+		for id := range h.classes[c] {
+			if h.avail[id] >= need {
+				return id, true
+			}
+			if probes++; probes == classProbes {
+				break
+			}
+		}
+	}
+	for k := c + 1; k < len(h.classes); k++ {
+		for id := range h.classes[k] {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // AvailSnapshot returns a copy of the free-space map — heap page id to
@@ -78,10 +128,13 @@ func (h *Heap) Put(rec []byte) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	need := len(rec) + slotSize
-	for id, free := range h.avail {
-		if free < need {
-			continue
+	for {
+		id, ok := h.roomyPageLocked(need)
+		if !ok {
+			break
 		}
+		// tryPut refreshes the page's entry, so a page whose recorded room
+		// turned out stale is not picked again.
 		rid, ok, err := h.tryPut(id, rec)
 		if err != nil {
 			return RID{}, err
@@ -95,7 +148,7 @@ func (h *Heap) Put(rec []byte) (RID, error) {
 		return RID{}, err
 	}
 	slot, _ := page(data).insert(rec)
-	h.avail[id] = page(data).usable()
+	h.setAvailLocked(id, page(data).usable())
 	h.pool.Unpin(id, true)
 	return RID{Page: id, Slot: uint16(slot)}, nil
 }
@@ -106,7 +159,7 @@ func (h *Heap) tryPut(id uint32, rec []byte) (RID, bool, error) {
 		return RID{}, false, err
 	}
 	slot, ok := page(data).insert(rec)
-	h.avail[id] = page(data).usable()
+	h.setAvailLocked(id, page(data).usable())
 	h.pool.Unpin(id, ok)
 	if !ok {
 		return RID{}, false, nil
@@ -141,7 +194,7 @@ func (h *Heap) Delete(rid RID) error {
 		return err
 	}
 	ok := page(data).del(int(rid.Slot))
-	h.avail[rid.Page] = page(data).usable()
+	h.setAvailLocked(rid.Page, page(data).usable())
 	h.pool.Unpin(rid.Page, ok)
 	if !ok {
 		return ErrNotFound
@@ -169,12 +222,12 @@ func (h *Heap) Update(rid RID, rec []byte) (RID, error) {
 	}
 	p.del(int(rid.Slot))
 	if slot, ok := p.insert(rec); ok {
-		h.avail[rid.Page] = p.usable()
+		h.setAvailLocked(rid.Page, p.usable())
 		h.pool.Unpin(rid.Page, true)
 		h.mu.Unlock()
 		return RID{Page: rid.Page, Slot: uint16(slot)}, nil
 	}
-	h.avail[rid.Page] = p.usable()
+	h.setAvailLocked(rid.Page, p.usable())
 	h.pool.Unpin(rid.Page, true)
 	h.mu.Unlock()
 	return h.Put(rec)

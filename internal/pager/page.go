@@ -71,13 +71,14 @@ func (p page) setSlot(i, off, ln int) {
 }
 
 // cell returns the stored bytes of slot i, nil if the slot is dead or out of
-// range. The returned slice aliases the page.
+// range, or if its slot or cell lies outside the page (a damaged page). The
+// returned slice aliases the page.
 func (p page) cell(i int) []byte {
-	if i < 0 || i >= p.slotCount() {
+	if i < 0 || i >= p.slotCount() || (i+1)*slotSize > len(p)-pageHeaderSize {
 		return nil
 	}
 	off, ln := p.slot(i)
-	if off == deadSlot {
+	if off == deadSlot || off < pageHeaderSize || off+ln > len(p) {
 		return nil
 	}
 	return p[off : off+ln]
@@ -171,7 +172,8 @@ func (p page) compact() {
 
 // liveCells calls fn for every live cell on the page.
 func (p page) liveCells(fn func(slot int, cell []byte)) {
-	for i := 0; i < p.slotCount(); i++ {
+	n := min(p.slotCount(), (len(p)-pageHeaderSize)/slotSize)
+	for i := 0; i < n; i++ {
 		if c := p.cell(i); c != nil {
 			fn(i, c)
 		}

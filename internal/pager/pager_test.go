@@ -295,25 +295,147 @@ func TestPoolEvictionAndWriteback(t *testing.T) {
 	}
 }
 
-func TestPoolPinnedFramesOverflow(t *testing.T) {
+// TestPoolExhaustedRefuses pins every frame of a two-frame pool: a further
+// Alloc or Pin is refused with ErrPoolExhausted (counted as Overflow), the
+// refused Alloc claims no logical page, residency never exceeds the
+// capacity, and once a frame is unpinned the pool serves pins again.
+func TestPoolExhaustedRefuses(t *testing.T) {
 	f := newFile(t, MinPageSize)
 	pool := NewPool(f, 2)
+	checkCap := func(when string) {
+		t.Helper()
+		if st := pool.Stats(); st.Resident > pool.Cap() {
+			t.Fatalf("%s: %d frames resident, cap %d", when, st.Resident, pool.Cap())
+		}
+	}
+	// Four pages on disk, then a pin held on two of them.
 	var ids []uint32
 	for i := 0; i < 4; i++ {
-		id, _, err := pool.Alloc()
+		id, data, err := pool.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id) // hold every pin
+		page(data).insert([]byte(fmt.Sprintf("page-%d", i)))
+		pool.Unpin(id, true)
+		ids = append(ids, id)
+		checkCap("alloc")
 	}
-	if st := pool.Stats(); st.Overflow == 0 {
-		t.Fatalf("expected overflow with all frames pinned, got %+v", st)
+	for _, id := range ids[:2] {
+		if _, err := pool.Pin(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, id := range ids {
+	pages := f.Pages()
+	if _, _, err := pool.Alloc(); !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("Alloc with every frame pinned = %v, want ErrPoolExhausted", err)
+	}
+	if f.Pages() != pages {
+		t.Fatalf("refused Alloc claimed a logical page: %d -> %d pages", pages, f.Pages())
+	}
+	if _, err := pool.Pin(ids[3]); !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("Pin with every frame pinned = %v, want ErrPoolExhausted", err)
+	}
+	checkCap("refusals")
+	if st := pool.Stats(); st.Overflow != 2 || st.Pinned != 2 {
+		t.Fatalf("stats %+v: want Overflow 2 (one per refusal) and 2 pinned", st)
+	}
+	// A pin of a held page is still a hit.
+	if _, err := pool.Pin(ids[0]); err != nil {
+		t.Fatalf("re-pin of a resident page refused: %v", err)
+	}
+	pool.Unpin(ids[0], false)
+
+	pool.Unpin(ids[1], false)
+	for i := 2; i < 4; i++ {
+		data, err := pool.Pin(ids[i])
+		if err != nil {
+			t.Fatalf("Pin after an unpin: %v", err)
+		}
+		if got, want := string(page(data).cell(0)), fmt.Sprintf("page-%d", i); got != want {
+			t.Fatalf("page %d = %q, want %q", ids[i], got, want)
+		}
+		pool.Unpin(ids[i], false)
+		checkCap("after unpin")
+	}
+	pool.Unpin(ids[0], false)
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolReadFailureLeavesNoFrame corrupts one page's checksum on disk: its
+// pin fails with ErrCorrupt and leaves the page absent from the table (a
+// retry is a miss again, not a hit on a half-read frame), residency stays
+// within the capacity, and the next pin of a good page is byte-exact.
+func TestPoolReadFailureLeavesNoFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	f, err := Create(path, MinPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(f, 2)
+	want := make(map[uint32][]byte)
+	for i := 0; i < 6; i++ {
+		id, data, err := pool.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		page(data).insert([]byte(fmt.Sprintf("good-%d", i)))
 		pool.Unpin(id, true)
 	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
+	}
+	if err := f.Commit(Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, MinPageSize)
+	for id := uint32(0); id < 6; id++ {
+		if err := f.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = append([]byte(nil), buf...)
+	}
+	const bad = 3
+	if _, err := f.f.WriteAt([]byte{0xFF}, int64(f.work[bad])*MinPageSize+pageHeaderSize+1); err != nil {
+		t.Fatal(err)
+	}
+
+	pool = NewPool(f, 2)
+	for _, id := range []uint32{0, 1} { // fill both frames, then unpin
+		if _, err := pool.Pin(id); err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(id, false)
+	}
+	for try := 0; try < 2; try++ {
+		before := pool.Stats()
+		if _, err := pool.Pin(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("pin of corrupt page = %v, want ErrCorrupt", err)
+		}
+		after := pool.Stats()
+		if after.Hits != before.Hits {
+			t.Fatal("retried pin of a corrupt page hit a resident frame")
+		}
+		if _, ok := pool.frames[bad]; ok {
+			t.Fatal("failed read left the page in the frame table")
+		}
+		if after.Resident > pool.Cap() {
+			t.Fatalf("%d frames resident, cap %d", after.Resident, pool.Cap())
+		}
+	}
+	for _, id := range []uint32{4, 5, 2, 0} {
+		data, err := pool.Pin(id)
+		if err != nil {
+			t.Fatalf("pin %d after a failed read: %v", id, err)
+		}
+		if !bytes.Equal(data, want[id]) {
+			t.Fatalf("page %d not byte-exact after a failed read", id)
+		}
+		pool.Unpin(id, false)
+	}
+	if st := pool.Stats(); st.Resident > pool.Cap() || pool.nframes > pool.Cap() {
+		t.Fatalf("stats %+v, %d frames allocated: cap %d", st, pool.nframes, pool.Cap())
 	}
 }
 

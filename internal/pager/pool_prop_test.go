@@ -20,7 +20,9 @@ import (
 //   - every pin observes exactly the bytes the model last wrote, so a page
 //     that was evicted and reloaded is byte-identical;
 //   - dirty pages are written back exactly once per generation: write-backs
-//     never outrun dirty events, and a flush right after a flush adds none.
+//     never outrun dirty events, and a flush right after a flush adds none;
+//   - frames are recycled: the pool allocates at most cap page buffers over
+//     its life, and a steady-state miss allocates nothing.
 //
 // After the schedule the file is committed, closed, and reopened: every page
 // on disk must equal the model.
@@ -30,6 +32,64 @@ func TestPoolPropertySchedules(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			runPoolSchedule(t, rand.New(rand.NewSource(seed)))
 		})
+	}
+}
+
+// TestPoolConcurrentEviction has four goroutines pin and unpin random pages
+// of a four-frame pool over 32 pages — nearly every pin evicts a frame some
+// other goroutine just released — and check each pinned page's contents
+// while holding the pin. Run under -race it also checks the pool's locking
+// around recycled buffers.
+func TestPoolConcurrentEviction(t *testing.T) {
+	const (
+		capPages = 4
+		nPages   = 32
+		workers  = 4
+		pins     = 500
+	)
+	f := newFile(t, MinPageSize)
+	pool := NewPool(f, capPages)
+	content := func(id uint32) string { return fmt.Sprintf("page %03d of %d", id, nPages) }
+	for i := 0; i < nPages; i++ {
+		id, data, err := pool.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		page(data).insert([]byte(content(id)))
+		pool.Unpin(id, true)
+	}
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		rng := rand.New(rand.NewSource(int64(w)))
+		go func() {
+			for i := 0; i < pins; i++ {
+				id := uint32(rng.Intn(nPages))
+				data, err := pool.Pin(id)
+				if err != nil {
+					errs <- fmt.Errorf("pin %d: %v", id, err)
+					return
+				}
+				got := string(page(data).cell(0))
+				pool.Unpin(id, false)
+				if got != content(id) {
+					errs <- fmt.Errorf("pin %d read %q", id, got)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := pool.Stats()
+	if st.Resident > capPages || st.Overflow != 0 || st.Pinned != 0 {
+		t.Fatalf("stats after the run %+v: want ≤ %d resident, no overflow, nothing pinned", st, capPages)
+	}
+	if st.Evictions < pins {
+		t.Fatalf("only %d evictions: too little pressure to test recycling", st.Evictions)
 	}
 }
 
@@ -89,12 +149,14 @@ func runPoolSchedule(t *testing.T, rng *rand.Rand) {
 			t.Fatalf("step %d: %d write-backs outran %d dirty events", step, s.Writebacks, dirtyEvents)
 		}
 	}
+	buffers := make(map[*byte]bool) // distinct frame buffers handed out
 	pinCheck := func(step int, id uint32) []byte {
 		t.Helper()
 		buf, err := pool.Pin(id)
 		if err != nil {
 			t.Fatalf("step %d: pin %d: %v", step, id, err)
 		}
+		buffers[&buf[0]] = true
 		if !samePage(buf, model[id]) {
 			t.Fatalf("step %d: page %d diverged from the model after reload", step, id)
 		}
@@ -161,10 +223,37 @@ func runPoolSchedule(t *testing.T, rng *rand.Rand) {
 	if final.Misses <= uint64(nPages)/2 {
 		t.Fatalf("only %d misses over %d pages — evicted pages were never reloaded", final.Misses, nPages)
 	}
+	// Frames are recycled, never reallocated: over its whole life the pool
+	// allocated at most cap page buffers, and every pin above returned one
+	// of them.
+	if pool.nframes > capPages || len(buffers) > capPages {
+		t.Fatalf("pool allocated %d frames and handed out %d distinct buffers, cap %d",
+			pool.nframes, len(buffers), capPages)
+	}
 
 	// Final checkpoint, then reopen the file cold: disk must equal the model.
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
+	}
+	// With every frame clean, a steady-state miss — evict the LRU frame,
+	// read the page over its buffer — allocates nothing. Pinning the pages
+	// round-robin makes every pin a miss.
+	next := 0
+	missesBefore := pool.Stats().Misses
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		id := ids[next%len(ids)]
+		next++
+		if _, err := pool.Pin(id); err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(id, false)
+	})
+	if allocs != 0 {
+		t.Fatalf("a steady-state miss allocates %.1f times", allocs)
+	}
+	if got := pool.Stats().Misses - missesBefore; got < runs {
+		t.Fatalf("%d misses over %d round-robin pins: the allocation check measured hits", got, runs)
 	}
 	epoch++
 	if err := f.Commit(Meta{Epoch: epoch}); err != nil {
