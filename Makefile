@@ -1,5 +1,7 @@
 # Standard verify tiers. `make check` is the extended tier: vet (including
-# the observability package on its own), formatting, static analysis when
+# the observability package on its own), formatting, a gate that keeps
+# encoding/gob out of non-test code (the journal and database images use the
+# wire codec), static analysis when
 # the tools are installed (staticcheck, govulncheck — both skipped with a
 # note otherwise, so the target needs no network), the full suite with
 # shuffled test order, the transaction/kernel concurrency tier, the
@@ -36,6 +38,11 @@ check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
+	fi
+	@gob=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | grep -v '^\./rig/'); \
+	if [ -n "$$gob" ]; then \
+		echo "encoding/gob imported outside tests (journal and images use the wire codec):"; \
+		echo "$$gob"; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -93,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDLI$$' -fuzztime $(FUZZ_TIME) ./internal/dli
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZ_TIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime $(FUZZ_TIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverJournal$$' -fuzztime $(FUZZ_TIME) ./internal/kc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZ_TIME) ./internal/pager
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/kdb
 

@@ -83,8 +83,7 @@ type Change struct {
 	// Epoch is the commit epoch (Ready: the snapshot epoch; 0 on changes
 	// replayed from the journal, which stores no epochs).
 	Epoch uint64
-	// Txn is the committing transaction's id (0 for Load/Ready/Resync and
-	// legacy auto-committed entries).
+	// Txn is the committing transaction's id (0 for Load/Ready/Resync).
 	Txn uint64
 }
 

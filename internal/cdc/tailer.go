@@ -178,31 +178,21 @@ func (t *Tailer) fromRecord(rec txn.CommitRecord) ([]Entry, error) {
 }
 
 // resync re-reads every committed entry past the cursor from the journal
-// file and advances the cursor over them.
+// file — in position order — and advances the cursor over them.
 func (t *Tailer) resync() ([]Entry, error) {
 	entries, err := t.ctrl.ReadCommitted(t.after)
 	if err != nil {
 		return nil, err
 	}
 	t.resyncs.Add(1)
-	var out []Entry
-	last := t.after
-	for _, e := range entries {
-		if e.Pos <= t.after {
-			continue
-		}
-		out = append(out, Entry{
-			Pos: e.Pos,
-			Txn: e.Txn,
-			Rec: txn.JournalRec{Req: e.Req, Key: e.Key, Affected: e.Affected},
-		})
-		if e.Pos > last {
-			last = e.Pos
-		}
+	if len(entries) == 0 {
+		return nil, nil
 	}
-	if last > t.after {
-		t.advance(last, uint64(len(out)))
+	out := make([]Entry, len(entries))
+	for i, e := range entries {
+		out[i] = Entry{Pos: e.Pos, Txn: e.Txn, Rec: e.Rec}
 	}
+	t.advance(entries[len(entries)-1].Pos, uint64(len(out)))
 	return out, nil
 }
 

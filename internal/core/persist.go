@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -11,20 +10,11 @@ import (
 	"mlds/internal/wire"
 )
 
-// databaseImage is the gob form of a saved database: the schema as DDL text
-// (regenerated, so the image is self-contained) plus every kernel record.
-type databaseImage struct {
-	Name    string
-	Model   int
-	DDL     string
-	Records []wire.Record
-}
-
 // Save writes the database — schema and contents — to w. The image can be
 // restored into any System, with any backend count; logical database keys
 // are attribute values, so they survive exactly.
 func (db *Database) Save(w io.Writer) error {
-	img := databaseImage{Name: db.Name, Model: int(db.Model)}
+	img := wire.Image{Name: db.Name, Model: int(db.Model)}
 	switch db.Model {
 	case FunctionalModel:
 		img.DDL = daplex.FormatSchema(db.Fun)
@@ -44,18 +34,17 @@ func (db *Database) Save(w io.Writer) error {
 	for _, sr := range snap {
 		img.Records = append(img.Records, wire.FromRecord(sr.Rec))
 	}
-	return gob.NewEncoder(w).Encode(&img)
+	return wire.WriteImage(w, &img)
 }
 
 // Restore reads a database image saved by Save and registers it under its
 // original name.
 func (s *System) Restore(r io.Reader) (*Database, error) {
-	var img databaseImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+	img, err := wire.ReadImage(r)
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding database image: %w", err)
 	}
 	var db *Database
-	var err error
 	switch Model(img.Model) {
 	case FunctionalModel:
 		db, err = s.CreateFunctional(img.Name, img.DDL)

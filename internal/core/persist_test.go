@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"testing"
 )
@@ -176,8 +177,29 @@ RECORD NAME IS emp
 
 func TestRestoreGarbage(t *testing.T) {
 	s := newSystem(t)
-	if _, err := s.Restore(bytes.NewBufferString("not a gob stream")); err == nil {
+	if _, err := s.Restore(bytes.NewBufferString("not an image")); err == nil {
 		t.Error("garbage image accepted")
+	}
+	// A truncated image is refused too, wherever the cut falls.
+	db, err := s.CreateRelational("shop", "CREATE TABLE t (a INTEGER);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := s.Open("shop", "sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Execute("INSERT INTO t (a) VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := db.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < img.Len(); cut++ {
+		if _, err := newSystem(t).Restore(bytes.NewReader(img.Bytes()[:cut])); err == nil {
+			t.Fatalf("image cut at byte %d of %d accepted", cut, img.Len())
+		}
 	}
 }
 
@@ -219,7 +241,7 @@ func TestImagePlusJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db2.Ctrl.ReplayJournal(&journal); err != nil {
+	if _, err := db2.Ctrl.RecoverJournal(&journal); err != nil {
 		t.Fatal(err)
 	}
 	dml2, err := s2.Open("university", "dml")
@@ -248,5 +270,87 @@ func TestImagePlusJournalRecovery(t *testing.T) {
 	}
 	if got.DML.Values["credits"].AsInt() != 6 {
 		t.Errorf("journalled MODIFY lost: credits = %v", got.DML.Values)
+	}
+}
+
+// TestImagePlusJournalTornTransaction: a crash that cuts the journal between
+// the two data entries of a two-UPDATE transaction — before its commit
+// marker — recovers neither UPDATE on top of the image.
+func TestImagePlusJournalTornTransaction(t *testing.T) {
+	s1 := newSystem(t)
+	db1, err := s1.CreateRelational("bank", "CREATE TABLE acct (id INTEGER, balance INTEGER);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := s1.Open("bank", "sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		"INSERT INTO acct (id, balance) VALUES (1, 100)",
+		"INSERT INTO acct (id, balance) VALUES (2, 100)",
+	} {
+		if _, err := sess.Execute(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var img bytes.Buffer
+	if err := db1.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	var journal bytes.Buffer
+	db1.Ctrl.AttachJournal(&journal)
+	if err := sess.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		"UPDATE acct SET balance = 70 WHERE id = 1",
+		"UPDATE acct SET balance = 130 WHERE id = 2",
+	} {
+		if _, err := sess.Execute(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The journal is a 5-byte header, then length-prefixed frames: the
+	// first UPDATE, the second, the commit marker. Cut after the first.
+	full := journal.Bytes()
+	cut := 5 + 4 + int(binary.LittleEndian.Uint32(full[5:]))
+	if cut >= len(full) {
+		t.Fatalf("journal of %d bytes has no second entry past byte %d", len(full), cut)
+	}
+
+	balances := func(journal []byte) []int64 {
+		t.Helper()
+		s2 := newSystem(t)
+		db2, err := s2.Restore(bytes.NewReader(img.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db2.Ctrl.RecoverJournal(bytes.NewReader(journal)); err != nil {
+			t.Fatal(err)
+		}
+		sess2, err := s2.Open("bank", "sql")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sess2.Execute("SELECT id, balance FROM acct")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int64, 3)
+		for _, row := range out.SQL.Rows {
+			got[row[0].AsInt()] = row[1].AsInt()
+		}
+		return got[1:]
+	}
+	if got := balances(full[:cut]); got[0] != 100 || got[1] != 100 {
+		t.Fatalf("torn transaction recovered in part: balances %v, want [100 100]", got)
+	}
+	if got := balances(full); got[0] != 70 || got[1] != 130 {
+		t.Fatalf("committed transaction lost: balances %v, want [70 130]", got)
 	}
 }

@@ -1,7 +1,6 @@
 package kc
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -27,11 +26,9 @@ var ErrNoJournalFile = errors.New("kc: journal is not file-backed; cannot re-rea
 // replay and the fuzzy-checkpoint epoch pairing use — so a tailer that knows
 // the last position it delivered can ask for exactly the rest.
 type CommittedEntry struct {
-	Pos      uint64
-	Txn      uint64
-	Req      wire.Request
-	Key      int64
-	Affected []uint64
+	Pos uint64
+	Txn uint64
+	Rec txn.JournalRec // the redo record, as the live commit stream carries it
 }
 
 // JournalPos reports the journal's committed data-entry count: the position
@@ -98,64 +95,19 @@ func (c *Controller) ReadCommitted(after uint64) ([]CommittedEntry, error) {
 	return readCommitted(f, after)
 }
 
-// readCommitted scans one journal stream, mirroring replay's commit-order
-// position accounting, and collects committed data entries past after.
+// readCommitted collects the committed data entries of one journal stream
+// past after.
 func readCommitted(r io.Reader, after uint64) ([]CommittedEntry, error) {
-	dec := gob.NewDecoder(r)
-	pos := uint64(0)
-	pending := make(map[uint64][]journalEntry)
 	var out []CommittedEntry
-	commit := func(entry *journalEntry) {
-		pos++
-		if pos > after {
-			out = append(out, CommittedEntry{
-				Pos:      pos,
-				Txn:      entry.Txn,
-				Req:      entry.Req,
-				Key:      entry.Key,
-				Affected: entry.Affected,
-			})
+	_, err := scanJournal(r, after, func(e *wire.JournalEntry, pos uint64) error {
+		if e.Marker == markerData && pos > after {
+			out = append(out, CommittedEntry{Pos: pos, Txn: e.Txn,
+				Rec: txn.JournalRec{Req: *e.Req, Key: e.Key, Affected: e.Affected}})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for {
-		var entry journalEntry
-		if err := dec.Decode(&entry); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				// End of log, including a final entry torn by a concurrent
-				// buffered write: everything durable decoded cleanly, and
-				// anything torn was never published to a subscriber.
-				return out, nil
-			}
-			return nil, fmt.Errorf("kc: journal read: %w", err)
-		}
-		switch entry.Marker {
-		case markerBegin:
-		case markerCommit:
-			for i := range pending[entry.Txn] {
-				commit(&pending[entry.Txn][i])
-			}
-			delete(pending, entry.Txn)
-		case markerAbort:
-			delete(pending, entry.Txn)
-		case markerCheckpoint:
-			// A rotated journal opens with one: entries at positions up to
-			// CkptEntries were truncated away. If the caller still needs any
-			// of them, the range is unrecoverable from the log.
-			if entry.CkptEntries > pos {
-				pos = entry.CkptEntries
-			}
-			if after < pos {
-				return nil, ErrCompacted
-			}
-		case markerData:
-			if entry.Txn != 0 {
-				pending[entry.Txn] = append(pending[entry.Txn], entry)
-				continue
-			}
-			// Legacy auto-committed entry: applies immediately.
-			commit(&entry)
-		default:
-			return out, fmt.Errorf("kc: journal read: unknown marker %d", entry.Marker)
-		}
-	}
+	return out, nil
 }

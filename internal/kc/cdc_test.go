@@ -3,7 +3,6 @@ package kc
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"path/filepath"
 	"sync"
@@ -15,49 +14,47 @@ import (
 	"mlds/internal/wire"
 )
 
-// journalStream builds a synthetic journal v2 gob stream.
-func journalStream(t *testing.T, entries ...journalEntry) *bytes.Buffer {
+// journalStream builds a synthetic journal with the production encoder.
+func journalStream(t *testing.T, entries ...wire.JournalEntry) *bytes.Buffer {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	b := wire.AppendJournalHeader(nil)
 	for i := range entries {
-		if err := enc.Encode(&entries[i]); err != nil {
+		var err error
+		if b, err = wire.AppendJournalEntry(b, &entries[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &buf
+	return bytes.NewBuffer(b)
 }
 
-func dataEntry(txnID uint64, x int64, affected ...uint64) journalEntry {
-	req := abdl.NewInsert(abdm.NewRecord("f", abdm.Keyword{Attr: "x", Val: abdm.Int(x)}))
-	return journalEntry{Req: wire.FromRequest(req), Txn: txnID, Marker: markerData, Affected: affected}
+func dataEntry(txnID uint64, x int64, affected ...uint64) wire.JournalEntry {
+	req := wire.FromRequest(abdl.NewInsert(abdm.NewRecord("f", abdm.Keyword{Attr: "x", Val: abdm.Int(x)})))
+	return wire.JournalEntry{Req: &req, Txn: txnID, Marker: markerData, Affected: affected}
+}
+
+func commitMarker(txnID uint64) wire.JournalEntry {
+	return wire.JournalEntry{Txn: txnID, Marker: markerCommit}
 }
 
 // TestReadCommittedOrdering: positions count committed data entries in commit
 // order — an early-begun transaction that commits late sits after the one
-// that committed first, aborted transactions vanish, and legacy Txn==0
-// entries auto-commit in place.
+// that committed first, and a transaction with no commit marker vanishes.
 func TestReadCommittedOrdering(t *testing.T) {
 	stream := journalStream(t,
-		journalEntry{Txn: 1, Marker: markerBegin},
 		dataEntry(1, 10, 101), // txn 1 writes first...
-		journalEntry{Txn: 2, Marker: markerBegin},
 		dataEntry(2, 20, 102),
-		journalEntry{Txn: 2, Marker: markerCommit}, // ...but txn 2 commits first
-		dataEntry(0, 30, 103),                      // legacy auto-commit
-		journalEntry{Txn: 3, Marker: markerBegin},
-		dataEntry(3, 40, 104),
-		journalEntry{Txn: 3, Marker: markerAbort}, // aborted: no positions
-		journalEntry{Txn: 1, Marker: markerCommit},
+		commitMarker(2),       // ...but txn 2 commits first
+		dataEntry(3, 40, 104), // never committed: no positions
+		commitMarker(1),
 	)
 	got, err := readCommitted(stream, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("got %d entries, want 3: %+v", len(got), got)
+	if len(got) != 2 {
+		t.Fatalf("got %d entries, want 2: %+v", len(got), got)
 	}
-	wantTxns := []uint64{2, 0, 1}
+	wantTxns := []uint64{2, 1}
 	for i, e := range got {
 		if e.Pos != uint64(i+1) {
 			t.Errorf("entry %d at pos %d", i, e.Pos)
@@ -66,7 +63,7 @@ func TestReadCommittedOrdering(t *testing.T) {
 			t.Errorf("entry %d from txn %d, want %d", i, e.Txn, wantTxns[i])
 		}
 	}
-	if len(got[0].Affected) != 1 || got[0].Affected[0] != 102 {
+	if len(got[0].Rec.Affected) != 1 || got[0].Rec.Affected[0] != 102 {
 		t.Errorf("affected keys lost: %+v", got[0])
 	}
 }
@@ -75,11 +72,10 @@ func TestReadCommittedOrdering(t *testing.T) {
 // prefix.
 func TestReadCommittedAfter(t *testing.T) {
 	stream := journalStream(t,
-		journalEntry{Txn: 1, Marker: markerBegin},
 		dataEntry(1, 10),
 		dataEntry(1, 20),
 		dataEntry(1, 30),
-		journalEntry{Txn: 1, Marker: markerCommit},
+		commitMarker(1),
 	)
 	got, err := readCommitted(stream, 2)
 	if err != nil {
@@ -91,13 +87,14 @@ func TestReadCommittedAfter(t *testing.T) {
 }
 
 // TestReadCommittedCompacted: a rotated journal's leading checkpoint marker
-// refuses cursors that predate the truncation, and accepts ones past it.
+// refuses cursors that predate the truncation, and accepts ones past it. A
+// marker that truncated nothing (written mid-stream) refuses no cursor.
 func TestReadCommittedCompacted(t *testing.T) {
-	entries := []journalEntry{
+	entries := []wire.JournalEntry{
 		{Marker: markerCheckpoint, CkptEpoch: 7, CkptEntries: 5},
-		{Txn: 9, Marker: markerBegin},
 		dataEntry(9, 60),
-		{Txn: 9, Marker: markerCommit},
+		commitMarker(9),
+		{Marker: markerCheckpoint, CkptEpoch: 8, CkptEntries: 6},
 	}
 	if _, err := readCommitted(journalStream(t, entries...), 3); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("cursor inside the truncated range: err = %v, want ErrCompacted", err)
@@ -115,10 +112,8 @@ func TestReadCommittedCompacted(t *testing.T) {
 // end-of-log — everything before it is returned without error.
 func TestReadCommittedTornTail(t *testing.T) {
 	stream := journalStream(t,
-		journalEntry{Txn: 1, Marker: markerBegin},
 		dataEntry(1, 10),
-		journalEntry{Txn: 1, Marker: markerCommit},
-		journalEntry{Txn: 2, Marker: markerBegin},
+		commitMarker(1),
 		dataEntry(2, 20),
 	)
 	full := stream.Bytes()
@@ -139,7 +134,7 @@ func TestReadCommittedTornTail(t *testing.T) {
 }
 
 func TestReadCommittedUnknownMarker(t *testing.T) {
-	stream := journalStream(t, journalEntry{Marker: 99})
+	stream := journalStream(t, wire.JournalEntry{Marker: 99})
 	if _, err := readCommitted(stream, 0); err == nil {
 		t.Fatal("unknown marker accepted")
 	}

@@ -2,7 +2,6 @@ package kc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +9,7 @@ import (
 
 	"mlds/internal/kdb"
 	"mlds/internal/pager"
+	"mlds/internal/wire"
 )
 
 // Fuzzy checkpoints.
@@ -89,38 +89,40 @@ func (c *Controller) Checkpoint(st *kdb.Store) (CheckpointInfo, error) {
 		return info, err
 	}
 	info.Meta = meta
-
-	// The image is durable; note it in the journal. With no committed tail
-	// past the checkpoint the whole journal is covered by the image and can
-	// shrink to just the marker; otherwise the marker rides the existing
-	// stream and replay uses the image's Entries to skip the covered prefix.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	info.Tail = c.jEntries - pair.entries
-	marker := journalEntry{Marker: markerCheckpoint, Key: pair.maxKey,
-		CkptEpoch: epoch, CkptEntries: pair.entries}
-	if c.journal != nil {
+	return info, c.markCheckpointLocked(&info, epoch)
+}
+
+// markCheckpointLocked notes a durable checkpoint (info.Meta) in the journal
+// and retires the epoch pairings below minEpoch. With no committed tail past
+// the checkpoint the whole journal is covered by the images and shrinks to
+// just the marker; otherwise the marker rides the existing stream and replay
+// uses the image's Entries to skip the covered prefix. Caller holds c.mu.
+func (c *Controller) markCheckpointLocked(info *CheckpointInfo, minEpoch uint64) error {
+	info.Tail = c.jEntries - info.Meta.Entries
+	if c.jw != nil {
+		marker := wire.JournalEntry{Marker: markerCheckpoint, Key: info.Meta.MaxKey,
+			CkptEpoch: info.Meta.Epoch, CkptEntries: info.Meta.Entries}
 		if c.jf != nil && info.Tail == 0 {
 			if err := c.rotateJournalLocked(&marker); err != nil {
-				return info, err
+				return err
 			}
 			info.Rotated = true
 		} else {
-			if err := c.journal.Encode(&marker); err != nil {
-				return info, fmt.Errorf("kc: checkpoint marker: %w", err)
-			}
-			if err := c.jw.Flush(); err != nil {
-				return info, fmt.Errorf("kc: checkpoint marker: %w", err)
+			b, _ := wire.AppendJournalEntry(c.jbuf[:0], &marker) // a marker is far below the frame bound
+			if err := c.writeJournalLocked(b); err != nil {
+				return err
 			}
 		}
 	}
-	c.lastCkpt = epoch
+	c.lastCkpt = info.Meta.Epoch
 	for e := range c.jPairs {
-		if e < epoch {
+		if e < minEpoch {
 			delete(c.jPairs, e)
 		}
 	}
-	return info, nil
+	return nil
 }
 
 // SeedRecovery primes the controller's checkpoint accounting after mounting
@@ -188,12 +190,11 @@ func (c *Controller) StartCheckpointer(st *kdb.Store, interval time.Duration) (s
 }
 
 // JournalFile is an on-disk journal the controller can rotate at a
-// checkpoint. A gob stream cannot be appended to by a new encoder (the
-// decoder rejects the duplicate type definitions), so every attach and
-// every rotation begins a fresh stream — written to a temporary file,
-// synced, and renamed into place, preserving the prior journal on a crash
-// at any point. Opening removes any stale temporary a crashed rotation left
-// behind (its rename never happened, so the original is intact).
+// checkpoint: rotation writes a fresh journal — header and checkpoint marker
+// — to a temporary file, syncs it and renames it into place, so a crash at
+// any point leaves either the prior journal or the new one. Opening removes
+// any stale temporary a crashed rotation left behind (its rename never
+// happened, so the original is intact).
 type JournalFile struct {
 	path string
 	f    *os.File
@@ -230,7 +231,7 @@ func (c *Controller) AttachJournalFile(j *JournalFile) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.jf = j
-	marker := journalEntry{Marker: markerCheckpoint, Key: c.jMaxKey,
+	marker := wire.JournalEntry{Marker: markerCheckpoint, Key: c.jMaxKey,
 		CkptEpoch: c.lastCkpt, CkptEntries: c.jEntries}
 	if err := c.rotateJournalLocked(&marker); err != nil {
 		c.jf = nil
@@ -239,41 +240,34 @@ func (c *Controller) AttachJournalFile(j *JournalFile) error {
 	return nil
 }
 
-// rotateJournalLocked replaces the journal with a fresh stream whose first
-// entry is the checkpoint marker: marker to a temporary file, sync, rename
-// over the journal. The encoder that wrote the marker stays attached — the
-// whole file remains one gob stream. A crash at any point leaves either the
-// old journal or the new one, both consistent with the last committed
-// image. Caller holds c.mu and has verified the image covers every
-// committed entry of the journal being replaced.
-func (c *Controller) rotateJournalLocked(marker *journalEntry) error {
+// rotateJournalLocked replaces the journal with a fresh one headed by the
+// checkpoint marker (see JournalFile); later entries append to the new file.
+// Caller holds c.mu and has verified the image covers every committed entry
+// of the journal being replaced.
+func (c *Controller) rotateJournalLocked(marker *wire.JournalEntry) error {
+	b, err := wire.AppendJournalEntry(wire.AppendJournalHeader(c.jbuf[:0]), marker)
+	if err != nil {
+		return fmt.Errorf("kc: journal rotation: %w", err)
+	}
 	tmp := c.jf.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("kc: journal rotation: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(marker); err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
+	if _, err = f.Write(b); err == nil {
 		err = f.Sync()
 	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("kc: journal rotation: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, c.jf.path)
 	}
-	if err := os.Rename(tmp, c.jf.path); err != nil {
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("kc: journal rotation: %w", err)
 	}
 	old := c.jf.f
 	c.jf.f = f
-	c.jw = w
-	c.journal = enc
+	c.jw = bufio.NewWriter(f)
 	if old != nil {
 		old.Close()
 	}

@@ -111,31 +111,7 @@ func (c *Controller) CheckpointFleet(stores []*kdb.Store) (CheckpointInfo, error
 	// single-store checkpoint would.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	info.Tail = c.jEntries - pos
-	marker := journalEntry{Marker: markerCheckpoint, Key: maxKey,
-		CkptEpoch: maxEpoch, CkptEntries: pos}
-	if c.journal != nil {
-		if c.jf != nil && info.Tail == 0 {
-			if err := c.rotateJournalLocked(&marker); err != nil {
-				return info, err
-			}
-			info.Rotated = true
-		} else {
-			if err := c.journal.Encode(&marker); err != nil {
-				return info, fmt.Errorf("kc: checkpoint marker: %w", err)
-			}
-			if err := c.jw.Flush(); err != nil {
-				return info, fmt.Errorf("kc: checkpoint marker: %w", err)
-			}
-		}
-	}
-	c.lastCkpt = maxEpoch
-	for e := range c.jPairs {
-		if e < minEpoch {
-			delete(c.jPairs, e)
-		}
-	}
-	return info, nil
+	return info, c.markCheckpointLocked(&info, minEpoch)
 }
 
 // FleetCut computes the recovery position for a fleet of page files sharing

@@ -2,7 +2,6 @@ package kc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,51 +11,33 @@ import (
 	"mlds/internal/wire"
 )
 
-// journalEntry is one record of the journal stream (format v2). Data entries
-// carry a mutating request plus the controller's key-allocator position so
-// STORE-assigned database keys replay identically; marker entries frame a
-// transaction's data entries with begin/commit (written together at commit
-// time) or note an abort. A v1 journal decodes as Txn 0, Marker data — the
-// auto-committed legacy form — so old journals replay unchanged.
-type journalEntry struct {
-	Req    wire.Request
-	Key    int64
-	Txn    uint64 // owning transaction id; 0 = legacy auto-committed entry
-	Marker byte   // markerData, markerBegin, markerCommit, markerAbort, markerCheckpoint
-
-	// Checkpoint markers (markerCheckpoint) only: the commit epoch a page
-	// image was taken at and the count of committed data entries that image
-	// covers. Gob omits zero fields, so pre-checkpoint journals decode
-	// unchanged.
-	CkptEpoch   uint64
-	CkptEntries uint64
-
-	// Affected pins the database keys the mutation touched (insert id,
-	// update/delete victims), so change-data-capture readers apply deltas by
-	// key. Gob omits empty slices, so pre-CDC journals decode unchanged.
-	Affected []uint64
-}
-
-// Journal markers. Data must be zero so v1 entries decode as data.
+// Journal markers: what one wire.JournalEntry records. A data entry carries a
+// mutating request, the key-allocator position (so STORE-assigned keys replay
+// identically) and the keys the mutation touched (so change capture applies
+// deltas by key). A transaction's data entries are written with its commit
+// marker at commit time; data entries no commit marker follows never
+// committed. A checkpoint marker records the epoch a page image was taken at
+// and the count of committed data entries it covers.
 const (
 	markerData       byte = 0
-	markerBegin      byte = 1
-	markerCommit     byte = 2
-	markerAbort      byte = 3
-	markerCheckpoint byte = 4
+	markerCommit     byte = 1
+	markerCheckpoint byte = 2
 )
 
 // AttachJournal starts logging committed mutations (INSERT, DELETE, UPDATE)
-// as a gob stream on w. Writes are buffered and flushed once per commit
-// batch — the group-commit window — so a crash can tear at most the final
-// in-flight batch, which recovery treats as clean end-of-log. Replaying the
-// stream against a freshly-loaded database reproduces the committed
-// mutations in order. Retrievals and aborted transactions are not logged.
+// to w in the wire journal format. Writes are buffered and flushed once per
+// commit batch — the group-commit window — so a crash can tear at most the
+// final in-flight batch, which recovery treats as clean end-of-log.
+// Recovering the stream against a freshly-loaded database reproduces the
+// committed mutations in order. Retrievals and aborted transactions are not
+// logged.
 func (c *Controller) AttachJournal(w io.Writer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.jw = bufio.NewWriter(w)
-	c.journal = gob.NewEncoder(c.jw)
+	// Buffered: the header reaches w with the first flush. bufio errors are
+	// sticky, so a failure surfaces there.
+	c.jw.Write(wire.AppendJournalHeader(nil))
 }
 
 // DetachJournal flushes any buffered entries and stops journalling.
@@ -66,8 +47,22 @@ func (c *Controller) DetachJournal() {
 	if c.jw != nil {
 		c.jw.Flush()
 	}
-	c.journal = nil
 	c.jw = nil
+}
+
+// writeJournalLocked writes b — whole framed entries — to the journal with
+// one flush and keeps b's storage as the next write's scratch. Caller holds
+// c.mu.
+func (c *Controller) writeJournalLocked(b []byte) error {
+	c.jbuf = b[:0]
+	_, err := c.jw.Write(b)
+	if err == nil {
+		err = c.jw.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("kc: journal write: %w", err)
+	}
+	return nil
 }
 
 // JournalError reports a mutation the kernel applied that the journal
@@ -91,52 +86,46 @@ func (e *JournalError) Error() string {
 func (e *JournalError) Unwrap() error { return e.Err }
 
 // journalSink adapts the controller to txn.CommitSink: the transaction
-// manager hands it commit batches and abort notices.
+// manager hands it commit batches.
 type journalSink struct{ c *Controller }
 
-// WriteCommits persists a commit batch: each transaction's entries framed by
-// begin and commit markers, then one flush for the entire batch. That single
-// flush is what makes group commit cheaper than per-statement flushing.
+// WriteCommits persists a commit batch: each transaction's data entries
+// followed by its commit marker, then one flush for the entire batch. That
+// single flush is what makes group commit cheaper than per-statement
+// flushing. Without a journal writer the position accounting still runs:
+// committed data entries are counted so commit records carry exact positions
+// and live change capture works on journal-less controllers. Only re-reading
+// history (ReadCommitted) needs the file; a tailer that drops records there
+// rebuilds from a fresh snapshot instead.
 func (s journalSink) WriteCommits(recs []txn.CommitRecord) error {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.journal == nil {
-		// No journal writer, but position accounting still runs: committed
-		// data entries are counted so commit records carry exact positions
-		// and live change capture works on journal-less controllers. Only
-		// re-reading history (ReadCommitted) needs the file; a tailer that
-		// drops records there rebuilds from a fresh snapshot instead.
+	if c.jw != nil {
+		b := c.jbuf[:0]
+		var err error
 		for _, rec := range recs {
-			for _, e := range rec.Entries {
-				c.jEntries++
-				if e.Key > c.jMaxKey {
-					c.jMaxKey = e.Key
+			for i := range rec.Entries {
+				e := &rec.Entries[i]
+				if b, err = wire.AppendJournalEntry(b, &wire.JournalEntry{Marker: markerData,
+					Txn: rec.ID, Key: e.Key, Req: &e.Req, Affected: e.Affected}); err != nil {
+					return fmt.Errorf("kc: journal write: %w", err)
 				}
 			}
+			// A marker is far below the frame bound.
+			b, _ = wire.AppendJournalEntry(b, &wire.JournalEntry{Marker: markerCommit, Txn: rec.ID})
 		}
-		return nil
+		if err := c.writeJournalLocked(b); err != nil {
+			return err
+		}
 	}
 	for _, rec := range recs {
-		if err := c.journal.Encode(&journalEntry{Txn: rec.ID, Marker: markerBegin}); err != nil {
-			return fmt.Errorf("kc: journal write: %w", err)
-		}
 		for _, e := range rec.Entries {
-			entry := journalEntry{Req: e.Req, Key: e.Key, Txn: rec.ID, Marker: markerData, Affected: e.Affected}
-			if err := c.journal.Encode(&entry); err != nil {
-				return fmt.Errorf("kc: journal write: %w", err)
-			}
 			c.jEntries++
 			if e.Key > c.jMaxKey {
 				c.jMaxKey = e.Key
 			}
 		}
-		if err := c.journal.Encode(&journalEntry{Txn: rec.ID, Marker: markerCommit}); err != nil {
-			return fmt.Errorf("kc: journal write: %w", err)
-		}
-	}
-	if err := c.jw.Flush(); err != nil {
-		return fmt.Errorf("kc: journal write: %w", err)
 	}
 	return nil
 }
@@ -167,45 +156,12 @@ func (s journalSink) JournalPos() uint64 {
 	return c.jEntries
 }
 
-// WriteAbort notes a rolled-back transaction in the journal. Aborted
-// transactions never journal data (redo buffers only reach the journal at
-// commit), so the marker is documentation for log readers, not a recovery
-// requirement.
-func (s journalSink) WriteAbort(id uint64) error {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.journal == nil {
-		return nil
-	}
-	if err := c.journal.Encode(&journalEntry{Txn: id, Marker: markerAbort}); err != nil {
-		return fmt.Errorf("kc: journal write: %w", err)
-	}
-	if err := c.jw.Flush(); err != nil {
-		return fmt.Errorf("kc: journal write: %w", err)
-	}
-	return nil
-}
-
-// ReplayJournal reads a journal stream and re-executes every data entry on
-// the controller, restoring the key allocator as it goes. It returns the
-// number of entries applied. A torn final entry — a crash mid-write — is
-// treated as clean end-of-log. Use RecoverJournal to honour commit
-// boundaries; ReplayJournal replays the raw redo stream.
-func (c *Controller) ReplayJournal(r io.Reader) (int, error) {
-	n, _, err := c.replay(r, false, 0)
-	return n, err
-}
-
 // RecoverJournal reads a journal stream and re-executes exactly the
-// mutations of committed transactions, in commit order: data entries are
-// buffered per transaction and applied when the transaction's commit marker
-// arrives, so a transaction torn mid-commit-batch (no commit marker
-// survives) leaves no trace. Legacy entries with no transaction framing are
-// auto-committed and apply immediately. It returns the number of entries
-// applied; a torn final entry is clean end-of-log.
+// mutations of committed transactions, in commit order: a transaction torn
+// mid-commit-batch (no commit marker survives) leaves no trace. It returns
+// the number of entries applied; a torn final entry is clean end-of-log.
 func (c *Controller) RecoverJournal(r io.Reader) (int, error) {
-	n, _, err := c.replay(r, true, 0)
+	n, _, err := c.RecoverJournalFrom(r, 0)
 	return n, err
 }
 
@@ -217,84 +173,69 @@ func (c *Controller) RecoverJournal(r io.Reader) (int, error) {
 // accounting from. A journal whose leading checkpoint marker claims more
 // entries than skip covers a gap the image cannot fill and is refused.
 func (c *Controller) RecoverJournalFrom(r io.Reader, skip uint64) (int, uint64, error) {
-	return c.replay(r, true, skip)
-}
-
-func (c *Controller) replay(r io.Reader, committedOnly bool, skip uint64) (int, uint64, error) {
-	dec := gob.NewDecoder(r)
 	n := 0
-	pos := uint64(0) // committed data entries seen, in commit order
-	var pending map[uint64][]journalEntry
-	if committedOnly {
-		pending = make(map[uint64][]journalEntry)
-	}
-	apply := func(entry *journalEntry) error {
-		pos++
-		c.SeedKeys(entry.Key)
-		if pos <= skip {
-			// Covered by the checkpoint image: the effect is already in the
-			// store; only the allocator bookkeeping above matters.
+	pos, err := scanJournal(r, skip, func(e *wire.JournalEntry, pos uint64) error {
+		c.SeedKeys(e.Key)
+		if e.Marker != markerData || pos <= skip {
+			// A checkpoint marker, or an entry covered by the image: only the
+			// allocator bookkeeping above matters.
 			return nil
 		}
-		req, err := entry.Req.ToRequest()
+		req, err := e.Req.ToRequest()
 		if err != nil {
-			return fmt.Errorf("kc: journal entry %d: %w", n+1, err)
+			return fmt.Errorf("kc: journal position %d: %w", pos, err)
 		}
 		if _, _, err := c.sys.ExecTimed(req); err != nil {
-			return fmt.Errorf("kc: replaying entry %d: %w", n+1, err)
+			return fmt.Errorf("kc: replaying journal position %d: %w", pos, err)
 		}
 		n++
 		return nil
+	})
+	if errors.Is(err, ErrCompacted) {
+		err = fmt.Errorf("kc: journal and image do not match: %w", err)
 	}
-	for {
-		var entry journalEntry
-		if err := dec.Decode(&entry); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				// End of log — including a final entry torn by a crash
-				// mid-write. Everything before it applied cleanly.
-				return n, pos, nil
-			}
-			return n, pos, fmt.Errorf("kc: journal entry %d: %w", n+1, err)
-		}
-		switch entry.Marker {
-		case markerBegin:
-			// Frame start; data entries follow under the same txn id.
-		case markerCommit:
-			if committedOnly {
-				for i := range pending[entry.Txn] {
-					if err := apply(&pending[entry.Txn][i]); err != nil {
-						return n, pos, err
-					}
-				}
-				delete(pending, entry.Txn)
-			}
-		case markerAbort:
-			if committedOnly {
-				delete(pending, entry.Txn)
-			}
-		case markerCheckpoint:
-			// A rotated journal opens with one: entries before CkptEntries
-			// were truncated away, their effects held by a page image. The
-			// image being replayed against must cover at least that prefix.
-			if entry.CkptEntries > skip && entry.CkptEntries > pos {
-				return n, pos, fmt.Errorf(
-					"kc: journal entry %d: checkpoint marker covers %d entries but the image covers only %d — journal and image do not match",
-					n+1, entry.CkptEntries, skip)
-			}
-			if entry.CkptEntries > pos {
-				pos = entry.CkptEntries
-			}
-			c.SeedKeys(entry.Key)
+	return n, pos, err
+}
+
+// scanJournal is the one journal reader. It hands fn every committed data
+// entry in commit order with its position — its 1-based rank among committed
+// data entries, the count replay, checkpoints and change capture share — and
+// every checkpoint marker with the position it leaves the scan at. Data
+// entries wait for their transaction's commit marker, so a transaction the
+// log ends inside is never handed out. A rotated journal's leading marker
+// skips the truncated prefix; a reader that does not already hold it
+// (covered falls short) gets ErrCompacted. It returns the final position.
+func scanJournal(r io.Reader, covered uint64, fn func(e *wire.JournalEntry, pos uint64) error) (uint64, error) {
+	pos := uint64(0)
+	pending := make(map[uint64][]*wire.JournalEntry)
+	err := wire.ReadJournal(r, func(e *wire.JournalEntry) error {
+		switch e.Marker {
 		case markerData:
-			if committedOnly && entry.Txn != 0 {
-				pending[entry.Txn] = append(pending[entry.Txn], entry)
-				continue
+			if e.Req == nil {
+				return errors.New("kc: journal data entry without a request")
 			}
-			if err := apply(&entry); err != nil {
-				return n, pos, err
+			pending[e.Txn] = append(pending[e.Txn], e)
+		case markerCommit:
+			for _, d := range pending[e.Txn] {
+				pos++
+				if err := fn(d, pos); err != nil {
+					return err
+				}
 			}
+			delete(pending, e.Txn)
+		case markerCheckpoint:
+			if e.CkptEntries > pos {
+				if covered < e.CkptEntries {
+					return fmt.Errorf("%w: a checkpoint marker covers %d entries, the reader holds %d",
+						ErrCompacted, e.CkptEntries, covered)
+				}
+				pos = e.CkptEntries
+			}
+			return fn(e, pos)
 		default:
-			return n, pos, fmt.Errorf("kc: journal entry %d: unknown marker %d", n+1, entry.Marker)
+			return fmt.Errorf("kc: journal: unknown marker %d", e.Marker)
 		}
-	}
+		return nil
+	})
+	return pos, err
 }

@@ -2,11 +2,17 @@ package kc
 
 import (
 	"bytes"
+	"context"
+	"encoding/gob"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
+	"mlds/internal/txn"
+	"mlds/internal/wire"
 )
 
 // failWriter fails every write after the first n bytes succeed.
@@ -87,7 +93,7 @@ func TestExecBatchJournalsMutations(t *testing.T) {
 	}
 
 	c2 := newController(t)
-	n, err := c2.ReplayJournal(&journal)
+	n, err := c2.RecoverJournal(&journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,4 +123,98 @@ func TestExecBatchJournalFailure(t *testing.T) {
 	if len(je.Applied) != 2 {
 		t.Fatalf("JournalError.Applied has %d results, want both applied inserts", len(je.Applied))
 	}
+}
+
+// gobJournal is a journal as the pre-framing format wrote it: one gob stream
+// of entries.
+func gobJournal(t testing.TB) []byte {
+	t.Helper()
+	type gobEntry struct {
+		Req    wire.Request
+		Key    int64
+		Txn    uint64
+		Marker byte
+	}
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for _, e := range []gobEntry{
+		{Req: wire.FromRequest(insertX(1)), Key: 1, Txn: 1},
+		{Txn: 1, Marker: 2},
+	} {
+		if err := enc.Encode(&e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestRecoverRefusesGobJournal: a journal from before the framed format must
+// be refused, not read as an empty log — recovering nothing from it would
+// silently drop every committed mutation it holds. Change capture refuses it
+// the same way.
+func TestRecoverRefusesGobJournal(t *testing.T) {
+	old := gobJournal(t)
+	c := newController(t)
+	if n, err := c.RecoverJournal(bytes.NewReader(old)); err == nil {
+		t.Fatalf("gob journal recovered as %d entries, want an error", n)
+	}
+	if countX(t, c, 1) != 0 {
+		t.Fatal("refused journal applied an entry")
+	}
+	path := filepath.Join(t.TempDir(), "journal.gob")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := readCommitted(f, 0); err == nil {
+		t.Fatal("gob journal read as committed history")
+	}
+}
+
+// FuzzRecoverJournal feeds arbitrary bytes to recovery: it must return —
+// applying a committed prefix or refusing the input — and never panic or
+// hang, and what it applies is exactly what change capture reads back from
+// the same bytes. Seeds: a real journal, its truncations, and a gob-era
+// journal.
+func FuzzRecoverJournal(f *testing.F) {
+	c := newController(f)
+	var journal bytes.Buffer
+	c.AttachJournal(&journal)
+	tx := c.Txns().Begin()
+	tctx := txn.NewContext(context.Background(), tx)
+	for _, req := range []*abdl.Request{
+		insertX(1),
+		abdl.NewUpdate(abdm.And(abdm.Predicate{Attr: "x", Op: abdm.OpEq, Val: abdm.Int(1)}),
+			abdl.Modifier{Attr: "x", Val: abdm.Int(2)}),
+	} {
+		if _, err := c.ExecCtx(tctx, req); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := c.Txns().Commit(tx); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := c.Exec(abdl.NewDelete(abdm.And(abdm.Predicate{Attr: "x", Op: abdm.OpEq, Val: abdm.Int(2)}))); err != nil {
+		f.Fatal(err)
+	}
+	full := journal.Bytes()
+	for _, cut := range []int{0, 3, 5, 7, len(full) / 2, len(full) - 1, len(full)} {
+		f.Add(full[:cut])
+	}
+	f.Add(gobJournal(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := newController(t)
+		n, err := c.RecoverJournal(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		got, err := readCommitted(bytes.NewReader(data), 0)
+		if err != nil || len(got) != n {
+			t.Fatalf("recovery applied %d entries, change capture reads %d (err %v)", n, len(got), err)
+		}
+	})
 }

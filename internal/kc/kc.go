@@ -15,7 +15,6 @@ package kc
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"strconv"
 	"sync"
 	"time"
@@ -39,8 +38,8 @@ type Controller struct {
 	trace   []string
 	tracing bool
 	simTime time.Duration
-	journal *gob.Encoder
 	jw      *bufio.Writer
+	jbuf    []byte // scratch the journal entries of one write are framed into
 
 	// Fuzzy-checkpoint bookkeeping (see checkpoint.go). jEntries counts
 	// committed data entries ever written to the journal, jMaxKey the key

@@ -7,9 +7,10 @@ import (
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
 	"mlds/internal/mbds"
+	"mlds/internal/wire"
 )
 
-func newController(t *testing.T) *Controller {
+func newController(t testing.TB) *Controller {
 	t.Helper()
 	dir := abdm.NewDirectory()
 	if err := dir.DefineAttr("x", abdm.KindInt); err != nil {
@@ -136,7 +137,7 @@ func TestJournalReplay(t *testing.T) {
 	}
 
 	c2 := newController(t)
-	n, err := c2.ReplayJournal(&journal)
+	n, err := c2.RecoverJournal(&journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +196,11 @@ func TestJournalDetach(t *testing.T) {
 
 func TestJournalReplayGarbage(t *testing.T) {
 	c := newController(t)
-	// A complete but corrupt gob message must be rejected. (A *truncated*
-	// trailing message is different: that is the torn final entry of a
-	// crash mid-write, which replay treats as clean end-of-log.)
-	corrupt := []byte{0x01, 0x00} // one-byte message carrying type id 0
-	if _, err := c.ReplayJournal(bytes.NewReader(corrupt)); err == nil {
+	// A complete but corrupt frame must be rejected. (A *truncated* trailing
+	// frame is different: that is the torn final entry of a crash
+	// mid-write, which recovery treats as clean end-of-log.)
+	corrupt := append(wire.AppendJournalHeader(nil), 1, 0, 0, 0, 0) // one-byte frame: a marker, nothing else
+	if _, err := c.RecoverJournal(bytes.NewReader(corrupt)); err == nil {
 		t.Error("corrupt journal accepted")
 	}
 }

@@ -57,13 +57,16 @@ func TestRecoveryMatrixMixedOutcomes(t *testing.T) {
 	prefix := journal.Len()
 
 	// Aborted writer B: its insert executes against the kernel and is undone;
-	// only an abort marker reaches the journal. x=3 must NEVER recover.
+	// nothing of it reaches the journal. x=3 must NEVER recover.
 	b := c.Txns().Begin()
 	if _, err := c.ExecCtx(txn.NewContext(ctx, b), insertX(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Txns().Abort(b); err != nil {
 		t.Fatal(err)
+	}
+	if journal.Len() != prefix {
+		t.Fatalf("aborted transaction wrote %d journal bytes", journal.Len()-prefix)
 	}
 
 	// Read-only snapshot transaction R: reads journal nothing at all.

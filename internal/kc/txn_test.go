@@ -41,7 +41,7 @@ func TestReplayTornTail(t *testing.T) {
 
 	for cut := lastStart; cut < lastEnd; cut++ {
 		c2 := newController(t)
-		n, err := c2.ReplayJournal(bytes.NewReader(full[:cut]))
+		n, err := c2.RecoverJournal(bytes.NewReader(full[:cut]))
 		if err != nil {
 			t.Fatalf("cut at byte %d of [%d,%d): replay error %v", cut, lastStart, lastEnd, err)
 		}
@@ -61,7 +61,7 @@ func TestReplayTornTail(t *testing.T) {
 
 	// The untruncated journal replays everything.
 	c3 := newController(t)
-	if n, err := c3.ReplayJournal(bytes.NewReader(full)); err != nil || n != 3 {
+	if n, err := c3.RecoverJournal(bytes.NewReader(full)); err != nil || n != 3 {
 		t.Fatalf("full replay: n=%d err=%v, want 3, nil", n, err)
 	}
 }

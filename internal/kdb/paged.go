@@ -100,14 +100,19 @@ func CreateBacked(path string, dir *abdm.Directory, opts ...Option) (*Store, err
 	return s, nil
 }
 
+// ErrNoIndexImage reports a page-file generation with heap pages but no
+// persisted index image: every checkpoint commits an image, so such a
+// generation was not written by a checkpoint and cannot be mounted.
+var ErrNoIndexImage = errors.New("kdb: page-file generation has no index image")
+
 // OpenBacked mounts the page file's last committed generation and builds a
-// store from it. A generation carrying a persisted index image (Meta.HasIndex)
+// store from it. The generation's persisted index image (Meta.HasIndex)
 // restores the RID map, membership and attribute indexes by reading the
 // image's blob chain — O(index pages) — and materialises no record body:
-// reads page bodies in on demand. A legacy generation without an image is
-// restored by the old full-heap scan (still without materialising bodies).
-// The returned metadata carries the checkpoint position for bounded-tail
-// journal recovery.
+// reads page bodies in on demand. A generation without an image is the empty
+// one CreateBacked commits and mounts as an empty store; one whose heap holds
+// pages is refused with ErrNoIndexImage. The returned metadata carries the
+// checkpoint position for bounded-tail journal recovery.
 func OpenBacked(path string, dir *abdm.Directory, opts ...Option) (*Store, pager.Meta, error) {
 	return openBacked(path, dir, nil, opts)
 }
@@ -174,10 +179,13 @@ func openBacked(path string, dir *abdm.Directory, bound *uint64, opts []Option) 
 		maxID: meta.NextID,
 	}
 	b.names.learn(append(dir.Attrs(), dir.Files()...))
-	if meta.HasIndex {
+	switch {
+	case meta.HasIndex:
 		err = s.openFromImage(b, meta)
-	} else {
-		err = s.openFromScan(b)
+	case f.Pages() == 0:
+		b.heap = pager.NewHeapAt(pool, nil)
+	default:
+		err = fmt.Errorf("%w: %s holds %d pages", ErrNoIndexImage, path, f.Pages())
 	}
 	if err != nil {
 		f.Close()
@@ -235,42 +243,6 @@ func (s *Store) openFromImage(b *backing, meta pager.Meta) error {
 		if err != nil {
 			return fmt.Errorf("kdb: corrupt backing record: %w", err)
 		}
-	}
-	return nil
-}
-
-// openFromScan restores a legacy generation (no persisted image) by the old
-// full-heap scan, building membership, RID map and indexes — but not
-// materialising bodies or version chains.
-func (s *Store) openFromScan(b *backing) error {
-	heap, err := pager.NewHeap(b.pool)
-	if err != nil {
-		return err
-	}
-	b.heap = heap
-	err = heap.Scan(func(rid pager.RID, cell []byte) error {
-		id, rec, err := decodeRecord(cell, &b.names)
-		if err != nil {
-			return err
-		}
-		file := rec.File()
-		if s.files[file] == nil {
-			s.files[file] = make(map[abdm.RecordID]*abdm.Record)
-		}
-		s.files[file][id] = nil
-		s.fileOf[id] = file
-		b.rids[id] = rid
-		b.fileOfC[id] = file
-		if !s.noIndex {
-			s.indexRecordLocked(b, id, rec)
-		}
-		if uint64(id) > b.maxID {
-			b.maxID = uint64(id)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("kdb: corrupt backing record: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package kdb
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -76,57 +77,49 @@ func TestOpenBackedReopenCostIndexPages(t *testing.T) {
 	}
 }
 
-// TestOpenBackedLegacyMetaFallsBackToScan: a generation committed without a
-// persisted index image — what every page file written before images looked
-// like — must still open, via the one-time full-heap scan: membership, RID
-// map, indexes and the id allocator all rebuilt from the heap alone.
-func TestOpenBackedLegacyMetaFallsBackToScan(t *testing.T) {
+// TestOpenBackedImagelessGeneration: a generation committed without a
+// persisted index image mounts only when its heap is empty — the generation a
+// never-checkpointed CreateBacked file holds. One whose heap holds pages is
+// refused with ErrNoIndexImage rather than rebuilt by a heap scan.
+func TestOpenBackedImagelessGeneration(t *testing.T) {
 	const n = 30
-	path := filepath.Join(t.TempDir(), "part.pgf")
-	s, err := CreateBacked(path, testDir(t), WithPageSize(512), WithPoolPages(8))
+	dir := t.TempDir()
+
+	// Written through but never checkpointed: reopens as an empty store.
+	fresh := filepath.Join(dir, "fresh.pgf")
+	s, err := CreateBacked(fresh, testDir(t), WithPageSize(512), WithPoolPages(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	loadCourses(t, s, n)
-	// Commit a legacy generation by hand: heap flushed, no image blob, no
-	// HasIndex, not even a NextID seed — exactly what an old writer left.
-	b := s.backing
-	if err := b.heap.Flush(); err != nil {
+	s.CloseBacking()
+	s2, meta, err := OpenBacked(fresh, testDir(t), WithPageSize(512), WithPoolPages(8))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.file.Commit(pager.Meta{Epoch: 3, Entries: n, MaxKey: n}); err != nil {
+	if meta.HasIndex || s2.Len() != 0 {
+		t.Fatalf("never-checkpointed file reopened with %d records (meta %+v), want an empty store", s2.Len(), meta)
+	}
+	if _, err := s2.Insert(courseRec("Fresh", 1)); err != nil {
+		t.Fatalf("insert into the reopened empty store: %v", err)
+	}
+	s2.CloseBacking()
+
+	// A heap committed by hand with no image: refused.
+	bare := filepath.Join(dir, "bare.pgf")
+	s, err = CreateBacked(bare, testDir(t), WithPageSize(512), WithPoolPages(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadCourses(t, s, n)
+	if err := s.backing.heap.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.backing.file.Commit(pager.Meta{Epoch: 3, Entries: n, MaxKey: n}); err != nil {
 		t.Fatal(err)
 	}
 	s.CloseBacking()
-
-	s2, meta, err := OpenBacked(path, testDir(t), WithPageSize(512), WithPoolPages(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.CloseBacking()
-	if meta.HasIndex {
-		t.Fatal("legacy generation claims an index image")
-	}
-	if meta.Epoch != 3 || meta.Entries != n {
-		t.Fatalf("meta = %+v, want epoch 3 entries %d", meta, n)
-	}
-	if s2.Len() != n {
-		t.Fatalf("scan restored %d records, want %d", s2.Len(), n)
-	}
-	// Indexes rebuilt by the scan.
-	res := retrieveAll(t, s2, abdm.And(
-		abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("course")},
-		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
-	))
-	if len(res.Records) != 10 {
-		t.Fatalf("rebuilt CS courses = %d, want 10", len(res.Records))
-	}
-	// Allocator seeded from the scan's id high-water, not the (absent) meta.
-	id, err := s2.Insert(courseRec("Fresh", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id <= n {
-		t.Fatalf("fresh insert got id %d inside the scanned key space", id)
+	if _, _, err := OpenBacked(bare, testDir(t), WithPageSize(512), WithPoolPages(8)); !errors.Is(err, ErrNoIndexImage) {
+		t.Fatalf("imageless heap opened with err = %v, want ErrNoIndexImage", err)
 	}
 }

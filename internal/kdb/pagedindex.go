@@ -21,8 +21,8 @@ import (
 // the store by reading O(index pages) instead of scanning O(heap pages),
 // and no record body is materialised at all: the live maps start with nil
 // bodies that point-reads and scans page in on demand through the buffer
-// pool. Page files written before this format (Meta.HasIndex false) still
-// open through the legacy full-heap scan.
+// pool. The one generation without an image (Meta.HasIndex false) that
+// OpenBacked mounts is the empty one a fresh page file starts with.
 //
 // Image payload layout (all integers varint/uvarint unless noted):
 //

@@ -3,12 +3,8 @@
 // binary protocol (internal/wire), and the controller reaches it through a
 // RemoteBackend client that satisfies mbds.Executor. This mirrors the
 // original hardware architecture, where the controller (master) and the
-// backends (slaves) were separate machines.
-//
-// Through PR 6 the bus spoke gob; gob's reflection and per-connection type
-// negotiation dominated the per-message cost for the small request envelopes
-// the bus mostly carries, so the bus now shares framing v2 with the
-// client-facing serving tier — one codec for both hops.
+// backends (slaves) were separate machines. The bus shares framing v2 with
+// the client-facing serving tier — one codec for both hops.
 package mbdsnet
 
 import (

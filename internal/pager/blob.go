@@ -8,8 +8,7 @@ import (
 // Blob pages carry raw payloads — the persisted index structures the store
 // writes at checkpoint time — in the same logical page space as the record
 // heap. A kind byte in the shared page header (byte 10, reserved and always
-// zero in slotted heap pages, including every page of a version-1 file)
-// tells the heap's scans to skip them.
+// zero in slotted heap pages) tells the heap's scans to skip them.
 //
 // Blob page layout:
 //

@@ -51,14 +51,14 @@ type Meta struct {
 	// HasIndex/IndexRoot locate the root blob page of the persisted index
 	// the store wrote with this generation, so reopening loads indexes from
 	// their pages instead of rebuilding them by scanning the heap. Absent on
-	// version-1 files and on generations committed without an index image.
+	// generations committed without an index image.
 	HasIndex  bool
 	IndexRoot uint32
 }
 
 const (
 	magic         = "MLDSPGF1"
-	formatVersion = 2 // current write format; version-1 files still mount
+	formatVersion = 2
 
 	superGen     = 16 // superblock field offsets
 	superCount   = 24
@@ -70,11 +70,7 @@ const (
 	superMaxKey  = 56
 	superNextID  = 64
 
-	// Version 1 ends at its checksum; version 2 appends the index root (page
-	// id + 1, zero meaning no persisted index) before its own checksum.
-	superCRCv1 = 72
-
-	superIndexRoot = 72
+	superIndexRoot = 72 // page id + 1; zero means no persisted index
 	superCRC       = 76
 	superSize      = 80
 
@@ -249,19 +245,14 @@ func superValid(buf []byte, pageSize int) bool {
 	if string(buf[:8]) != magic {
 		return false
 	}
-	version := binary.LittleEndian.Uint16(buf[8:10])
-	if version < 1 || version > formatVersion {
+	if binary.LittleEndian.Uint16(buf[8:10]) != formatVersion {
 		return false
 	}
 	if int(binary.LittleEndian.Uint32(buf[12:16])) != pageSize {
 		return false
 	}
-	crcOff := superCRC
-	if version == 1 {
-		crcOff = superCRCv1
-	}
-	want := binary.LittleEndian.Uint32(buf[crcOff:])
-	return crc32.Checksum(buf[:crcOff], crcTable) == want
+	want := binary.LittleEndian.Uint32(buf[superCRC:])
+	return crc32.Checksum(buf[:superCRC], crcTable) == want
 }
 
 // superMeta decodes the checkpoint metadata of a validated superblock.
@@ -272,10 +263,8 @@ func superMeta(buf []byte) Meta {
 		MaxKey:  int64(binary.LittleEndian.Uint64(buf[superMaxKey:])),
 		NextID:  binary.LittleEndian.Uint64(buf[superNextID:]),
 	}
-	if binary.LittleEndian.Uint16(buf[8:10]) >= 2 {
-		if root := binary.LittleEndian.Uint32(buf[superIndexRoot:]); root != 0 {
-			m.HasIndex, m.IndexRoot = true, root-1
-		}
+	if root := binary.LittleEndian.Uint32(buf[superIndexRoot:]); root != 0 {
+		m.HasIndex, m.IndexRoot = true, root-1
 	}
 	return m
 }
@@ -290,11 +279,13 @@ func mount(fd *os.File, path string, pageSize int, super []byte) (*File, error) 
 	tableAt := binary.LittleEndian.Uint32(super[superTableAt:])
 	tableN := binary.LittleEndian.Uint32(super[superTableN:])
 	f.physEnd = binary.LittleEndian.Uint32(super[superPhysEnd:])
-	// Every physical page below physEnd was written and synced before the
-	// superblock that references it; a shorter file is torn.
+	// Every physical page from 2 up to physEnd was written and synced before
+	// the superblock that references it; a shorter file is torn. A file with
+	// no such page (the generation Create commits) ends inside superblock
+	// slot 1.
 	if st, err := fd.Stat(); err != nil {
 		return nil, err
-	} else if st.Size() < int64(f.physEnd)*int64(pageSize) {
+	} else if f.physEnd > 2 && st.Size() < int64(f.physEnd)*int64(pageSize) {
 		return nil, fmt.Errorf("%w: file truncated below generation %d's extent", ErrCorrupt, f.gen)
 	}
 	f.meta = superMeta(super)

@@ -11,8 +11,8 @@
 // assigned database key, so ABORT restores the store exactly by deleting by
 // key and re-inserting the images in reverse order. Durability is redo-based:
 // a committing transaction hands its buffered mutation log to a CommitSink
-// (the kc journal) which frames it with begin/commit markers and flushes once
-// per commit batch — group commit.
+// (the kc journal) which frames it with a commit marker and flushes once per
+// commit batch — group commit.
 package txn
 
 import (
@@ -40,7 +40,7 @@ type Executor interface {
 
 // JournalRec is one redo-log record of a transaction: the mutating request
 // in wire form plus the controller's key-allocator position (so replay
-// restores key allocation exactly, as the v1 journal did). Affected pins the
+// restores key allocation exactly). Affected pins the
 // database keys the mutation touched, so change-data-capture consumers can
 // apply UPDATE and DELETE deltas by key instead of re-evaluating the query
 // (which would observe post-commit state, not the state the statement saw).
@@ -63,13 +63,13 @@ type CommitRecord struct {
 	Pos     uint64
 }
 
-// CommitSink receives commit batches and abort notices. WriteCommits must
-// persist every record — framed so recovery can tell committed work from
-// uncommitted — with a single flush for the whole batch; that one call is
-// the group-commit window.
+// CommitSink receives commit batches. WriteCommits must persist every
+// record — framed so recovery can tell committed work from uncommitted — with
+// a single flush for the whole batch; that one call is the group-commit
+// window. Aborted transactions never reach the sink: their redo logs are
+// dropped at rollback.
 type CommitSink interface {
 	WriteCommits(recs []CommitRecord) error
-	WriteAbort(id uint64) error
 }
 
 // PosReader is optionally implemented by a CommitSink that counts committed
@@ -706,8 +706,7 @@ func (m *Manager) groupCommit(rec CommitRecord) error {
 }
 
 // Abort rolls the transaction back: applied mutations are undone in reverse
-// order, the abort is noted in the journal, and all locks release. Aborting
-// a finished transaction is a no-op.
+// order and all locks release. Aborting a finished transaction is a no-op.
 func (m *Manager) Abort(tx *Txn) error {
 	return m.rollback(tx)
 }
@@ -719,7 +718,6 @@ func (m *Manager) rollback(tx *Txn) error {
 		return nil
 	}
 	undo := tx.undo
-	wrote := len(tx.redo) > 0
 	touched := tx.touched
 	tx.state = Aborted
 	tx.undo, tx.redo = nil, nil
@@ -737,11 +735,6 @@ func (m *Manager) rollback(tx *Txn) error {
 		m.discardVersions(tx)
 	}
 	err := m.applyUndo(undo)
-	if wrote && m.cfg.Sink != nil {
-		if werr := m.cfg.Sink.WriteAbort(tx.id); err == nil {
-			err = werr
-		}
-	}
 	m.locks.releaseAll(tx)
 	m.aborts.Add(1)
 	m.mAborts.Inc()

@@ -309,7 +309,6 @@ func TestUnqualifiedQueryLocksRoot(t *testing.T) {
 type sinkRecorder struct {
 	mu      sync.Mutex
 	batches [][]CommitRecord
-	aborts  []uint64
 }
 
 func (s *sinkRecorder) WriteCommits(recs []CommitRecord) error {
@@ -318,13 +317,6 @@ func (s *sinkRecorder) WriteCommits(recs []CommitRecord) error {
 	cp := make([]CommitRecord, len(recs))
 	copy(cp, recs)
 	s.batches = append(s.batches, cp)
-	return nil
-}
-
-func (s *sinkRecorder) WriteAbort(id uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.aborts = append(s.aborts, id)
 	return nil
 }
 

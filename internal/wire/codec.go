@@ -1,10 +1,9 @@
 package wire
 
-// The framing-v2 binary codec for the controller→backend bus. Envelopes were
-// gob streams through PR 6; gob's per-message type negotiation and reflection
-// were the dominant per-message cost on the bus, so v2 encodes every field
-// positionally with the frame.go primitives. The layout below is frozen —
-// codec_test.go pins golden frames byte for byte.
+// The framing-v2 binary codec for the controller→backend bus: every field
+// encoded positionally with the frame.go primitives, no per-message type
+// negotiation or reflection. The layout below is frozen — codec_test.go pins
+// golden frames byte for byte.
 //
 // Field order (all fields always present, in this order):
 //

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"mlds/internal/abdl"
@@ -14,15 +12,11 @@ func TestForceIDRoundTrip(t *testing.T) {
 	req := abdl.NewInsert(abdm.NewRecord("f", abdm.Keyword{Attr: "a", Val: abdm.Int(1)}))
 	req.ForceID = 12345
 	w := FromRequest(req)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+	env, err := DecodeEnvelope(EncodeEnvelope(&Envelope{Action: "exec", Req: &w}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded Request
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	back, err := decoded.ToRequest()
+	back, err := env.Req.ToRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +36,11 @@ func TestForceIDRoundTrip(t *testing.T) {
 func TestAffectedRoundTrip(t *testing.T) {
 	res := &kdb.Result{Count: 3, Affected: []abdm.RecordID{4, 8, 15}}
 	w := FromResult(res)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+	env, err := DecodeEnvelope(EncodeEnvelope(&Envelope{Action: "exec", Res: &w}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded Result
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	back, err := decoded.ToResult()
+	back, err := env.Res.ToResult()
 	if err != nil {
 		t.Fatal(err)
 	}

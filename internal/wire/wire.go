@@ -3,8 +3,9 @@
 // client→front-end serving hop (Msg) — their compact length-prefixed binary
 // encoding ("framing v2", frame.go/codec.go/client.go), the stable error-code
 // table (codes.go), and the conversions between wire and model types (whose
-// fields are deliberately unexported). The types remain gob-encodable for the
-// v1 journal format; the network paths all speak framing v2.
+// fields are deliberately unexported). It also owns the two on-disk layouts
+// built from the same codec: the kernel controller's redo journal
+// (journal.go) and saved database images (image.go).
 package wire
 
 import (

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 	"testing/quick"
 
@@ -110,17 +108,12 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEnvelopeGobRoundTrip(t *testing.T) {
+func TestEnvelopeRequestRoundTrip(t *testing.T) {
 	req := abdl.NewRetrieve(abdm.And(
 		abdm.Predicate{Attr: "a", Op: abdm.OpEq, Val: abdm.Int(1)}), abdl.AllAttrs)
 	wreq := FromRequest(req)
-	env := Envelope{Seq: 9, Action: "exec", Req: &wreq}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatal(err)
-	}
-	var back Envelope
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+	back, err := DecodeEnvelope(EncodeEnvelope(&Envelope{Seq: 9, Action: "exec", Req: &wreq}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Seq != 9 || back.Action != "exec" || back.Req == nil {
@@ -131,7 +124,7 @@ func TestEnvelopeGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if breq.String() != req.String() {
-		t.Error("request mangled through gob")
+		t.Error("request mangled through the codec")
 	}
 }
 
