@@ -16,15 +16,14 @@
 # that breaks the rig's oracles fails here, before the benchmark does.
 # `make rig W=five_lang_mix SEED=1` runs one benchmark workload end to end.
 # `make fuzz-smoke` runs each native fuzz target briefly — corpora and
-# checked-in crashers also replay on every plain `go test`. `make bench`
-# regenerates the paper experiments and writes a machine-readable summary.
+# checked-in crashers also replay on every plain `go test`.
 
 GO ?= go
 
 # Coverage floors for the packages the verify tier guards most closely.
 COVER_FLOOR := 70
 
-.PHONY: build test check cover fuzz-smoke fmt bench rig rig-test
+.PHONY: build test check cover fuzz-smoke fmt rig rig-test
 
 build:
 	$(GO) build ./...
@@ -103,9 +102,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverJournal$$' -fuzztime $(FUZZ_TIME) ./internal/kc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZ_TIME) ./internal/pager
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/kdb
-
-bench:
-	$(GO) run ./cmd/mldsbench -json BENCH_10.json
 
 # rig runs one workload of the benchmark BENCHMARK.json declares (see
 # rig/README.md): end-to-end metrics, every reply checked against its oracle.

@@ -158,13 +158,24 @@ func (p *stmtParser) expect(word string) error {
 	return nil
 }
 
+// name parses a record, set or item name: a bare word. A quoted literal is
+// a value, legal only where MOVE takes one — a name never prints quoted, so
+// accepting one here would change its meaning on the way back.
 func (p *stmtParser) name(what string) (string, error) {
-	if p.done() || p.toks[p.pos].text == "," {
+	if p.done() || p.comma() {
 		return "", fmt.Errorf("expected %s", what)
 	}
 	t := p.toks[p.pos]
+	if t.quoted {
+		return "", fmt.Errorf("expected %s, found quoted literal '%s'", what, t.text)
+	}
 	p.pos++
 	return t.text, nil
+}
+
+// comma reports whether the next token is the list separator.
+func (p *stmtParser) comma() bool {
+	return !p.done() && !p.toks[p.pos].quoted && p.toks[p.pos].text == ","
 }
 
 // nameList parses name [, name]*.
@@ -176,7 +187,7 @@ func (p *stmtParser) nameList(what string) ([]string, error) {
 			return nil, err
 		}
 		out = append(out, n)
-		if !p.done() && p.toks[p.pos].text == "," {
+		if p.comma() {
 			p.pos++
 			continue
 		}

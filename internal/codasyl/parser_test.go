@@ -164,6 +164,15 @@ func TestParseStatementErrors(t *testing.T) {
 		"MOVE TO x IN y",
 		"MOVE 'unterminated TO x IN y",
 		"GET major, gpa IN student extra",
+		// A quoted literal is a value, never a record, set or item name.
+		"GET ''''",
+		"GET 'a''b'",
+		"STORE 'student'",
+		"GET a ',' b IN r",
+		"CONNECT r TO 's'",
+		"FIND ANY course USING 'title' IN course",
+		"MOVE 1 TO 'a' IN r",
+		"MOVE 1 TO a IN 'r'",
 	}
 	for _, line := range bad {
 		if _, err := ParseStmt(line); err == nil {

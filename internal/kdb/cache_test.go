@@ -3,6 +3,7 @@ package kdb
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -52,11 +53,52 @@ func TestConcurrentRangeRetrieves(t *testing.T) {
 	wg.Wait()
 }
 
-// TestValueKeyBigInt64RoundTrip covers the valueKey canonical form for int64
-// values beyond 2^53: adjacent big ints must keep distinct index keys (the
-// old float64-based form collapsed them), while equal int/float pairs still
+// TestKeyOfSharesEqualNumbers: ints and floats that compare equal share one
+// index key — including -0.0 and 0 — while distinct numbers and a string
+// spelling the same digits never do.
+func TestKeyOfSharesEqualNumbers(t *testing.T) {
+	same := []struct{ x, y abdm.Value }{
+		{abdm.Int(42), abdm.Float(42)},
+		{abdm.Int(0), abdm.Float(math.Copysign(0, -1))},
+		{abdm.Float(0), abdm.Float(math.Copysign(0, -1))},
+		{abdm.Int(-7), abdm.Float(-7)},
+		{abdm.Float(math.NaN()), abdm.Float(-math.NaN())},
+		{abdm.String("x"), abdm.String("x")},
+		{abdm.Null(), abdm.Null()},
+	}
+	for _, p := range same {
+		if keyOf(p.x) != keyOf(p.y) {
+			t.Errorf("keyOf(%v) != keyOf(%v)", p.x, p.y)
+		}
+	}
+	differ := []struct{ x, y abdm.Value }{
+		{abdm.Int(42), abdm.Float(42.5)},
+		{abdm.Float(0.1), abdm.Float(0.2)},
+		{abdm.Int(42), abdm.String("42")},
+		{abdm.Float(42), abdm.String("42")},
+		{abdm.Int(0), abdm.String("")},
+		{abdm.Int(0), abdm.Null()},
+		{abdm.String(""), abdm.Null()},
+		{abdm.Float(math.Inf(1)), abdm.Float(math.Inf(-1))},
+	}
+	for _, p := range differ {
+		if keyOf(p.x) == keyOf(p.y) {
+			t.Errorf("keyOf(%v) == keyOf(%v)", p.x, p.y)
+		}
+	}
+	// A key stands for a value equal to the one it was made from.
+	for _, v := range []abdm.Value{abdm.Int(-3), abdm.Float(2.5), abdm.Float(42), abdm.Float(math.Inf(-1)), abdm.String("s"), abdm.Null()} {
+		if back := keyOf(v).value(); !back.Equal(v) {
+			t.Errorf("keyOf(%v).value() = %v", v, back)
+		}
+	}
+}
+
+// TestKeyOfBigInt64RoundTrip covers the keyOf canonical form for int64
+// values beyond 2^53: adjacent big ints must keep distinct index keys (a
+// float64-based form collapses them), while equal int/float pairs still
 // share one.
-func TestValueKeyBigInt64RoundTrip(t *testing.T) {
+func TestKeyOfBigInt64RoundTrip(t *testing.T) {
 	a := int64(1) << 53 // representable as float64
 	pairs := []struct{ x, y int64 }{
 		{a, a + 1},
@@ -65,13 +107,13 @@ func TestValueKeyBigInt64RoundTrip(t *testing.T) {
 		{-9223372036854775808, -9223372036854775807},
 	}
 	for _, p := range pairs {
-		if valueKey(abdm.Int(p.x)) == valueKey(abdm.Int(p.y)) {
-			t.Errorf("valueKey collides for %d and %d", p.x, p.y)
+		if keyOf(abdm.Int(p.x)) == keyOf(abdm.Int(p.y)) {
+			t.Errorf("keyOf collides for %d and %d", p.x, p.y)
 		}
 	}
-	// Int/float equality must still canonicalise to one key.
-	if valueKey(abdm.Int(42)) != valueKey(abdm.Float(42)) {
-		t.Errorf("valueKey(Int(42)) != valueKey(Float(42))")
+	// An integral float beyond 2^53 shares the key of the int it equals.
+	if keyOf(abdm.Int(a+2)) != keyOf(abdm.Float(float64(a+2))) {
+		t.Errorf("keyOf(Int(2^53+2)) != keyOf(Float(2^53+2))")
 	}
 
 	// Round-trip through the store: insert two records whose IDs differ only

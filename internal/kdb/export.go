@@ -188,13 +188,7 @@ func (r chainRank) newerThan(o chainRank) bool {
 func (s *Store) ImportPartition(recs []MigRecord) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mvcc.chains == nil {
-		s.mvcc.chains = make(map[string]map[abdm.RecordID][]version)
-		s.mvcc.pending = make(map[uint64][]chainRef)
-		if s.mvcc.epoch == 0 {
-			s.mvcc.epoch = 1
-		}
-	}
+	s.initChainsLocked()
 	applied := 0
 	for i := range recs {
 		mr := &recs[i]
@@ -237,9 +231,6 @@ func (s *Store) ImportPartition(recs []MigRecord) (int, error) {
 			if v.Epoch > s.mvcc.epoch {
 				s.mvcc.epoch = v.Epoch
 			}
-		}
-		if s.mvcc.chains[mr.File] == nil {
-			s.mvcc.chains[mr.File] = make(map[abdm.RecordID][]version)
 		}
 		s.mvcc.versions += len(chain) - len(have)
 		s.setChainLocked(mr.File, mr.ID, chain)

@@ -56,6 +56,32 @@ type mvccState struct {
 	chains   map[string]map[abdm.RecordID][]version // file → record → history
 	pending  map[uint64][]chainRef                  // txn → chains holding its pending versions
 	versions int                                    // live version count, for the gauge
+
+	// work holds exactly the chains a sweep may shorten now or after a
+	// stamp (see prunable), so MVCC-GC visits the chains changed since the
+	// last sweep instead of every record's. Every chain write goes through
+	// setChainLocked, which keeps it exact.
+	work map[chainRef]struct{}
+}
+
+// prunable reports whether a GC sweep could ever shorten the chain without
+// another write to it: it holds more than one version, a lone tombstone, or
+// a pending version that a stamp will commit.
+func prunable(chain []version) bool {
+	return len(chain) > 1 || len(chain) == 1 && (chain[0].rec == nil || chain[0].epoch == 0)
+}
+
+// initChainsLocked sets up the chain maps on first use.
+func (s *Store) initChainsLocked() {
+	if s.mvcc.chains != nil {
+		return
+	}
+	s.mvcc.chains = make(map[string]map[abdm.RecordID][]version)
+	s.mvcc.pending = make(map[uint64][]chainRef)
+	s.mvcc.work = make(map[chainRef]struct{})
+	if s.mvcc.epoch == 0 {
+		s.mvcc.epoch = 1
+	}
 }
 
 // noteVersion appends one version for a mutation of (file, id). rec is the
@@ -65,13 +91,7 @@ func (s *Store) noteVersion(req *abdl.Request, file string, id abdm.RecordID, re
 	if req != nil && req.NoVersion {
 		return
 	}
-	if s.mvcc.chains == nil {
-		s.mvcc.chains = make(map[string]map[abdm.RecordID][]version)
-		s.mvcc.pending = make(map[uint64][]chainRef)
-		if s.mvcc.epoch == 0 {
-			s.mvcc.epoch = 1
-		}
-	}
+	s.initChainsLocked()
 	s.seedChainLocked(id)
 	v := version{rec: rec}
 	if req != nil {
@@ -86,10 +106,7 @@ func (s *Store) noteVersion(req *abdl.Request, file string, id abdm.RecordID, re
 		s.mvcc.pending[v.txn] = append(s.mvcc.pending[v.txn], chainRef{file, id})
 		s.pendingInc(id)
 	}
-	if s.mvcc.chains[file] == nil {
-		s.mvcc.chains[file] = make(map[abdm.RecordID][]version)
-	}
-	s.mvcc.chains[file][id] = append(s.mvcc.chains[file][id], v)
+	s.setChainLocked(file, id, append(s.mvcc.chains[file][id], v))
 	s.mvcc.versions++
 }
 
@@ -118,10 +135,7 @@ func (s *Store) seedChainLocked(id abdm.RecordID) {
 		}
 		return
 	}
-	if s.mvcc.chains[cfile] == nil {
-		s.mvcc.chains[cfile] = make(map[abdm.RecordID][]version)
-	}
-	s.mvcc.chains[cfile][id] = []version{{epoch: b.baseEpoch, rec: base}}
+	s.setChainLocked(cfile, id, []version{{epoch: b.baseEpoch, rec: base}})
 	s.mvcc.versions++
 }
 
@@ -166,6 +180,7 @@ func (s *Store) stampLocked(txn, epoch uint64) int {
 				s.pendingDec(ref.id)
 			}
 		}
+		s.setChainLocked(ref.file, ref.id, chain)
 	}
 	// The stamped versions are now committed state: write each touched
 	// chain's newest committed value through to the paged backing.
@@ -213,45 +228,67 @@ func (s *Store) discardLocked(txn uint64) (int, []abdm.RecordID) {
 // a record deleted before it. Returns the number of versions pruned and the
 // keys whose whole chains were removed (deleted records no snapshot can
 // reach any more — the controller may forget their placement).
+//
+// Only the work set is visited — every other chain is a single committed
+// version no sweep can shorten — so a sweep costs the chains written since
+// the previous one, not the store's size.
 func (s *Store) pruneLocked(watermark uint64) (int, []abdm.RecordID) {
 	pruned := 0
 	var removed []abdm.RecordID
-	for file, chains := range s.mvcc.chains {
-		for id, chain := range chains {
-			keep := 0 // index of the newest committed version ≤ watermark
-			found := false
-			for i, v := range chain {
-				if v.epoch != 0 && v.epoch <= watermark {
-					keep, found = i, true
-				}
-			}
-			if !found {
-				continue
-			}
-			if keep == len(chain)-1 && chain[keep].rec == nil {
-				pruned += len(chain)
-				removed = append(removed, id)
-				s.setChainLocked(file, id, nil)
-				continue
-			}
-			if keep > 0 {
-				pruned += keep
-				s.setChainLocked(file, id, append([]version(nil), chain[keep:]...))
-			}
+	for ref := range s.mvcc.work {
+		n, gone := s.pruneChainLocked(ref, watermark)
+		pruned += n
+		if gone {
+			removed = append(removed, ref.id)
 		}
 	}
 	s.mvcc.versions -= pruned
 	return pruned, removed
 }
 
-// setChainLocked replaces one record's chain, removing empty map entries.
+// pruneChainLocked prunes one chain at the watermark, returning how many
+// versions it dropped and whether the whole chain went.
+func (s *Store) pruneChainLocked(ref chainRef, watermark uint64) (int, bool) {
+	chain := s.mvcc.chains[ref.file][ref.id]
+	keep := 0 // index of the newest committed version ≤ watermark
+	found := false
+	for i, v := range chain {
+		if v.epoch != 0 && v.epoch <= watermark {
+			keep, found = i, true
+		}
+	}
+	switch {
+	case !found:
+		return 0, false
+	case keep == len(chain)-1 && chain[keep].rec == nil:
+		s.setChainLocked(ref.file, ref.id, nil)
+		return len(chain), true
+	case keep > 0:
+		s.setChainLocked(ref.file, ref.id, append([]version(nil), chain[keep:]...))
+	}
+	return keep, false
+}
+
+// setChainLocked replaces one record's chain, creating or removing map
+// entries as needed, and keeps the GC work set exact. It is the only way a
+// chain changes; a stamp, which rewrites epochs in place, calls it with the
+// same slice.
 func (s *Store) setChainLocked(file string, id abdm.RecordID, chain []version) {
+	ref := chainRef{file, id}
+	if prunable(chain) {
+		s.mvcc.work[ref] = struct{}{}
+	} else {
+		delete(s.mvcc.work, ref)
+	}
 	if len(chain) == 0 {
 		delete(s.mvcc.chains[file], id)
 		if len(s.mvcc.chains[file]) == 0 {
 			delete(s.mvcc.chains, file)
 		}
 		return
+	}
+	if s.mvcc.chains[file] == nil {
+		s.mvcc.chains[file] = make(map[abdm.RecordID][]version)
 	}
 	s.mvcc.chains[file][id] = chain
 }

@@ -166,9 +166,8 @@ func openBacked(path string, dir *abdm.Directory, bound *uint64, opts []Option) 
 	if baseEpoch == 0 {
 		baseEpoch = 1
 	}
-	s.mvcc.chains = make(map[string]map[abdm.RecordID][]version)
-	s.mvcc.pending = make(map[uint64][]chainRef)
 	s.mvcc.epoch = baseEpoch
+	s.initChainsLocked()
 	b := &backing{
 		file: f, pool: pool,
 		rids:         make(map[abdm.RecordID]pager.RID),
@@ -348,18 +347,15 @@ func (s *Store) applyBackingNow(id abdm.RecordID, rec *abdm.Record, epoch uint64
 		b.maxID = uint64(id)
 	}
 	rid, exists := b.rids[id]
-	var err error
+	var (
+		old *abdm.Record
+		err error
+	)
 	// The committed index is maintained by diffing the heap cell being
-	// replaced against the new committed value.
+	// replaced against the new committed value: only the keywords that
+	// changed move in it.
 	if exists && !s.noIndex {
-		var old *abdm.Record
-		if old, err = s.fetchLocked(id); err == nil {
-			for _, kw := range old.Keywords {
-				if ix := b.cIndexes[kw.Attr]; ix != nil {
-					ix.remove(kw.Val, id)
-				}
-			}
-		}
+		old, err = s.fetchLocked(id)
 	}
 	if rec != nil {
 		b.names.learnRecord(rec)
@@ -386,15 +382,8 @@ func (s *Store) applyBackingNow(id abdm.RecordID, rec *abdm.Record, epoch uint64
 			}
 		}
 	}
-	if err == nil && rec != nil && !s.noIndex {
-		for _, kw := range rec.Keywords {
-			ix := b.cIndexes[kw.Attr]
-			if ix == nil {
-				ix = newAttrIndex()
-				b.cIndexes[kw.Attr] = ix
-			}
-			ix.add(kw.Val, id)
-		}
+	if err == nil && !s.noIndex {
+		b.reindexLocked(id, old, rec)
 	}
 	if err == nil {
 		s.deresidentLocked(id, rec)
@@ -404,6 +393,49 @@ func (s *Store) applyBackingNow(id abdm.RecordID, rec *abdm.Record, epoch uint64
 		b.err = fmt.Errorf("kdb: backing write-through: %w", err)
 	}
 	s.reresidentLocked(id, rec)
+}
+
+// reindexLocked moves one record's postings in the committed index from its
+// replaced committed value to its new one (either may be nil), touching only
+// the keywords that differ: an UPDATE of one attribute leaves the long
+// posting lists of the record's shared attributes (FILE, say) alone.
+func (b *backing) reindexLocked(id abdm.RecordID, old, rec *abdm.Record) {
+	if old != nil {
+		for _, kw := range old.Keywords {
+			if ix := b.cIndexes[kw.Attr]; ix != nil && !hasKeyword(rec, kw) {
+				ix.remove(kw.Val, id)
+			}
+		}
+	}
+	if rec == nil {
+		return
+	}
+	for _, kw := range rec.Keywords {
+		if hasKeyword(old, kw) {
+			continue
+		}
+		ix := b.cIndexes[kw.Attr]
+		if ix == nil {
+			ix = newAttrIndex()
+			b.cIndexes[kw.Attr] = ix
+		}
+		ix.add(kw.Val, id)
+	}
+}
+
+// hasKeyword reports whether r, which may be nil, holds kw's attribute
+// under an equal index key.
+func hasKeyword(r *abdm.Record, kw abdm.Keyword) bool {
+	if r == nil {
+		return false
+	}
+	k := keyOf(kw.Val)
+	for _, o := range r.Keywords {
+		if o.Attr == kw.Attr && keyOf(o.Val) == k {
+			return true
+		}
+	}
+	return false
 }
 
 // deresidentLocked drops a record body from RAM after a successful

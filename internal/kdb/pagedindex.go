@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mlds/internal/abdm"
@@ -36,7 +37,7 @@ import (
 //	byte indexed (0 = store ran WithoutIndexes, no attr section follows)
 //	if indexed: uvarint nAttrs; per attr:
 //	  uvarint len(name), name
-//	  uvarint nValues; per distinct value:
+//	  uvarint nValues; per distinct value, in value order (readers accept any):
 //	    value (kind byte + payload, the record codec's value form)
 //	    uvarint nIDs; per id, sorted: uvarint idDelta
 
@@ -181,14 +182,12 @@ func encodeImage(maxID uint64, rids map[abdm.RecordID]pager.RID,
 		ix := indexes[a]
 		buf = binary.AppendUvarint(buf, uint64(len(a)))
 		buf = append(buf, a...)
-		keys := make([]string, 0, len(ix.postings))
-		for k := range ix.postings {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		// Values go out in the index's own value order, cached across
+		// checkpoints until a distinct value comes or goes.
+		keys := ix.ensureSorted()
 		buf = binary.AppendUvarint(buf, uint64(len(keys)))
 		for _, k := range keys {
-			buf = appendValue(buf, ix.values[k])
+			buf = appendValue(buf, k.value())
 			post := ix.postings[k]
 			buf = binary.AppendUvarint(buf, uint64(len(post)))
 			prev := uint64(0)
@@ -349,10 +348,9 @@ func decodeImage(buf []byte) (*storeImage, error) {
 func cloneIndexes(src map[string]*attrIndex) map[string]*attrIndex {
 	out := make(map[string]*attrIndex, len(src))
 	for a, ix := range src {
-		cp := newAttrIndex()
+		cp := &attrIndex{postings: make(map[ikey][]abdm.RecordID, len(ix.postings))}
 		for k, post := range ix.postings {
-			cp.postings[k] = append([]abdm.RecordID(nil), post...)
-			cp.values[k] = ix.values[k]
+			cp.postings[k] = slices.Clone(post)
 		}
 		out[a] = cp
 	}

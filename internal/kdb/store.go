@@ -243,21 +243,21 @@ func (s *Store) execRetrieveCommon(req *abdl.Request) (*Result, error) {
 
 // CommonValues collects the distinct non-null values of attr across records,
 // keyed canonically. Exported for the controller's cross-backend semi-join.
-func CommonValues(recs []StoredRecord, attr string) map[string]bool {
-	out := make(map[string]bool)
+func CommonValues(recs []StoredRecord, attr string) map[ikey]bool {
+	out := make(map[ikey]bool)
 	for _, sr := range recs {
 		if v, ok := sr.Rec.Get(attr); ok && !v.IsNull() {
-			out[valueKey(v)] = true
+			out[keyOf(v)] = true
 		}
 	}
 	return out
 }
 
 // FilterByCommon keeps the records whose attr value is in the value set.
-func FilterByCommon(recs []StoredRecord, attr string, values map[string]bool) []StoredRecord {
+func FilterByCommon(recs []StoredRecord, attr string, values map[ikey]bool) []StoredRecord {
 	var out []StoredRecord
 	for _, sr := range recs {
-		if v, ok := sr.Rec.Get(attr); ok && !v.IsNull() && values[valueKey(v)] {
+		if v, ok := sr.Rec.Get(attr); ok && !v.IsNull() && values[keyOf(v)] {
 			out = append(out, sr)
 		}
 	}
