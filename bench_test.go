@@ -25,6 +25,7 @@ import (
 )
 
 func BenchmarkE1_DaplexParse(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := daplex.ParseSchema(univ.SchemaDDL); err != nil {
 			b.Fatal(err)
@@ -33,6 +34,7 @@ func BenchmarkE1_DaplexParse(b *testing.B) {
 }
 
 func BenchmarkE2_SchemaTransform(b *testing.B) {
+	b.ReportAllocs()
 	fun := univ.Schema()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,6 +45,7 @@ func BenchmarkE2_SchemaTransform(b *testing.B) {
 }
 
 func BenchmarkE3_ABMapping(b *testing.B) {
+	b.ReportAllocs()
 	m, err := xform.FunToNet(univ.Schema())
 	if err != nil {
 		b.Fatal(err)
@@ -56,6 +59,7 @@ func BenchmarkE3_ABMapping(b *testing.B) {
 }
 
 func BenchmarkE4_EntitySubtypeTransform(b *testing.B) {
+	b.ReportAllocs()
 	fun, err := daplex.ParseSchema(`
 DATABASE figures IS
 ENTITY person IS
@@ -105,6 +109,7 @@ func benchScale(scale int) univgen.Config {
 }
 
 func BenchmarkE5_DMLTranslate(b *testing.B) {
+	b.ReportAllocs()
 	db, _, ctrl := benchSession(b, univgen.SmallConfig(), 2)
 	ctx := context.Background()
 	tr := kms.NewFunctional(db.Mapping, db.AB, ctrl)
@@ -135,6 +140,7 @@ var sweepQuery = abdl.NewRetrieve(abdm.And(
 func BenchmarkE6_BackendsScaling(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			_, sys, _ := benchSession(b, benchScale(1), n)
 			b.ResetTimer()
 			var sim float64
@@ -155,6 +161,7 @@ func BenchmarkE6_BackendsScaling(b *testing.B) {
 func BenchmarkE7_CapacityGrowth(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			_, sys, _ := benchSession(b, benchScale(n), n)
 			b.ResetTimer()
 			var sim float64
@@ -175,6 +182,7 @@ func BenchmarkE8_CrossModel(b *testing.B) {
 	db, _, ctrl := benchSession(b, univgen.SmallConfig(), 2)
 	ctx := context.Background()
 	b.Run("daplex", func(b *testing.B) {
+		b.ReportAllocs()
 		dap := dapkms.New(db.Mapping, db.AB, ctrl)
 		st, err := daplex.ParseDML("FOR EACH student WHERE major = 'Computer Science' PRINT pname;")
 		if err != nil {
@@ -188,6 +196,7 @@ func BenchmarkE8_CrossModel(b *testing.B) {
 		}
 	})
 	b.Run("codasyl-dml", func(b *testing.B) {
+		b.ReportAllocs()
 		tr := kms.NewFunctional(db.Mapping, db.AB, ctrl)
 		mv, _ := codasyl.ParseStmt("MOVE 'Computer Science' TO major IN student")
 		if _, err := tr.ExecCtx(ctx, mv); err != nil {
@@ -206,6 +215,7 @@ func BenchmarkE8_CrossModel(b *testing.B) {
 // BenchmarkE9_SharedKernel interleaves Daplex updates with DML reads over
 // one kernel.
 func BenchmarkE9_SharedKernel(b *testing.B) {
+	b.ReportAllocs()
 	db, _, ctrl := benchSession(b, univgen.SmallConfig(), 2)
 	ctx := context.Background()
 	dap := dapkms.New(db.Mapping, db.AB, ctrl)
@@ -239,6 +249,7 @@ func BenchmarkAblation_IndexVsScan(b *testing.B) {
 			name = "scan"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			db, err := univgen.Generate(benchScale(2))
 			if err != nil {
 				b.Fatal(err)
@@ -271,6 +282,7 @@ func BenchmarkAblation_ParallelVsSerial(b *testing.B) {
 			name = "serial"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			db, err := univgen.Generate(benchScale(2))
 			if err != nil {
 				b.Fatal(err)
@@ -300,6 +312,7 @@ func BenchmarkAblation_ParallelVsSerial(b *testing.B) {
 func BenchmarkAblation_DirectVsPreprocess(b *testing.B) {
 	fun := univ.Schema()
 	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m, err := xform.FunToNet(fun)
 			if err != nil {
@@ -311,6 +324,7 @@ func BenchmarkAblation_DirectVsPreprocess(b *testing.B) {
 		}
 	})
 	b.Run("preprocess", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m, err := xform.FunToNet(fun)
 			if err != nil {
@@ -333,6 +347,7 @@ func reparseDDL(ddl string) (*NetworkSchema, error) { return netddl.Parse(ddl) }
 // BenchmarkE10_FiveInterfaces runs one statement per language interface over
 // prebuilt sessions — the Figure 1.2 round trip.
 func BenchmarkE10_FiveInterfaces(b *testing.B) {
+	b.ReportAllocs()
 	sys := New(KernelWith(2))
 	b.Cleanup(sys.Close)
 	fdb, err := sys.CreateFunctional("university", UniversityDDL)

@@ -8,7 +8,6 @@
 //
 //	mldsbench                     run every experiment
 //	mldsbench -exp e6             run one experiment (e1..e19, a1..a3)
-//	mldsbench -json BENCH.json    also write a machine-readable summary
 //	mldsbench -txn                run the transaction contention workload
 //	mldsbench -txn -sessions 16 -txns 50 -ops 4 -conflict 0.25
 //	mldsbench -readers 8 -writers 4   reader/writer mix, locked vs MVCC (E14)
@@ -18,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,43 +25,9 @@ import (
 	"mlds/internal/experiments"
 )
 
-// benchEntry is one experiment in the machine-readable summary.
-type benchEntry struct {
-	ID     string  `json:"id"`
-	Title  string  `json:"title"`
-	OK     bool    `json:"ok"`
-	WallMS float64 `json:"wall_ms"`
-	SimMS  float64 `json:"sim_ms"`
-}
-
-func writeJSON(path string, reports []*experiments.Report) error {
-	entries := make([]benchEntry, 0, len(reports))
-	for _, r := range reports {
-		entries = append(entries, benchEntry{
-			ID:     r.ID,
-			Title:  r.Title,
-			OK:     r.OK,
-			WallMS: float64(r.Wall.Microseconds()) / 1000,
-			SimMS:  float64(r.Sim.Microseconds()) / 1000,
-		})
-	}
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// emit prints one report and optionally appends it to the JSON summary,
-// exiting non-zero on a mismatch.
-func emit(r *experiments.Report, jsonPath string) {
+// emit prints one report, exiting non-zero on a mismatch.
+func emit(r *experiments.Report) {
 	fmt.Println(r)
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, []*experiments.Report{r}); err != nil {
-			fmt.Fprintln(os.Stderr, "mldsbench:", err)
-			os.Exit(1)
-		}
-	}
 	if !r.OK {
 		os.Exit(1)
 	}
@@ -84,7 +48,6 @@ func sessionsSet(int) bool {
 
 func main() {
 	exp := flag.String("exp", "", "run a single experiment (e1..e19, a1..a3)")
-	jsonPath := flag.String("json", "", "write a machine-readable summary to this file")
 	txnMode := flag.Bool("txn", false, "run the mixed read/write transaction contention workload")
 	sessions := flag.Int("sessions", 8, "-txn: concurrent sessions")
 	txns := flag.Int("txns", 25, "-txn: transactions per session")
@@ -103,12 +66,12 @@ func main() {
 		}
 		emit(experiments.Timed(func() *experiments.Report {
 			return experiments.E16NetServing(n)
-		}), *jsonPath)
+		}))
 		return
 	}
 
 	if *elastic {
-		emit(experiments.Timed(experiments.E15ElasticScaling), *jsonPath)
+		emit(experiments.Timed(experiments.E15ElasticScaling))
 		return
 	}
 
@@ -122,14 +85,14 @@ func main() {
 		}
 		emit(experiments.Timed(func() *experiments.Report {
 			return experiments.E14ReaderWriter(r, w)
-		}), *jsonPath)
+		}))
 		return
 	}
 
 	if *txnMode {
 		emit(experiments.Timed(func() *experiments.Report {
 			return experiments.TxnContention(*sessions, *txns, *ops, *conflict)
-		}), *jsonPath)
+		}))
 		return
 	}
 
@@ -164,7 +127,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mldsbench: unknown experiment %q\n", *exp)
 			os.Exit(2)
 		}
-		emit(experiments.Timed(run), *jsonPath)
+		emit(experiments.Timed(run))
 		return
 	}
 
@@ -175,12 +138,6 @@ func main() {
 		fmt.Println()
 		if !r.OK {
 			failed++
-		}
-	}
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, reports); err != nil {
-			fmt.Fprintln(os.Stderr, "mldsbench:", err)
-			os.Exit(1)
 		}
 	}
 	if failed > 0 {

@@ -189,11 +189,11 @@ func (c *Controller) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) {
 }
 
 // ExecBatchCtx is ExecBatch carrying a request context. The round becomes a
-// single "kc.batch" span; its children are MBDS's per-backend batch spans.
-// The batch joins the context's transaction if one is present; otherwise it
-// runs as one auto-committed transaction — a single journal flush per batch,
-// with a journal failure surfacing as one JournalError carrying every
-// applied result.
+// single "kc.batch" span; its children are MBDS's per-backend
+// "backend.exec" spans. The batch joins the context's transaction if one is
+// present; otherwise it runs as one auto-committed transaction — a single
+// journal flush per batch, with a journal failure surfacing as one
+// JournalError carrying every applied result.
 func (c *Controller) ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result, error) {
 	c.mu.Lock()
 	if c.tracing {

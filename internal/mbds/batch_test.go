@@ -239,3 +239,27 @@ func TestExecBatchSerialAblation(t *testing.T) {
 		t.Fatalf("serial batch: %d results, %d records", len(results), s.Len())
 	}
 }
+
+// TestExecBatchKeepsOrderAcrossRetrieveCommon checks that a RETRIEVE-COMMON
+// runs at its position in a batch: it sees the insert before it, just as the
+// retrieve after it does.
+func TestExecBatchKeepsOrderAcrossRetrieveCommon(t *testing.T) {
+	s := newSystem(t, 2)
+	cs := abdm.And(abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")})
+	reqs := []*abdl.Request{
+		abdl.NewInsert(employee(0)), // emp000, dept CS
+		abdl.NewRetrieveCommon(cs, "dept",
+			abdm.And(abdm.Predicate{Attr: "name", Op: abdm.OpEq, Val: abdm.String("emp000")}), "name"),
+		abdl.NewRetrieve(cs, "name"),
+	}
+	results, _, err := s.ExecBatch(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(results[1].Records); got != 1 {
+		t.Errorf("RETRIEVE-COMMON after the insert answered %d rows, want 1", got)
+	}
+	if got := len(results[2].Records); got != 1 {
+		t.Errorf("RETRIEVE after the insert answered %d rows, want 1", got)
+	}
+}

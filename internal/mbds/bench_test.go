@@ -48,6 +48,7 @@ func BenchmarkBroadcastWallClock(b *testing.B) {
 			req := abdl.NewRetrieve(abdm.And(
 				abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
 			), "name")
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Exec(req); err != nil {
@@ -58,33 +59,48 @@ func BenchmarkBroadcastWallClock(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertThroughput measures placement + routing overhead.
-func BenchmarkInsertThroughput(b *testing.B) {
-	s := benchSystem(b, 4, 0)
+// BenchmarkExecPoint measures the controller's per-request overhead: one
+// keyed RETRIEVE (a single matching record) through ExecTimed on 2 backends.
+func BenchmarkExecPoint(b *testing.B) {
+	s := benchSystem(b, 2, 1000)
+	req := abdl.NewRetrieve(abdm.And(
+		abdm.Predicate{Attr: "name", Op: abdm.OpEq, Val: abdm.String("e000500")},
+	), "name", "salary")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := abdm.NewRecord("employee",
-			abdm.Keyword{Attr: "name", Val: abdm.String(fmt.Sprintf("x%08d", i))},
-			abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
-			abdm.Keyword{Attr: "salary", Val: abdm.Int(int64(i))})
-		if _, err := s.Exec(abdl.NewInsert(rec)); err != nil {
+		res, _, err := s.ExecTimed(req)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if len(res.Records) != 1 {
+			b.Fatalf("point retrieve answered %d records, want 1", len(res.Records))
 		}
 	}
 }
 
-// BenchmarkConcurrentRetrieves measures multi-client throughput.
-func BenchmarkConcurrentRetrieves(b *testing.B) {
-	s := benchSystem(b, 4, 8000)
-	req := abdl.NewRetrieve(abdm.And(
-		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("EE")},
-	), "name")
+// BenchmarkExecBatchInsert measures one 256-INSERT round through ExecBatch
+// on 4 backends: planning, per-backend sub-batches and the positional merge.
+// Each round loads a fresh system, so the stores never grow past one round.
+func BenchmarkExecBatchInsert(b *testing.B) {
+	reqs := make([]*abdl.Request, 256)
+	for j := range reqs {
+		reqs[j] = abdl.NewInsert(abdm.NewRecord("employee",
+			abdm.Keyword{Attr: "name", Val: abdm.String(fmt.Sprintf("x%08d", j))},
+			abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
+			abdm.Keyword{Attr: "salary", Val: abdm.Int(int64(j))}))
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := s.Exec(req); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := benchSystem(b, 4, 0)
+		b.StartTimer()
+		if _, _, err := s.ExecBatch(reqs); err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
+	}
 }

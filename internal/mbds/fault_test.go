@@ -432,3 +432,70 @@ func TestCloseExecConcurrentNoPanic(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// callTagger is an executor whose results carry their call number in Count,
+// so a test can tell which attempt produced a merged result. Its first call
+// clears the fault plan of the injector wrapping it: only the first attempt
+// is faulted. Calls arrive from the backend's serve loop alone.
+type callTagger struct {
+	fault *FaultyExecutor
+	calls int
+}
+
+func (c *callTagger) Exec(req *abdl.Request) (*kdb.Result, error) {
+	c.calls++
+	if c.calls == 1 {
+		c.fault.SetPlan(nil)
+	}
+	return &kdb.Result{Op: req.Kind, Count: c.calls}, nil
+}
+
+// TestLateReplyAfterDeadlineIsIgnored delays a backend's first attempt past
+// the request deadline. The abandoned attempt still executes and writes its
+// results late; the retry that succeeds must answer with its own results, for
+// a round of one and for a multi-request round alike.
+func TestLateReplyAfterDeadlineIsIgnored(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("requests=%d", n), func(t *testing.T) {
+			cfg := faultyConfig(1, 0)
+			cfg.RequestTimeout = 200 * time.Millisecond
+			tagger := &callTagger{}
+			s, err := NewWithExecutors(testDir(t), cfg, []Executor{tagger})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			tagger.fault = s.Fault(0)
+			tagger.fault.SetPlan(&FaultPlan{Mode: FaultDelay, EveryN: 1, Delay: 300 * time.Millisecond})
+
+			reqs := make([]*abdl.Request, n)
+			for i := range reqs {
+				reqs[i] = abdl.NewRetrieve(abdm.And(
+					abdm.Predicate{Attr: "name", Op: abdm.OpEq, Val: abdm.String(fmt.Sprintf("emp%03d", i))},
+				), "name")
+			}
+			var results []*kdb.Result
+			if n == 1 {
+				res, _, err := s.ExecTimed(reqs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = []*kdb.Result{res}
+			} else if results, _, err = s.ExecBatch(reqs); err != nil {
+				t.Fatal(err)
+			}
+			// The abandoned attempt made calls 1..n, the retry n+1..2n.
+			for i, res := range results {
+				if want := n + 1 + i; res.Count != want {
+					t.Errorf("request %d answered by call %d, want the retry's call %d", i, res.Count, want)
+				}
+			}
+			if got := tagger.fault.Injected(); got != 1 {
+				t.Errorf("injected %d delays, want 1", got)
+			}
+			if h := s.Health()[0]; h.Retries != 1 || h.Failures != 1 {
+				t.Errorf("health after one missed deadline: %v", h)
+			}
+		})
+	}
+}

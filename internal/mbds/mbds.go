@@ -25,12 +25,10 @@
 package mbds
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,9 +168,10 @@ type Executor interface {
 	Exec(*abdl.Request) (*kdb.Result, error)
 }
 
-// BatchExecutor is implemented by executors that can take a whole batch in
-// one call — kdb.Store directly, mbdsnet.RemoteBackend as a single wire
-// message. Executors without it are fed batches one request at a time.
+// BatchExecutor is implemented by remote executors that take a backend's
+// whole share of a round in one call — mbdsnet.RemoteBackend, as a single
+// wire message. Local stores, and executors without it, are fed a share one
+// request at a time.
 type BatchExecutor interface {
 	ExecBatch([]*abdl.Request) ([]*kdb.Result, error)
 }
@@ -199,16 +198,12 @@ type backend struct {
 // drained backend is retired by the drain and again by Close).
 func (b *backend) retire() { b.once.Do(func() { close(b.quit) }) }
 
+// job is one bus message: a backend's share of a round. The backend writes
+// one result per request into out and replies with the share's error.
 type job struct {
-	req   *abdl.Request
-	batch []*abdl.Request // non-nil: one bus message carrying N requests
-	reply chan jobReply   // buffered (cap 1): serve never blocks on a reply
-}
-
-type jobReply struct {
-	res     *kdb.Result
-	results []*kdb.Result // batch jobs: one result per request
-	err     error
+	reqs  []*abdl.Request
+	out   []*kdb.Result
+	reply chan error // buffered (cap 1): serve never blocks on a reply
 }
 
 // newBackend builds one backend over the executor and starts its serve
@@ -315,46 +310,40 @@ func NewWithExecutors(dir *abdm.Directory, cfg Config, execs []Executor) (*Syste
 	return s, nil
 }
 
-// serve is the backend's message loop: receive a request, execute it against
-// the local partition, reply with the partial result. The loop stops when
-// the system closes; reqCh itself is never closed, so a racing dispatch can
-// never panic on it.
+// serve is the backend's message loop: receive a share, execute it against
+// the partition, reply with the outcome. The loop stops when the system
+// closes; reqCh itself is never closed, so a racing dispatch can never panic
+// on it.
 func (b *backend) serve() {
 	defer close(b.done)
 	for {
 		select {
 		case j := <-b.reqCh:
-			if j.batch != nil {
-				results, err := b.execBatch(j.batch)
-				j.reply <- jobReply{results: results, err: err}
-				continue
-			}
-			res, err := b.exec.Exec(j.req)
-			j.reply <- jobReply{res: res, err: err}
+			j.reply <- b.run(j.reqs, j.out)
 		case <-b.quit:
 			return
 		}
 	}
 }
 
-// execBatch runs one batch against the backend's executor. Executors that
-// implement BatchExecutor (kdb.Store locally, mbdsnet.RemoteBackend over
-// TCP) take the whole slice in one call — one wire message for remote
-// backends; anything else (e.g. a fault-injecting wrapper) falls back to a
-// per-request loop so faults still hit each request.
-func (b *backend) execBatch(reqs []*abdl.Request) ([]*kdb.Result, error) {
-	if be, ok := b.exec.(BatchExecutor); ok {
-		return be.ExecBatch(reqs)
+// run executes a share in order, writing one result per request into out. A
+// remote executor implementing BatchExecutor (mbdsnet.RemoteBackend) takes
+// the whole share as one wire message; a local store, or a fault-injecting
+// wrapper, takes one request at a time, so faults still hit each request.
+func (b *backend) run(reqs []*abdl.Request, out []*kdb.Result) error {
+	if be, ok := b.exec.(BatchExecutor); ok && b.store == nil {
+		res, err := be.ExecBatch(reqs)
+		copy(out, res)
+		return err
 	}
-	out := make([]*kdb.Result, 0, len(reqs))
 	for i, req := range reqs {
 		res, err := b.exec.Exec(req)
 		if err != nil {
-			return out, fmt.Errorf("mbds: batch request %d: %w", i, err)
+			return err
 		}
-		out = append(out, res)
+		out[i] = res
 	}
-	return out, nil
+	return nil
 }
 
 // viewSnap returns the current backend view. The returned slice is
@@ -539,28 +528,28 @@ func (s *System) placePos(rec *abdm.Record, n int) int {
 	}
 }
 
-// insertPrimaryFor picks the primary backend for an insert against the given
-// view. A request that carries a database key (an undo restore, a replay, a
+// insertHome picks the view position of an insert's primary backend. A
+// request that carries a database key (an undo restore, a replay, a
 // replicated copy) belongs to the backend that already holds that key's
 // record versions, so a recorded placement wins over content routing —
 // otherwise an aborted transaction's restore could migrate the record away
 // from its MVCC version chain and a later snapshot would see the key on two
 // partitions. A recorded backend that has left the view (it was removed
 // between the key's last write and now) falls back to content routing.
-func (s *System) insertPrimaryFor(req *abdl.Request, view []*backend) *backend {
+func (s *System) insertHome(req *abdl.Request, view []*backend) int {
 	if req.ForceID != 0 {
 		s.placeMu.Lock()
 		b, ok := s.placed[req.ForceID]
 		s.placeMu.Unlock()
 		if ok {
-			for _, v := range view {
+			for p, v := range view {
 				if v == b {
-					return b
+					return p
 				}
 			}
 		}
 	}
-	return view[s.placePos(req.Record, len(view))]
+	return s.placePos(req.Record, len(view))
 }
 
 // notePlacement records which backend is primary for a database key. Entries
@@ -656,375 +645,6 @@ func (s *System) logCatchup(req *abdl.Request) {
 	s.migMu.Unlock()
 }
 
-// Exec executes one ABDL request across the backends and returns the merged
-// result. The result's Cost is the summed backend work; use ExecTimed for
-// the parallel response-time model.
-func (s *System) Exec(req *abdl.Request) (*kdb.Result, error) {
-	res, _, err := s.ExecTimed(req)
-	return res, err
-}
-
-// ExecTimed executes one request and additionally returns the simulated
-// response time under the parallel-backend model: bus latency out and back
-// plus the slowest backend's disk time.
-func (s *System) ExecTimed(req *abdl.Request) (*kdb.Result, time.Duration, error) {
-	return s.ExecTimedCtx(context.Background(), req)
-}
-
-// ExecTimedCtx is ExecTimed carrying a request context. When the context
-// holds an obs trace, each backend call becomes a "backend.exec" child span;
-// metrics (if configured) are recorded either way.
-func (s *System) ExecTimedCtx(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error) {
-	if err := s.beginOp(); err != nil {
-		return nil, 0, err
-	}
-	defer s.opWG.Done()
-	// The write fence: shared in normal operation, taken exclusively by a
-	// migration's final catch-up round so the flip sees no in-flight writes.
-	s.fence.RLock()
-	defer s.fence.RUnlock()
-	start := time.Now()
-	res, simt, err := s.execTimed(ctx, req)
-	if err == nil {
-		s.logCatchup(req)
-	}
-	s.metrics.requests.Inc()
-	if err == nil {
-		s.metrics.simSec.Observe(simt.Seconds())
-		s.metrics.wallSec.Observe(time.Since(start).Seconds())
-	}
-	return res, simt, err
-}
-
-// execTimed is ExecTimedCtx without the lifecycle bookkeeping, so the
-// RETRIEVE-COMMON phases can recurse while holding one in-flight slot.
-func (s *System) execTimed(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error) {
-	if err := req.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if req.Kind == abdl.RetrieveCommon {
-		return s.execRetrieveCommon(ctx, req)
-	}
-	if req.Kind == abdl.Insert {
-		return s.execInsert(ctx, req)
-	}
-	return s.execBroadcast(ctx, req)
-}
-
-// execInsert routes the record to its holder backends. The directory
-// validates once at the controller; with replication the controller also
-// assigns the database key, so every copy lives under the same key.
-func (s *System) execInsert(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error) {
-	if err := s.dir.ValidateRecord(req.Record); err != nil {
-		return nil, 0, err
-	}
-	view := s.viewSnap()
-	primary := s.insertPrimaryFor(req, view)
-	holders := s.holdersIn(view, primary)
-	if req.ForceID != 0 {
-		// A caller-pinned key (journal replay, undo restore, migration):
-		// advance the shared allocator past it so later inserts can never
-		// collide with the replayed key space.
-		s.seedNextID(uint64(req.ForceID))
-	} else if s.cfg.Replicas > 0 {
-		cp := *req
-		cp.ForceID = abdm.RecordID(s.nextID.Add(1))
-		req = &cp
-	}
-	replies := s.fanout(ctx, holders, req)
-	var res *kdb.Result
-	var worst time.Duration
-	var firstErr error
-	for range holders {
-		r := <-replies
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		if t := s.cfg.Disk.Time(r.res.Cost); t > worst {
-			worst = t
-		}
-		if res == nil {
-			res = r.res
-		} else {
-			res.Cost.Add(r.res.Cost)
-		}
-	}
-	if res == nil {
-		// No copy was written: the insert failed outright.
-		return nil, 0, firstErr
-	}
-	// One logical record, however many copies were written. Fewer copies
-	// than requested (a holder was down) is degraded but successful; the
-	// record is durable on the copies that took it.
-	res.Count = 1
-	if req.ForceID != 0 {
-		s.notePlacement(req.ForceID, primary)
-	} else if len(res.Affected) > 0 {
-		s.notePlacement(res.Affected[0], primary)
-	}
-	return res, 2*s.cfg.MsgLatency + worst, nil
-}
-
-// execBroadcast sends the request to every backend and merges the partial
-// results. With replication, up to Replicas failed backends are tolerated:
-// the surviving copies still cover the whole database, and the merge
-// deduplicates them by database key (degraded mode).
-func (s *System) execBroadcast(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error) {
-	view := s.viewSnap()
-	replies := s.fanout(ctx, view, withCacheKey(req))
-	merged := &kdb.Result{Op: req.Kind}
-	var worst time.Duration
-	var firstErr error
-	failed := 0
-	for range view {
-		r := <-replies
-		if r.err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		if t := s.cfg.Disk.Time(r.res.Cost); t > worst {
-			worst = t
-		}
-		merged.Merge(r.res)
-	}
-	if failed > 0 && failed > s.cfg.Replicas {
-		return nil, 0, firstErr
-	}
-	// Replica copies — and, mid-migration, copies already imported by their
-	// new holder while the source still has them — answer under one key;
-	// keep one.
-	if s.cfg.Replicas > 0 || s.migOn.Load() {
-		before := len(merged.Records)
-		merged.DedupByID()
-		if removed := before - len(merged.Records); removed > 0 {
-			s.metrics.dedup.Add(uint64(removed))
-		}
-	}
-	merged.RecomputeAggregates(req.Target)
-	// A GC sweep (or an abort erasing a key's only history) that removed
-	// whole chains frees those keys' sticky placements.
-	if req.Kind == abdl.MvccGC || req.Kind == abdl.MvccAbort {
-		s.evictPlaced(merged.Affected)
-	}
-	return merged, 2*s.cfg.MsgLatency + worst, nil
-}
-
-// withCacheKey returns a RETRIEVE carrying its canonical text as
-// Request.CacheKey, so the backends' result caches look it up under one
-// rendering made here instead of one each. The key goes on a copy: the
-// caller's request may be shared (a cached plan), the copy is the
-// controller's until the fan-out shares it read-only. Other kinds pass
-// through.
-func withCacheKey(req *abdl.Request) *abdl.Request {
-	if req.Kind != abdl.Retrieve {
-		return req
-	}
-	cp := *req
-	cp.CacheKey = cp.String()
-	return &cp
-}
-
-// execRetrieveCommon runs the semi-join in two phases: the second query's
-// common-attribute values are gathered from every backend, then the first
-// query is broadcast and filtered at the controller. Records matching the
-// two queries may live on different backends, so neither phase can be pushed
-// down whole.
-func (s *System) execRetrieveCommon(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error) {
-	phase1 := &abdl.Request{
-		Kind:      abdl.Retrieve,
-		Query:     req.Query2,
-		Target:    []abdl.TargetItem{{Attr: req.Common}},
-		SnapEpoch: req.SnapEpoch,
-	}
-	r1, t1, err := s.execTimed(ctx, phase1)
-	if err != nil {
-		return nil, 0, err
-	}
-	values := kdb.CommonValues(r1.Records, req.Common)
-
-	phase2 := &abdl.Request{
-		Kind:      abdl.Retrieve,
-		Query:     req.Query,
-		Target:    []abdl.TargetItem{{Attr: abdl.AllAttrs}},
-		SnapEpoch: req.SnapEpoch,
-	}
-	r2, t2, err := s.execTimed(ctx, phase2)
-	if err != nil {
-		return nil, 0, err
-	}
-	kept := kdb.FilterByCommon(r2.Records, req.Common, values)
-
-	out := &kdb.Result{Op: abdl.RetrieveCommon, Cost: r1.Cost}
-	out.Cost.Add(r2.Cost)
-	all := len(req.Target) == 0
-	for _, t := range req.Target {
-		if t.Attr == abdl.AllAttrs || t.Agg != abdl.AggNone {
-			all = true
-		}
-	}
-	for _, sr := range kept {
-		rec := sr.Rec
-		if !all {
-			proj := &abdm.Record{}
-			for _, t := range req.Target {
-				if v, ok := rec.Get(t.Attr); ok {
-					proj.Set(t.Attr, v)
-				}
-			}
-			rec = proj
-		}
-		out.Records = append(out.Records, kdb.StoredRecord{ID: sr.ID, Rec: rec})
-	}
-	out.RecomputeAggregates(req.Target)
-	return out, t1 + t2, nil
-}
-
-// backendReply is one backend's answer to a fanned-out request.
-type backendReply struct {
-	id  int
-	res *kdb.Result
-	err error
-}
-
-// fanout sends the request to the given backends — in parallel unless the
-// Serial ablation is on — applying the deadline, retry and breaker policy
-// per backend, and returns the shared reply channel. Exactly one reply per
-// target is delivered.
-func (s *System) fanout(ctx context.Context, targets []*backend, req *abdl.Request) <-chan backendReply {
-	out := make(chan backendReply, len(targets))
-	if s.cfg.Serial {
-		go func() {
-			for _, b := range targets {
-				res, err := s.callBackendTraced(ctx, b, req)
-				out <- backendReply{id: b.id, res: res, err: err}
-			}
-		}()
-		return out
-	}
-	for _, b := range targets {
-		go func(b *backend) {
-			res, err := s.callBackendTraced(ctx, b, req)
-			out <- backendReply{id: b.id, res: res, err: err}
-		}(b)
-	}
-	return out
-}
-
-// callBackendTraced wraps callBackend in a per-backend trace span charged
-// with the backend's simulated disk time. With no trace in ctx the span is
-// nil and every span call no-ops.
-func (s *System) callBackendTraced(ctx context.Context, b *backend, req *abdl.Request) (*kdb.Result, error) {
-	_, span := obs.StartSpan(ctx, "backend.exec")
-	if span != nil {
-		span.SetAttr("backend", strconv.Itoa(b.id))
-	}
-	res, err := s.callBackend(b, req)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-	} else if res != nil {
-		span.AddSim(s.cfg.Disk.Time(res.Cost))
-	}
-	span.End()
-	return res, err
-}
-
-// callBackend executes one request on one backend under the fault policy:
-// the circuit breaker gates admission, each attempt is bounded by
-// RequestTimeout, and transient failures are retried with exponential
-// backoff when a resend is safe.
-func (s *System) callBackend(b *backend, req *abdl.Request) (*kdb.Result, error) {
-	idem := idempotent(req)
-	for attempt := 0; ; attempt++ {
-		probing, ok := b.admit(s.cfg)
-		if !ok {
-			return nil, &BackendDownError{Backend: b.id, Last: b.snapshotHealth().LastError}
-		}
-		if attempt > 0 {
-			b.noteRetry()
-			b.metrics.retries.Inc()
-			backoff := s.cfg.RetryBackoff << (attempt - 1)
-			if backoff > 0 {
-				select {
-				case <-time.After(backoff):
-				case <-s.closedCh:
-					return nil, ErrClosed
-				}
-			}
-		}
-		b.metrics.requests.Inc()
-		res, err := s.callOnce(b, req)
-		if err == nil {
-			b.noteSuccess()
-			return res, nil
-		}
-		if errors.Is(err, ErrClosed) {
-			return nil, err
-		}
-		b.metrics.failures.Inc()
-		b.noteFailure(err, s.cfg)
-		// Retry only recoverable failures, and never resend a
-		// non-idempotent request that may already have executed.
-		if !transient(err) || (maybeApplied(err) && !idem) || attempt >= s.cfg.MaxRetries {
-			return nil, err
-		}
-		// A failed probe leaves the breaker open; stop instead of burning
-		// the remaining retries against a known-down backend.
-		if probing && !b.snapshotHealth().Up {
-			return nil, err
-		}
-	}
-}
-
-// callOnce performs a single bus round trip with the configured deadline.
-func (s *System) callOnce(b *backend, req *abdl.Request) (*kdb.Result, error) {
-	b.metrics.queue.Inc()
-	defer b.metrics.queue.Dec()
-	reply := make(chan jobReply, 1)
-	var timeout <-chan time.Time
-	if s.cfg.RequestTimeout > 0 {
-		t := time.NewTimer(s.cfg.RequestTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case b.reqCh <- job{req: req, reply: reply}:
-	case <-timeout:
-		return nil, &DeadlineError{Backend: b.id, Timeout: s.cfg.RequestTimeout}
-	case <-s.closedCh:
-		return nil, ErrClosed
-	}
-	select {
-	case r := <-reply:
-		return r.res, r.err
-	case <-timeout:
-		return nil, &DeadlineError{Backend: b.id, Timeout: s.cfg.RequestTimeout}
-	case <-s.closedCh:
-		return nil, ErrClosed
-	}
-}
-
-// ExecTransaction executes the requests sequentially, returning per-request
-// results and the summed simulated response time.
-func (s *System) ExecTransaction(tx abdl.Transaction) ([]*kdb.Result, time.Duration, error) {
-	results := make([]*kdb.Result, 0, len(tx))
-	var total time.Duration
-	for i, req := range tx {
-		res, t, err := s.ExecTimed(req)
-		if err != nil {
-			return results, total, fmt.Errorf("mbds: request %d: %w", i+1, err)
-		}
-		results = append(results, res)
-		total += t
-	}
-	return results, total, nil
-}
-
 // GetByID fetches a record by database key from whichever local backend
 // holds it. Remote backends are not consulted; kernel lookups over the bus
 // go through ABDL retrieves on key attributes instead.
@@ -1068,7 +688,7 @@ func (s *System) Snapshot() ([]kdb.StoredRecord, error) {
 			continue
 		}
 		// Remote partition: an unqualified retrieve addresses all of it.
-		res, err := s.callBackend(b, abdl.NewRetrieve(nil, abdl.AllAttrs))
+		res, err := s.callBackend(b, []*abdl.Request{abdl.NewRetrieve(nil, abdl.AllAttrs)}, make([]*kdb.Result, 1))
 		if err != nil {
 			failed++
 			if firstErr == nil {
@@ -1076,7 +696,7 @@ func (s *System) Snapshot() ([]kdb.StoredRecord, error) {
 			}
 			continue
 		}
-		all = append(all, res.Records...)
+		all = append(all, res[0].Records...)
 	}
 	if failed > 0 && failed > s.cfg.Replicas {
 		return nil, fmt.Errorf("mbds: snapshot lost a partition: %w", firstErr)

@@ -289,33 +289,6 @@ func TestSystemCapacityInvariance(t *testing.T) {
 	}
 }
 
-func TestSystemTransaction(t *testing.T) {
-	s := newSystem(t, 2)
-	tx := abdl.Transaction{
-		abdl.NewInsert(abdm.NewRecord("employee",
-			abdm.Keyword{Attr: "name", Val: abdm.String("a")},
-			abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
-			abdm.Keyword{Attr: "salary", Val: abdm.Int(10)})),
-		abdl.NewInsert(abdm.NewRecord("employee",
-			abdm.Keyword{Attr: "name", Val: abdm.String("b")},
-			abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
-			abdm.Keyword{Attr: "salary", Val: abdm.Int(20)})),
-		abdl.NewRetrieve(abdm.And(
-			abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
-		), abdl.AllAttrs),
-	}
-	results, rt, err := s.ExecTransaction(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 || len(results[2].Records) != 2 {
-		t.Fatalf("transaction results wrong: %v", results)
-	}
-	if rt <= 0 {
-		t.Error("simulated transaction time should be positive")
-	}
-}
-
 func TestSystemGetByID(t *testing.T) {
 	s := newSystem(t, 3)
 	loadEmployees(t, s, 9)
