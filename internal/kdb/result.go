@@ -87,8 +87,12 @@ func (r *Result) Merge(o *Result) {
 			r.Paths = append(r.Paths, p)
 		}
 	}
-	r.Records = append(r.Records, o.Records...)
-	sortStoredByID(r.Records)
+	// A partial result without records (a backend holding none of the
+	// matches) leaves r's order as it is: skip the re-sort.
+	if len(o.Records) > 0 {
+		r.Records = append(r.Records, o.Records...)
+		sortStoredByID(r.Records)
+	}
 	r.Affected = append(r.Affected, o.Affected...)
 	r.Groups = mergeGroups(r.Groups, o.Groups)
 }

@@ -59,6 +59,40 @@ func BenchmarkBroadcastWallClock(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertThroughput measures placement + routing overhead: one
+// INSERT, a round of one, per iteration.
+func BenchmarkInsertThroughput(b *testing.B) {
+	s := benchSystem(b, 4, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := abdm.NewRecord("employee",
+			abdm.Keyword{Attr: "name", Val: abdm.String(fmt.Sprintf("x%08d", i))},
+			abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
+			abdm.Keyword{Attr: "salary", Val: abdm.Int(int64(i))})
+		if _, err := s.Exec(abdl.NewInsert(rec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConcurrentRetrieves measures multi-client throughput.
+func BenchmarkConcurrentRetrieves(b *testing.B) {
+	s := benchSystem(b, 4, 8000)
+	req := abdl.NewRetrieve(abdm.And(
+		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("EE")},
+	), "name")
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := s.Exec(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkExecPoint measures the controller's per-request overhead: one
 // keyed RETRIEVE (a single matching record) through ExecTimed on 2 backends.
 func BenchmarkExecPoint(b *testing.B) {

@@ -466,7 +466,10 @@ func TestLateReplyAfterDeadlineIsIgnored(t *testing.T) {
 			}
 			t.Cleanup(s.Close)
 			tagger.fault = s.Fault(0)
-			tagger.fault.SetPlan(&FaultPlan{Mode: FaultDelay, EveryN: 1, Delay: 300 * time.Millisecond})
+			// The delay only just overshoots the deadline: the serve loop
+			// runs one job at a time, so the retry waits for the abandoned
+			// attempt and keeps the rest of its own deadline.
+			tagger.fault.SetPlan(&FaultPlan{Mode: FaultDelay, EveryN: 1, Delay: 220 * time.Millisecond})
 
 			reqs := make([]*abdl.Request, n)
 			for i := range reqs {

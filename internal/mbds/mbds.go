@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -590,28 +591,30 @@ func (s *System) PlacedKeys() int {
 	return len(s.placed)
 }
 
-// holdersIn expands a primary backend into its holder set within the view:
-// the primary plus Replicas successors in view order (capped at the view
-// size). A primary not in the view yields just itself.
+// isHolder is the replica rule: view position p holds a copy of a key whose
+// primary sits at position home in a view of n backends when p is the
+// primary or one of its Replicas successors in view order (capped at n).
+func (s *System) isHolder(p, home, n int) bool {
+	return (p-home+n)%n < s.holders(n)
+}
+
+// holders is the size of a key's holder set in a view of n backends.
+func (s *System) holders(n int) int { return min(s.cfg.Replicas+1, n) }
+
+// holdersIn expands a primary backend into its holder set within the view,
+// primary first, then its successors in view order. A primary not in the
+// view yields just itself.
 func (s *System) holdersIn(view []*backend, primary *backend) []*backend {
-	pos := -1
-	for i, b := range view {
-		if b == primary {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
+	home := slices.Index(view, primary)
+	if home < 0 {
 		return []*backend{primary}
 	}
 	n := len(view)
-	k := s.cfg.Replicas + 1
-	if k > n {
-		k = n
-	}
-	out := make([]*backend, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, view[(pos+i)%n])
+	out := make([]*backend, 0, s.holders(n))
+	for i := range n {
+		if p := (home + i) % n; s.isHolder(p, home, n) {
+			out = append(out, view[p])
+		}
 	}
 	return out
 }

@@ -156,6 +156,7 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 	view := s.viewSnap()
 	sent := make([]*abdl.Request, len(reqs))
 	var home []int // per insert: the primary's view position; nil without inserts
+	inserts := 0
 	for i, req := range reqs {
 		if req.Kind != abdl.Insert {
 			sent[i] = withCacheKey(req)
@@ -175,16 +176,21 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 			home = make([]int, len(reqs))
 		}
 		sent[i], home[i] = req, s.insertHome(req, view)
+		inserts++
 	}
 
-	// Plan the shares. A backend serves every broadcast and each insert whose
-	// holder set (the primary plus Replicas successors) contains it; a share
-	// that is the whole round takes the round's slice as is.
-	holders := min(s.cfg.Replicas+1, len(view))
+	// Plan the shares. A backend serves every broadcast and each insert it
+	// holds a copy of (isHolder); a share that is the whole round takes the
+	// round's slice as is.
 	serves := func(p, i int) bool {
-		return sent[i].Kind != abdl.Insert || (p-home[i]+len(view))%len(view) < holders
+		return sent[i].Kind != abdl.Insert || s.isHolder(p, home[i], len(view))
 	}
-	shares := make([]share, 0, len(view))
+	// A round of inserts alone reaches at most one holder window each.
+	most := len(view)
+	if inserts == len(sent) {
+		most = min(most, inserts*s.holders(len(view)))
+	}
+	shares := make([]share, 0, most)
 	slots := 0
 	for p, b := range view {
 		sh := share{b: b, reqs: sent}
