@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverJournal$$' -fuzztime $(FUZZ_TIME) ./internal/kc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZ_TIME) ./internal/pager
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/kdb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZ_TIME) ./internal/kdb
 
 # rig runs one workload of the benchmark BENCHMARK.json declares (see
 # rig/README.md): end-to-end metrics, every reply checked against its oracle.

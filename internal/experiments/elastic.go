@@ -17,7 +17,12 @@ import (
 // is probed, and is drained back down — with zero failed requests and the
 // writer's records intact throughout. The probe response times must trace
 // E6's curve: the doubling cuts simulated response by at least 20%, and the
-// drain restores the two-backend figure.
+// drain restores the two-backend cost per record the slowest backend
+// examines. That cost is compared, not the raw figure, because which
+// backend a record returns to is decided by its database key, and the keys
+// the concurrent load handed out interleave differently from run to run:
+// the drained-back split of the probed file, and with it the slowest
+// backend's share, varies while the per-record cost stays put.
 func E15ElasticScaling() *Report {
 	const id, title = "E15", "Elastic membership — E6's scaling curve on one live fleet"
 	s, err := newSession(scaleConfig(1), 2)
@@ -29,6 +34,19 @@ func E15ElasticScaling() *Report {
 	probe := func() (time.Duration, error) {
 		_, rt, err := s.sys.ExecTimed(sweepQuery)
 		return rt, err
+	}
+	// slowest reports the records the probe examines on the backend that
+	// examines the most: the share the simulated response waits for.
+	slowest := func() (int, error) {
+		most := 0
+		for pos := 0; pos < s.sys.Backends(); pos++ {
+			res, err := s.sys.Store(pos).Exec(sweepQuery)
+			if err != nil {
+				return 0, err
+			}
+			most = max(most, res.Cost.RecordsExam)
+		}
+		return most, nil
 	}
 
 	// The live writer: a stream of new course records, keyed past the loaded
@@ -87,7 +105,11 @@ func E15ElasticScaling() *Report {
 		return failf(id, title, "probe: %v", err)
 	}
 	sim += rt2
-	fmt.Fprintf(&b, "%-22s %-10d %v\n", "initial", s.sys.Backends(), rt2)
+	exam2, err := slowest()
+	if err != nil {
+		return failf(id, title, "probe: %v", err)
+	}
+	fmt.Fprintf(&b, "%-22s %-10d %v (slowest backend examines %d records)\n", "initial", s.sys.Backends(), rt2, exam2)
 
 	for i := 0; i < 2; i++ {
 		pos, err := s.sys.AddBackend()
@@ -116,7 +138,11 @@ func E15ElasticScaling() *Report {
 		return failf(id, title, "probe: %v", err)
 	}
 	sim += rtBack
-	fmt.Fprintf(&b, "%-22s %-10d %v\n", "drained back", s.sys.Backends(), rtBack)
+	examBack, err := slowest()
+	if err != nil {
+		return failf(id, title, "probe: %v", err)
+	}
+	fmt.Fprintf(&b, "%-22s %-10d %v (slowest backend examines %d records)\n", "drained back", s.sys.Backends(), rtBack, examBack)
 
 	close(stop)
 	wg.Wait()
@@ -135,11 +161,14 @@ func E15ElasticScaling() *Report {
 	fmt.Fprintf(&b, "migration  : %d keys, %d bytes, %d catch-up entries, epoch %d\n",
 		st.Keys, st.Bytes, st.CatchupEntries, st.Epoch)
 
+	// The drain gives the two-backend figure back: the same cost per record
+	// on the slowest backend.
+	back := (float64(rtBack) / float64(examBack)) / (float64(rt2) / float64(exam2))
+	fmt.Fprintf(&b, "drained back / initial, per slowest-backend record: %.2f\n", back)
 	ok := failures.Load() == 0 &&
 		int64(len(res.Records)) == inserted.Load() &&
 		float64(rt4) <= 0.8*float64(rt2) && // the doubling pays, as in E6
-		float64(rtBack) <= 1.2*float64(rt2) && // and the drain gives it back
-		float64(rtBack) >= 0.8*float64(rt2)
+		back <= 1.2 && back >= 0.8
 	r := report(id, title, ok, b.String())
 	r.Sim = sim
 	return r

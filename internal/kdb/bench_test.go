@@ -7,6 +7,7 @@ import (
 
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
+	"mlds/internal/pager"
 )
 
 func benchDir(b *testing.B) *abdm.Directory {
@@ -294,6 +295,75 @@ func BenchmarkIndexEqLookup(b *testing.B) {
 				if ids := ix.lookupEq(vals[i%n]); len(ids) != 1 {
 					b.Fatalf("%d ids", len(ids))
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointFlush is one checkpoint (fence, flush, image, commit)
+// of a backed store of 50 000 accounts after rewriting the balance of 0 %,
+// 1 %, 10 % or 100 % of them since the previous one: checkpoint cost
+// against the fraction of the store written. The rewrites run with the
+// timer stopped.
+func BenchmarkCheckpointFlush(b *testing.B) {
+	const n = 50000
+	d := abdm.NewDirectory()
+	for _, def := range []struct {
+		name string
+		kind abdm.Kind
+	}{{"acct", abdm.KindInt}, {"owner", abdm.KindString}, {"region", abdm.KindString}, {"balance", abdm.KindInt}} {
+		if err := d.DefineAttr(def.name, def.kind); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.DefineFile("acct", []string{"acct", "owner", "region", "balance"}); err != nil {
+		b.Fatal(err)
+	}
+	for _, pct := range []int{0, 1, 10, 100} {
+		b.Run(fmt.Sprintf("dirty=%d%%", pct), func(b *testing.B) {
+			b.ReportAllocs()
+			s, err := CreateBacked(filepath.Join(b.TempDir(), "ck.pgf"), d, WithResultCache(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.CloseBacking()
+			for i := 0; i < n; i++ {
+				rec := abdm.NewRecord("acct",
+					abdm.Keyword{Attr: "acct", Val: abdm.Int(int64(i))},
+					abdm.Keyword{Attr: "owner", Val: abdm.String(fmt.Sprintf("owner-%05d", i))},
+					abdm.Keyword{Attr: "region", Val: abdm.String([]string{"N", "E", "S", "W"}[i%4])},
+					abdm.Keyword{Attr: "balance", Val: abdm.Int(int64(i) * 100)},
+				)
+				if _, err := s.Insert(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			checkpoint := func() {
+				if _, err := s.CheckpointBegin(); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.CheckpointCommit(pager.Meta{Epoch: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			checkpoint()
+			dirty := n * pct / 100
+			next := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < dirty; j++ {
+					acct := next % n
+					next++
+					up := abdl.NewUpdate(abdm.And(
+						abdm.Predicate{Attr: "acct", Op: abdm.OpEq, Val: abdm.Int(int64(acct))},
+					), abdl.Modifier{Attr: "balance", Val: abdm.Int(int64(acct)*100 + int64(next%97))})
+					if _, err := s.Exec(up); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				checkpoint()
 			}
 		})
 	}

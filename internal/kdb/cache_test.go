@@ -37,11 +37,12 @@ func TestConcurrentRangeRetrieves(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Interleave mutations so the sorted cache is repeatedly
-				// invalidated while other goroutines rebuild it.
+				// Interleave mutations, each adding a credits value the
+				// index has not held, so the sorted cache repeatedly has
+				// values to merge while other goroutines read it.
 				rec := abdm.NewRecord("course",
 					abdm.Keyword{Attr: "title", Val: abdm.String(fmt.Sprintf("X%d-%d", i, len(q)))},
-					abdm.Keyword{Attr: "credits", Val: abdm.Int(int64(i%7) + 1)},
+					abdm.Keyword{Attr: "credits", Val: abdm.Int(int64(100 + g*50 + i))},
 				)
 				if _, err := s.Insert(rec); err != nil {
 					t.Error(err)

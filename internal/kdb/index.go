@@ -18,11 +18,13 @@ type attrIndex struct {
 
 	// sorted is the lazily-built distinct-value ordering for range scans and
 	// the checkpoint image. Mutations (which run under the store's write lock)
-	// invalidate it; range lookups (which run under the store's read lock,
-	// possibly many at once) rebuild it under sortMu so concurrent readers
-	// never race on the build.
+	// note in moved each value that appears or disappears; range lookups and
+	// checkpoints (which run under the store's read lock or the checkpoint
+	// fence, possibly many at once) bring it up to date under sortMu, by
+	// merging the moved values into it rather than sorting every value again.
 	sortMu sync.Mutex
-	sorted []ikey // keys, sorted by value; nil when stale
+	sorted []ikey // keys, sorted by value, as of the last build; nil when none
+	moved  []ikey // values added or removed since sorted was built
 }
 
 func newAttrIndex() *attrIndex {
@@ -104,7 +106,11 @@ func keyRank(k abdm.Kind) int {
 }
 
 // compareKeys orders two keys by value: NULL first, then numbers
-// numerically (NaN before the rest), then strings lexicographically.
+// numerically (NaN before the rest), then strings lexicographically. Distinct
+// keys never compare equal: an int and a float that round to the same
+// float64 (near ±2^63) are ordered int first, so every sort of a key set
+// gives the one order the checkpoint image and the merge in ensureSorted
+// rely on.
 func compareKeys(a, b ikey) int {
 	if c := cmp.Compare(keyRank(a.kind), keyRank(b.kind)); c != 0 {
 		return c
@@ -117,38 +123,47 @@ func compareKeys(a, b ikey) int {
 	case a.kind == abdm.KindNull:
 		return 0
 	}
-	return cmp.Compare(a.float(), b.float())
+	if c := cmp.Compare(a.float(), b.float()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.kind, b.kind)
 }
 
-func (ix *attrIndex) add(v abdm.Value, id abdm.RecordID) {
+// add files id under v, reporting whether a posting moved (false when id
+// was already there).
+func (ix *attrIndex) add(v abdm.Value, id abdm.RecordID) bool {
 	k := keyOf(v)
 	ids, ok := ix.postings[k]
 	if !ok {
-		ix.sorted = nil
+		ix.touch(k)
 	}
 	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
 	if i < len(ids) && ids[i] == id {
-		return
+		return false
 	}
 	ids = append(ids, 0)
 	copy(ids[i+1:], ids[i:])
 	ids[i] = id
 	ix.postings[k] = ids
+	return true
 }
 
-func (ix *attrIndex) remove(v abdm.Value, id abdm.RecordID) {
+// remove drops id from v's posting list, reporting whether it was there.
+func (ix *attrIndex) remove(v abdm.Value, id abdm.RecordID) bool {
 	k := keyOf(v)
 	ids := ix.postings[k]
 	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		ids = append(ids[:i], ids[i+1:]...)
-		if len(ids) == 0 {
-			delete(ix.postings, k)
-			ix.sorted = nil
-		} else {
-			ix.postings[k] = ids
-		}
+	if i == len(ids) || ids[i] != id {
+		return false
 	}
+	ids = append(ids[:i], ids[i+1:]...)
+	if len(ids) == 0 {
+		delete(ix.postings, k)
+		ix.touch(k)
+	} else {
+		ix.postings[k] = ids
+	}
+	return true
 }
 
 // lookupEq returns the posting list for an exact value.
@@ -156,22 +171,62 @@ func (ix *attrIndex) lookupEq(v abdm.Value) []abdm.RecordID {
 	return ix.postings[keyOf(v)]
 }
 
+// touch notes that value k appeared in or disappeared from the index. Once
+// more values have moved than the ordering holds, sorting afresh is as cheap
+// as merging, so the ordering is dropped; that also bounds the list on an
+// index nobody orders.
+func (ix *attrIndex) touch(k ikey) {
+	if ix.sorted == nil {
+		return
+	}
+	if len(ix.moved) >= len(ix.sorted) {
+		ix.sorted, ix.moved = nil, nil
+		return
+	}
+	ix.moved = append(ix.moved, k)
+}
+
 // ensureSorted materialises the distinct-value ordering for range scans and
 // returns it. Callers hold at least the store's read lock (excluding
 // mutations); sortMu additionally serialises concurrent readers rebuilding
-// the same stale ordering.
+// the same stale ordering. A returned ordering is never written again, so
+// callers may keep reading it after sortMu is released.
 func (ix *attrIndex) ensureSorted() []ikey {
 	ix.sortMu.Lock()
 	defer ix.sortMu.Unlock()
-	if ix.sorted != nil {
+	if ix.sorted != nil && len(ix.moved) == 0 {
 		return ix.sorted
 	}
 	keys := make([]ikey, 0, len(ix.postings))
-	for k := range ix.postings {
-		keys = append(keys, k)
+	if ix.sorted == nil {
+		for k := range ix.postings {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, compareKeys)
+		ix.sorted = keys
+		return keys
 	}
-	slices.SortFunc(keys, compareKeys)
-	ix.sorted = keys
+	// Merge: a value that did not move keeps its place; a moved one is in
+	// the ordering exactly when the index holds it now.
+	moved := ix.moved
+	slices.SortFunc(moved, compareKeys)
+	moved = slices.Compact(moved)
+	old := ix.sorted
+	i := 0
+	for _, k := range moved {
+		for i < len(old) && compareKeys(old[i], k) < 0 {
+			keys = append(keys, old[i])
+			i++
+		}
+		if i < len(old) && old[i] == k {
+			i++
+		}
+		if _, ok := ix.postings[k]; ok {
+			keys = append(keys, k)
+		}
+	}
+	keys = append(keys, old[i:]...)
+	ix.sorted, ix.moved = keys, nil
 	return keys
 }
 

@@ -73,9 +73,10 @@ type backing struct {
 	deferred     []backApply
 	err          error // first write-through failure; sticky
 
-	indexPages []uint32 // blob pages of the committed generation's image
-	ckptPages  []uint32 // blob pages a CheckpointFlush just committed
-	ckptOK     bool     // the last flush committed and ckptPages supersede indexPages
+	indexPages []uint32   // blob pages of the committed generation's image
+	ckptPages  []uint32   // blob pages a CheckpointFlush just committed
+	ckptOK     bool       // the last flush committed and ckptPages supersede indexPages
+	img        imageCache // sections of the last image payload built
 }
 
 // WithPageSize sets the page size used by CreateBacked. The default is
@@ -366,11 +367,17 @@ func (s *Store) applyBackingNow(id abdm.RecordID, rec *abdm.Record, epoch uint64
 			err = b.heap.Delete(rid)
 			delete(b.rids, id)
 			delete(b.fileOfC, id)
+			b.img.staleRIDs()
 		case rec == nil:
 			// Delete of a record the image never held: nothing to do.
 		case exists:
 			var nr pager.RID
 			if nr, err = b.heap.Update(rid, encodeRecord(id, rec)); err == nil {
+				// An update in place leaves the primary map's section as
+				// the last image wrote it.
+				if nr != rid || b.fileOfC[id] != rec.File() {
+					b.img.staleRIDs()
+				}
 				b.rids[id] = nr
 				b.fileOfC[id] = rec.File()
 			}
@@ -379,6 +386,7 @@ func (s *Store) applyBackingNow(id abdm.RecordID, rec *abdm.Record, epoch uint64
 			if nr, err = b.heap.Put(encodeRecord(id, rec)); err == nil {
 				b.rids[id] = nr
 				b.fileOfC[id] = rec.File()
+				b.img.staleRIDs()
 			}
 		}
 	}
@@ -402,8 +410,8 @@ func (s *Store) applyBackingNow(id abdm.RecordID, rec *abdm.Record, epoch uint64
 func (b *backing) reindexLocked(id abdm.RecordID, old, rec *abdm.Record) {
 	if old != nil {
 		for _, kw := range old.Keywords {
-			if ix := b.cIndexes[kw.Attr]; ix != nil && !hasKeyword(rec, kw) {
-				ix.remove(kw.Val, id)
+			if ix := b.cIndexes[kw.Attr]; ix != nil && !hasKeyword(rec, kw) && ix.remove(kw.Val, id) {
+				b.img.staleAttr(kw.Attr)
 			}
 		}
 	}
@@ -419,7 +427,9 @@ func (b *backing) reindexLocked(id abdm.RecordID, old, rec *abdm.Record) {
 			ix = newAttrIndex()
 			b.cIndexes[kw.Attr] = ix
 		}
-		ix.add(kw.Val, id)
+		if ix.add(kw.Val, id) {
+			b.img.staleAttr(kw.Attr)
+		}
 	}
 }
 
@@ -540,9 +550,10 @@ func (s *Store) CheckpointBegin() (uint64, error) {
 }
 
 // CheckpointFlush flushes the buffer pool, writes the persisted index image
-// into fresh blob pages, and commits a new page-file generation carrying
-// meta plus the image root (NextID is filled in from the backing's id high
-// water). It runs without the store lock — the fence raised by
+// into fresh blob pages — re-encoding only the sections written since the
+// last image was built, copying the rest — and commits a new page-file
+// generation carrying meta plus the image root (NextID is filled in from
+// the backing's id high water). It runs without the store lock — the fence raised by
 // CheckpointBegin keeps the committed structures frozen — so concurrent
 // commits only ever pay the cost of queueing behind the fence. The fence
 // stays up; call CheckpointRelease (or use CheckpointCommit, which is
@@ -557,7 +568,7 @@ func (s *Store) CheckpointFlush(meta pager.Meta) error {
 	}
 	err := b.heap.Flush()
 	if err == nil {
-		payload := encodeImage(b.maxID, b.rids, b.fileOfC, b.heap.AvailSnapshot(),
+		payload := b.img.encode(b.maxID, b.rids, b.fileOfC, b.heap.AvailSnapshot(),
 			!s.noIndex, b.cIndexes)
 		var pages []uint32
 		if pages, err = b.file.WriteBlob(payload); err == nil {

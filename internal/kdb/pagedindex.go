@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"mlds/internal/abdm"
 	"mlds/internal/pager"
@@ -107,15 +106,98 @@ type storeImage struct {
 	indexes map[string]*attrIndex
 }
 
-// encodeImage serialises the committed access structures. Callers guarantee
-// the inputs are frozen (the checkpoint fence is up).
-func encodeImage(maxID uint64, rids map[abdm.RecordID]pager.RID,
+// imageCache is the last image payload a checkpoint built and where its
+// sections lie in it: the file table with the primary map, and one section
+// per committed attribute index (its name included). The next encode copies
+// every section still marked clean and re-encodes only the others, so a
+// checkpoint costs in proportion to what was written since the last one;
+// the header, the free-space map and the attribute count are written every
+// time. Write-throughs mark sections stale under the store lock; the
+// checkpoint fence keeps them from running while encode reads the cache.
+// The result is byte-identical to what an empty cache encodes from the same
+// structures.
+type imageCache struct {
+	payload []byte
+	rids    span            // file table + primary map; empty when stale
+	attrs   map[string]span // per attribute; absent when stale
+}
+
+// span is a byte range [off, end) of the cached payload.
+type span struct{ off, end int }
+
+// staleRIDs marks the file table and primary map for re-encoding.
+func (c *imageCache) staleRIDs() { c.rids = span{} }
+
+// staleAttr marks one attribute's section for re-encoding.
+func (c *imageCache) staleAttr(attr string) { delete(c.attrs, attr) }
+
+// encode builds the image payload of the given structures, reusing the
+// clean sections of the last one, and keeps the result as the new cache.
+// Callers guarantee the inputs are frozen (the checkpoint fence is up).
+func (c *imageCache) encode(maxID uint64, rids map[abdm.RecordID]pager.RID,
 	fileOf map[abdm.RecordID]string, avail map[uint32]int,
 	indexed bool, indexes map[string]*attrIndex) []byte {
 
-	buf := append([]byte(nil), imageMagic...)
+	// Sized from the last payload, with a little room for growth: the buffer
+	// is kept as the next cache, so slack costs memory until then.
+	buf := make([]byte, 0, len(c.payload)+len(c.payload)/64)
+	buf = append(buf, imageMagic...)
 	buf = binary.AppendUvarint(buf, maxID)
 
+	ridSpan := span{off: len(buf)}
+	if c.rids.end > c.rids.off {
+		buf = append(buf, c.payload[c.rids.off:c.rids.end]...)
+	} else {
+		buf = appendRIDSection(buf, rids, fileOf)
+	}
+	ridSpan.end = len(buf)
+
+	// Heap free-space map, delta-coded by page id.
+	pages := make([]uint32, 0, len(avail))
+	for p := range avail {
+		pages = append(pages, p)
+	}
+	slices.Sort(pages)
+	buf = binary.AppendUvarint(buf, uint64(len(pages)))
+	prevPage := uint64(0)
+	for _, p := range pages {
+		buf = binary.AppendUvarint(buf, uint64(p)-prevPage)
+		prevPage = uint64(p)
+		buf = binary.AppendUvarint(buf, uint64(avail[p]))
+	}
+
+	var attrSpans map[string]span
+	if !indexed {
+		buf = append(buf, 0)
+	} else {
+		buf = append(buf, 1)
+		attrs := make([]string, 0, len(indexes))
+		for a, ix := range indexes {
+			if len(ix.postings) > 0 {
+				attrs = append(attrs, a)
+			}
+		}
+		slices.Sort(attrs)
+		buf = binary.AppendUvarint(buf, uint64(len(attrs)))
+		attrSpans = make(map[string]span, len(attrs))
+		for _, a := range attrs {
+			sp := span{off: len(buf)}
+			if old, ok := c.attrs[a]; ok {
+				buf = append(buf, c.payload[old.off:old.end]...)
+			} else {
+				buf = appendAttrSection(buf, a, indexes[a])
+			}
+			sp.end = len(buf)
+			attrSpans[a] = sp
+		}
+	}
+	c.payload, c.rids, c.attrs = buf, ridSpan, attrSpans
+	return buf
+}
+
+// appendRIDSection encodes the file-name table and the primary map.
+func appendRIDSection(buf []byte, rids map[abdm.RecordID]pager.RID,
+	fileOf map[abdm.RecordID]string) []byte {
 	// File-name table, sorted for determinism.
 	fileIdx := make(map[string]uint64)
 	var fileNames []string
@@ -125,7 +207,7 @@ func encodeImage(maxID uint64, rids map[abdm.RecordID]pager.RID,
 			fileNames = append(fileNames, f)
 		}
 	}
-	sort.Strings(fileNames)
+	slices.Sort(fileNames)
 	for i, f := range fileNames {
 		fileIdx[f] = uint64(i)
 	}
@@ -140,7 +222,7 @@ func encodeImage(maxID uint64, rids map[abdm.RecordID]pager.RID,
 	for id := range rids {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	prev := uint64(0)
 	for _, id := range ids {
@@ -151,50 +233,26 @@ func encodeImage(maxID uint64, rids map[abdm.RecordID]pager.RID,
 		buf = binary.AppendUvarint(buf, uint64(rid.Page))
 		buf = binary.AppendUvarint(buf, uint64(rid.Slot))
 	}
+	return buf
+}
 
-	// Heap free-space map, delta-coded by page id.
-	pages := make([]uint32, 0, len(avail))
-	for p := range avail {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(pages)))
-	prevPage := uint64(0)
-	for _, p := range pages {
-		buf = binary.AppendUvarint(buf, uint64(p)-prevPage)
-		prevPage = uint64(p)
-		buf = binary.AppendUvarint(buf, uint64(avail[p]))
-	}
-
-	if !indexed {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
-	attrs := make([]string, 0, len(indexes))
-	for a, ix := range indexes {
-		if len(ix.postings) > 0 {
-			attrs = append(attrs, a)
-		}
-	}
-	sort.Strings(attrs)
-	buf = binary.AppendUvarint(buf, uint64(len(attrs)))
-	for _, a := range attrs {
-		ix := indexes[a]
-		buf = binary.AppendUvarint(buf, uint64(len(a)))
-		buf = append(buf, a...)
-		// Values go out in the index's own value order, cached across
-		// checkpoints until a distinct value comes or goes.
-		keys := ix.ensureSorted()
-		buf = binary.AppendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
-			buf = appendValue(buf, k.value())
-			post := ix.postings[k]
-			buf = binary.AppendUvarint(buf, uint64(len(post)))
-			prev := uint64(0)
-			for _, id := range post {
-				buf = binary.AppendUvarint(buf, uint64(id)-prev)
-				prev = uint64(id)
-			}
+// appendAttrSection encodes one attribute index: its name, then each
+// distinct value with its posting list.
+func appendAttrSection(buf []byte, attr string, ix *attrIndex) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(attr)))
+	buf = append(buf, attr...)
+	// Values go out in the index's own value order, which ensureSorted
+	// keeps up to date across checkpoints.
+	keys := ix.ensureSorted()
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	for _, k := range keys {
+		buf = appendValue(buf, k.value())
+		post := ix.postings[k]
+		buf = binary.AppendUvarint(buf, uint64(len(post)))
+		prev := uint64(0)
+		for _, id := range post {
+			buf = binary.AppendUvarint(buf, uint64(id)-prev)
+			prev = uint64(id)
 		}
 	}
 	return buf
@@ -214,17 +272,23 @@ func decodeImage(buf []byte) (*storeImage, error) {
 		buf = buf[n:]
 		return v, nil
 	}
-	img := &storeImage{
-		rids:   make(map[abdm.RecordID]pager.RID),
-		fileOf: make(map[abdm.RecordID]string),
-		avail:  make(map[uint32]int),
+	// count reads an entry count. Every entry takes at least size bytes, so
+	// a count the bytes left cannot hold is corrupt, not a reason to
+	// allocate or loop.
+	count := func(size int) (uint64, error) {
+		v, err := u()
+		if err == nil && v > uint64(len(buf)/size) {
+			err = fmt.Errorf("%w: %d entries of %d+ bytes in %d bytes", errBadImage, v, size, len(buf))
+		}
+		return v, err
 	}
+	img := &storeImage{}
 	var err error
 	if img.maxID, err = u(); err != nil {
 		return nil, err
 	}
 
-	nFiles, err := u()
+	nFiles, err := count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -241,10 +305,12 @@ func decodeImage(buf []byte) (*storeImage, error) {
 		buf = buf[ln:]
 	}
 
-	nRecs, err := u()
+	nRecs, err := count(4)
 	if err != nil {
 		return nil, err
 	}
+	img.rids = make(map[abdm.RecordID]pager.RID, nRecs)
+	img.fileOf = make(map[abdm.RecordID]string, nRecs)
 	prev := uint64(0)
 	for i := uint64(0); i < nRecs; i++ {
 		d, err := u()
@@ -272,10 +338,11 @@ func decodeImage(buf []byte) (*storeImage, error) {
 		img.fileOf[id] = names[fi]
 	}
 
-	nAvail, err := u()
+	nAvail, err := count(2)
 	if err != nil {
 		return nil, err
 	}
+	img.avail = make(map[uint32]int, nAvail)
 	prevPage := uint64(0)
 	for i := uint64(0); i < nAvail; i++ {
 		d, err := u()
@@ -299,7 +366,7 @@ func decodeImage(buf []byte) (*storeImage, error) {
 		return img, nil
 	}
 	img.indexes = make(map[string]*attrIndex)
-	nAttrs, err := u()
+	nAttrs, err := count(2)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +382,7 @@ func decodeImage(buf []byte) (*storeImage, error) {
 		buf = buf[ln:]
 		ix := newAttrIndex()
 		img.indexes[attr] = ix
-		nVals, err := u()
+		nVals, err := count(2)
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +392,7 @@ func decodeImage(buf []byte) (*storeImage, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", errBadImage, err)
 			}
-			nIDs, err := u()
+			nIDs, err := count(1)
 			if err != nil {
 				return nil, err
 			}
