@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDLI$$' -fuzztime $(FUZZ_TIME) ./internal/dli
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZ_TIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime $(FUZZ_TIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime $(FUZZ_TIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverJournal$$' -fuzztime $(FUZZ_TIME) ./internal/kc
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZ_TIME) ./internal/pager
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/kdb

@@ -58,12 +58,7 @@ func (c *Client) feedWatch(m *wire.Msg) {
 		return
 	}
 	for _, e := range m.Events {
-		change, err := cdc.ChangeFromEvent(e)
-		if err != nil {
-			w.Fail(err)
-			return
-		}
-		w.Feed(change)
+		w.Feed(cdc.ChangeFromEvent(e))
 	}
 }
 

@@ -89,10 +89,7 @@ func (s *stream) next(quit <-chan struct{}) ([]Change, uint64, error) {
 // apply folds one committed journal entry into the mirror and appends the
 // row changes it implies for the watched query.
 func (s *stream) apply(e Entry, out []Change) []Change {
-	req, err := e.Rec.Req.ToRequest()
-	if err != nil {
-		return out // unknown/corrupt request forms carry no row semantics
-	}
+	req := e.Rec.Req
 	switch req.Kind {
 	case abdl.Insert:
 		if req.Record == nil || req.Record.File() != s.def.File {

@@ -19,8 +19,8 @@ var ErrClosed = errors.New("cdc: tailer closed")
 const DefaultPoll = 25 * time.Millisecond
 
 // Entry is one committed journal entry delivered by a tailer, in commit
-// order with its exact journal position. Rec carries the mutating request in
-// wire form plus the database keys it touched.
+// order with its exact journal position. Rec carries the mutating request as
+// it was executed plus the database keys it touched.
 type Entry struct {
 	Pos   uint64
 	Epoch uint64 // commit epoch; 0 when recovered from the journal file

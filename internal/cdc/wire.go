@@ -5,38 +5,11 @@ import "mlds/internal/wire"
 // EventFromChange renders one change as its wire form, for the serving
 // tier's MsgEvent pushes.
 func EventFromChange(c Change) wire.Event {
-	e := wire.Event{
-		Op:    byte(c.Op),
-		ID:    c.ID,
-		Pos:   c.Pos,
-		Epoch: c.Epoch,
-		Txn:   c.Txn,
-		File:  c.File,
-	}
-	if c.Rec != nil {
-		e.Rec = wire.FromRecord(c.Rec)
-		e.HasRec = true
-	}
-	return e
+	return wire.Event{Op: byte(c.Op), ID: c.ID, Pos: c.Pos, Epoch: c.Epoch, Txn: c.Txn, File: c.File, Rec: c.Rec}
 }
 
-// ChangeFromEvent parses a pushed wire event back into a change, for the
+// ChangeFromEvent turns a pushed wire event back into a change, for the
 // remote client's watch pipes.
-func ChangeFromEvent(e wire.Event) (Change, error) {
-	c := Change{
-		Op:    Op(e.Op),
-		ID:    e.ID,
-		Pos:   e.Pos,
-		Epoch: e.Epoch,
-		Txn:   e.Txn,
-		File:  e.File,
-	}
-	if e.HasRec {
-		rec, err := e.Rec.ToRecord()
-		if err != nil {
-			return c, err
-		}
-		c.Rec = rec
-	}
-	return c, nil
+func ChangeFromEvent(e wire.Event) Change {
+	return Change{Op: Op(e.Op), ID: e.ID, Pos: e.Pos, Epoch: e.Epoch, Txn: e.Txn, File: e.File, Rec: e.Rec}
 }

@@ -32,7 +32,7 @@ func (db *Database) Save(w io.Writer) error {
 		return fmt.Errorf("core: snapshot of %q for save: %w", db.Name, err)
 	}
 	for _, sr := range snap {
-		img.Records = append(img.Records, wire.FromRecord(sr.Rec))
+		img.Records = append(img.Records, sr.Rec)
 	}
 	return wire.WriteImage(w, &img)
 }
@@ -62,11 +62,7 @@ func (s *System) Restore(r io.Reader) (*Database, error) {
 	}
 	var maxKey currency.Key
 	reqs := make([]*abdl.Request, 0, len(img.Records))
-	for i, wr := range img.Records {
-		rec, err := wr.ToRecord()
-		if err != nil {
-			return nil, fmt.Errorf("core: record %d: %w", i, err)
-		}
+	for _, rec := range img.Records {
 		reqs = append(reqs, abdl.NewInsert(rec))
 		var keyAttr string
 		switch {

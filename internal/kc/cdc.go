@@ -45,12 +45,10 @@ func (c *Controller) JournalPos() uint64 {
 // past it is not. A watch loads its initial state through the transaction and
 // tails the journal from pos — no gaps, no duplicates.
 //
-// The snapshot is taken under the stamp barrier: the clock cannot move
-// between pinning the epoch and reading its position pairing, so a pairing
-// miss can only mean the epoch was never produced by a stamp (a fresh or
-// just-recovered controller). Its position is then the last noted one —
-// jEntries itself would be wrong there, because a batch that has flushed but
-// not yet stamped is counted in jEntries yet invisible to the snapshot.
+// The snapshot is taken under the stamp barrier, where the clock's epoch is
+// the one the last NoteEpoch published (or the recovery seed), so its
+// position is the last noted one — not jEntries, which also counts a batch
+// that has flushed but not yet stamped and is invisible to the snapshot.
 func (c *Controller) WatchSnapshot() (*txn.Txn, uint64) {
 	var (
 		tx  *txn.Txn
@@ -58,14 +56,9 @@ func (c *Controller) WatchSnapshot() (*txn.Txn, uint64) {
 	)
 	c.txns.WithStampBarrier(func() {
 		tx = c.txns.BeginSnapshot()
-		epoch := tx.SnapshotEpoch()
 		c.mu.Lock()
-		defer c.mu.Unlock()
-		if pair, ok := c.jPairs[epoch]; ok {
-			pos = pair.entries
-			return
-		}
 		pos = c.jNoted
+		c.mu.Unlock()
 	})
 	return tx, pos
 }
@@ -102,7 +95,7 @@ func readCommitted(r io.Reader, after uint64) ([]CommittedEntry, error) {
 	_, err := scanJournal(r, after, func(e *wire.JournalEntry, pos uint64) error {
 		if e.Marker == markerData && pos > after {
 			out = append(out, CommittedEntry{Pos: pos, Txn: e.Txn,
-				Rec: txn.JournalRec{Req: *e.Req, Key: e.Key, Affected: e.Affected}})
+				Rec: txn.JournalRec{Req: e.Req, Key: e.Key, Affected: e.Affected}})
 		}
 		return nil
 	})

@@ -28,8 +28,8 @@ func journalStream(t *testing.T, entries ...wire.JournalEntry) *bytes.Buffer {
 }
 
 func dataEntry(txnID uint64, x int64, affected ...uint64) wire.JournalEntry {
-	req := wire.FromRequest(abdl.NewInsert(abdm.NewRecord("f", abdm.Keyword{Attr: "x", Val: abdm.Int(x)})))
-	return wire.JournalEntry{Req: &req, Txn: txnID, Marker: markerData, Affected: affected}
+	req := abdl.NewInsert(abdm.NewRecord("f", abdm.Keyword{Attr: "x", Val: abdm.Int(x)}))
+	return wire.JournalEntry{Req: req, Txn: txnID, Marker: markerData, Affected: affected}
 }
 
 func commitMarker(txnID uint64) wire.JournalEntry {

@@ -167,14 +167,10 @@ func TestMembershipChaos(t *testing.T) {
 	oracle := make(map[int64]bool)
 	for rec := range sub.C {
 		for _, e := range rec.Entries {
-			if e.Req.Kind != int(abdl.Insert) {
+			if e.Req.Kind != abdl.Insert {
 				continue
 			}
-			r, err := e.Req.Record.ToRecord()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := r.Get("x"); ok {
+			if v, ok := e.Req.Record.Get("x"); ok {
 				oracle[v.AsInt()] = true
 			}
 		}

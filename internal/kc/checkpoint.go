@@ -24,27 +24,24 @@ import (
 //   - The transaction manager's stamp barrier: CheckpointBegin runs inside
 //     it, so the backing's applied epoch is a whole-batch boundary, never
 //     the middle of a stamp broadcast.
-//   - The sink's epoch pairing: the group-commit leader calls NoteEpoch
-//     after each batch is durable and stamped, still under the barrier, so
-//     the controller knows the exact journal prefix every epoch corresponds
-//     to.
+//   - The sink's position accounting: the group-commit leader calls
+//     NoteEpoch after each batch is durable and stamped, still under the
+//     barrier, so the position read inside the barrier is exactly the
+//     journal prefix the fenced images hold.
 //
-// Between CheckpointBegin and CheckpointCommit the store defers
+// Between CheckpointBegin and CheckpointRelease the store defers
 // write-throughs behind its fence while group commit, stamping and reads
 // all proceed — the checkpoint's pool flush and page-file commit never
-// stall the commit path.
+// stall the commit path. One protocol serves every case: Checkpoint is
+// CheckpointFleet over one store (fleet.go).
 
-// ckptPair is the journal position a commit epoch was published at.
-type ckptPair struct {
-	entries uint64 // cumulative committed data entries in the journal
-	maxKey  int64  // key-allocator position as of that prefix
-}
-
-// ErrCheckpointUnaligned reports a checkpoint attempt at an epoch the
-// journal has no position pairing for — typically a store whose backing
-// applied epochs the attached journal never saw (mixed direct writes), or a
-// controller that was not seeded after recovery (SeedRecovery).
-var ErrCheckpointUnaligned = errors.New("kc: checkpoint epoch has no journal position")
+// ErrCheckpointUnaligned reports a checkpoint the journal position cannot
+// cover: a store's current image already holds more journal entries than
+// the controller has counted — typically an image mounted on a controller
+// that was not seeded after recovery (SeedRecovery or RecoverFleet).
+// Stamping a new image below its own position would strand the journal
+// entries between the two.
+var ErrCheckpointUnaligned = errors.New("kc: checkpoint position is behind the store's image")
 
 // CheckpointInfo describes a completed checkpoint.
 type CheckpointInfo struct {
@@ -59,47 +56,17 @@ type CheckpointInfo struct {
 // checkpoint marker to the journal, and — when no committed entries have
 // accumulated past the checkpoint — rotate the journal down to just the
 // marker. Group commit keeps running throughout; only write-throughs queue
-// behind the store fence.
+// behind the store fence. It is CheckpointFleet over the one store.
 func (c *Controller) Checkpoint(st *kdb.Store) (CheckpointInfo, error) {
-	var (
-		info  CheckpointInfo
-		epoch uint64
-		err   error
-	)
-	c.txns.WithStampBarrier(func() {
-		epoch, err = st.CheckpointBegin()
-	})
-	if err != nil {
-		return info, err
-	}
-	c.mu.Lock()
-	pair, ok := c.jPairs[epoch]
-	if !ok && epoch <= 1 && len(c.jPairs) == 0 {
-		// A store that has never committed through this journal: the image
-		// covers an empty prefix.
-		pair, ok = ckptPair{entries: 0, maxKey: int64(c.nextKey)}, true
-	}
-	c.mu.Unlock()
-	if !ok {
-		st.CheckpointAbort()
-		return info, fmt.Errorf("%w: epoch %d", ErrCheckpointUnaligned, epoch)
-	}
-	meta := pager.Meta{Epoch: epoch, Entries: pair.entries, MaxKey: pair.maxKey}
-	if err := st.CheckpointCommit(meta); err != nil {
-		return info, err
-	}
-	info.Meta = meta
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return info, c.markCheckpointLocked(&info, epoch)
+	return c.CheckpointFleet([]*kdb.Store{st})
 }
 
-// markCheckpointLocked notes a durable checkpoint (info.Meta) in the journal
-// and retires the epoch pairings below minEpoch. With no committed tail past
+// markCheckpointLocked notes a durable checkpoint (info.Meta) in the journal.
+// With no committed tail past
 // the checkpoint the whole journal is covered by the images and shrinks to
 // just the marker; otherwise the marker rides the existing stream and replay
 // uses the image's Entries to skip the covered prefix. Caller holds c.mu.
-func (c *Controller) markCheckpointLocked(info *CheckpointInfo, minEpoch uint64) error {
+func (c *Controller) markCheckpointLocked(info *CheckpointInfo) error {
 	info.Tail = c.jEntries - info.Meta.Entries
 	if c.jw != nil {
 		marker := wire.JournalEntry{Marker: markerCheckpoint, Key: info.Meta.MaxKey,
@@ -117,11 +84,6 @@ func (c *Controller) markCheckpointLocked(info *CheckpointInfo, minEpoch uint64)
 		}
 	}
 	c.lastCkpt = info.Meta.Epoch
-	for e := range c.jPairs {
-		if e < minEpoch {
-			delete(c.jPairs, e)
-		}
-	}
 	return nil
 }
 
@@ -144,22 +106,12 @@ func (c *Controller) SeedRecovery(meta pager.Meta, entries uint64) {
 	if int64(c.nextKey) > c.jMaxKey {
 		c.jMaxKey = int64(c.nextKey)
 	}
-	if c.jPairs == nil {
-		c.jPairs = make(map[uint64]ckptPair)
-	}
-	// The backing's applied epoch after recovery is the image's epoch — or 1,
-	// since replayed tail entries auto-stamp at the store's floor epoch.
-	// Either way the restored state now covers every recovered entry.
-	pair := ckptPair{entries: entries, maxKey: c.jMaxKey}
-	c.jPairs[meta.Epoch] = pair
-	c.jPairs[max(meta.Epoch, 1)] = pair
 	c.lastCkpt = meta.Epoch
 }
 
 // StartCheckpointer checkpoints st every interval until the returned stop
-// function is called. Checkpoint errors are remembered and returned by stop;
-// the loop keeps running after one (a transient unaligned epoch resolves at
-// the next tick).
+// function is called. The first checkpoint error is remembered and returned
+// by stop; the loop keeps running after one.
 func (c *Controller) StartCheckpointer(st *kdb.Store, interval time.Duration) (stop func() error) {
 	c.mu.Lock()
 	c.ckptStop = make(chan struct{})

@@ -298,3 +298,46 @@ func TestCheckpointerDoesNotStallCommits(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointFleetUnaligned: a fleet checkpoint on a remounted image whose
+// controller was not seeded must refuse, not commit a generation stamped
+// below the image's own journal position — recovery could then no longer
+// reach the entries committed after the first checkpoint.
+func TestCheckpointFleetUnaligned(t *testing.T) {
+	tmp := t.TempDir()
+	pagePath := filepath.Join(tmp, "part0.pgf")
+	journalPath := filepath.Join(tmp, "journal.mldj")
+
+	c, st, _ := backedController(t, pagePath)
+	attachJournalFile(t, c, journalPath)
+	for v := int64(1); v <= 3; v++ {
+		if _, err := c.Exec(insertX(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil || info.Meta.Entries != 3 {
+		t.Fatalf("first checkpoint = %+v, %v; want 3 entries", info.Meta, err)
+	}
+	for v := int64(4); v <= 5; v++ {
+		if _, err := c.Exec(insertX(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c2, st2, _ := backedController(t, pagePath)
+	for i := 0; i < 2; i++ { // the second try finds the fence lifted
+		if _, err := c2.CheckpointFleet([]*kdb.Store{st2}); !errors.Is(err, ErrCheckpointUnaligned) {
+			t.Fatalf("try %d: fleet checkpoint without SeedRecovery = %v, want ErrCheckpointUnaligned", i, err)
+		}
+	}
+
+	c3, _, replayed := recoverBacked(t, pagePath, journalPath)
+	if replayed != 2 {
+		t.Fatalf("recovery replayed %d entries, want the 2-entry tail", replayed)
+	}
+	for v := int64(1); v <= 5; v++ {
+		if n := countX(t, c3, v); n != 1 {
+			t.Fatalf("x=%d recovered %d times, want 1", v, n)
+		}
+	}
+}

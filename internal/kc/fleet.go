@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"mlds/internal/kdb"
 	"mlds/internal/pager"
@@ -72,6 +73,19 @@ func (c *Controller) CheckpointFleet(stores []*kdb.Store) (CheckpointInfo, error
 			maxKey = int64(c.nextKey)
 		}
 		c.mu.Unlock()
+		// An image already past pos (mounted without SeedRecovery) would be
+		// replaced by one stamped below it, and recovery could no longer
+		// reach the journal entries in between.
+		for _, st := range stores {
+			if m, _ := st.BackingMeta(); m.Entries > pos {
+				err = fmt.Errorf("%w: a store's image covers %d journal entries, the controller is at %d",
+					ErrCheckpointUnaligned, m.Entries, pos)
+				for _, fenced := range stores {
+					fenced.CheckpointAbort()
+				}
+				return
+			}
+		}
 	})
 	if err != nil {
 		return info, err
@@ -89,29 +103,22 @@ func (c *Controller) CheckpointFleet(stores []*kdb.Store) (CheckpointInfo, error
 			break
 		}
 	}
-	for _, st := range stores {
-		st.CheckpointRelease()
+	for i, st := range stores {
+		// Release reports a write-through that failed while it drained.
+		if rerr := st.CheckpointRelease(); rerr != nil && err == nil {
+			err = fmt.Errorf("kc: fleet checkpoint, store %d: %w", i, rerr)
+		}
 	}
 	if err != nil {
 		return info, err
 	}
 
-	maxEpoch, minEpoch := epochs[0], epochs[0]
-	for _, e := range epochs[1:] {
-		if e > maxEpoch {
-			maxEpoch = e
-		}
-		if e < minEpoch {
-			minEpoch = e
-		}
-	}
-	info.Meta = pager.Meta{Epoch: maxEpoch, Entries: pos, MaxKey: maxKey}
+	info.Meta = pager.Meta{Epoch: slices.Max(epochs), Entries: pos, MaxKey: maxKey}
 
-	// Every image is durable; note the barrier in the journal, exactly as a
-	// single-store checkpoint would.
+	// Every image is durable; note the barrier in the journal.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return info, c.markCheckpointLocked(&info, minEpoch)
+	return info, c.markCheckpointLocked(&info)
 }
 
 // FleetCut computes the recovery position for a fleet of page files sharing
@@ -164,14 +171,5 @@ func (c *Controller) RecoverFleet(r io.Reader, cut uint64, metas ...pager.Meta) 
 		}
 	}
 	c.SeedRecovery(seed, total)
-	// Any store whose image epoch lags the fleet maximum still covers the
-	// whole recovered prefix — nothing touched it between its epoch and the
-	// barrier — so pair every mounted epoch with the recovered position.
-	c.mu.Lock()
-	pair := ckptPair{entries: c.jEntries, maxKey: c.jMaxKey}
-	for _, m := range metas {
-		c.jPairs[m.Epoch] = pair
-	}
-	c.mu.Unlock()
 	return n, nil
 }

@@ -108,7 +108,7 @@ func (s journalSink) WriteCommits(recs []txn.CommitRecord) error {
 			for i := range rec.Entries {
 				e := &rec.Entries[i]
 				if b, err = wire.AppendJournalEntry(b, &wire.JournalEntry{Marker: markerData,
-					Txn: rec.ID, Key: e.Key, Req: &e.Req, Affected: e.Affected}); err != nil {
+					Txn: rec.ID, Key: e.Key, Req: e.Req, Affected: e.Affected}); err != nil {
 					return fmt.Errorf("kc: journal write: %w", err)
 				}
 			}
@@ -130,19 +130,15 @@ func (s journalSink) WriteCommits(recs []txn.CommitRecord) error {
 	return nil
 }
 
-// NoteEpoch pairs a just-published commit epoch with the journal position its
-// batch was flushed at — the cumulative committed data-entry count and the
-// key-allocator high water. A checkpoint whose image is exact at that epoch
-// covers exactly that prefix of the journal. Called by the group-commit
-// leader under the stamp barrier, after the batch's WriteCommits.
-func (s journalSink) NoteEpoch(epoch uint64) {
+// NoteEpoch marks the journal position the just-published commit epoch's
+// batch was flushed at — the cumulative committed data-entry count — as
+// stamped: a checkpoint fence or a snapshot taken now sees exactly that
+// prefix of the journal. Called by the group-commit leader under the stamp
+// barrier, after the batch's WriteCommits.
+func (s journalSink) NoteEpoch(uint64) {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.jPairs == nil {
-		c.jPairs = make(map[uint64]ckptPair)
-	}
-	c.jPairs[epoch] = ckptPair{entries: c.jEntries, maxKey: c.jMaxKey}
 	c.jNoted = c.jEntries
 }
 
@@ -181,11 +177,7 @@ func (c *Controller) RecoverJournalFrom(r io.Reader, skip uint64) (int, uint64, 
 			// allocator bookkeeping above matters.
 			return nil
 		}
-		req, err := e.Req.ToRequest()
-		if err != nil {
-			return fmt.Errorf("kc: journal position %d: %w", pos, err)
-		}
-		if _, _, err := c.sys.ExecTimed(req); err != nil {
+		if _, _, err := c.sys.ExecTimed(e.Req); err != nil {
 			return fmt.Errorf("kc: replaying journal position %d: %w", pos, err)
 		}
 		n++

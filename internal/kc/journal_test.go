@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mlds/internal/abdl"
@@ -125,12 +126,117 @@ func TestExecBatchJournalFailure(t *testing.T) {
 	}
 }
 
+// TestJournalSharesCallerRequests: the journal and the commit stream hold
+// the caller's request objects, not copies. An auto-keyed INSERT is logged
+// under the key it was allocated while the caller's request keeps ForceID 0,
+// so the same objects can run again — as a cached plan's do — and replaying
+// the journal afterwards rebuilds exactly the live rows.
+func TestJournalSharesCallerRequests(t *testing.T) {
+	c := newController(t)
+	var journal bytes.Buffer
+	c.AttachJournal(&journal)
+	sub := c.SubscribeCommits(8)
+	defer sub.Close()
+
+	ins := insertX(1)
+	upd := abdl.NewUpdate(abdm.And(abdm.Predicate{Attr: "x", Op: abdm.OpEq, Val: abdm.Int(1)}),
+		abdl.Modifier{Attr: "x", Val: abdm.Int(10)})
+	tx := c.Txns().Begin()
+	tctx := txn.NewContext(context.Background(), tx)
+	var keys []abdm.RecordID
+	for _, req := range []*abdl.Request{ins, ins, upd, ins} {
+		res, err := c.ExecCtx(tctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req == ins {
+			keys = append(keys, res.Affected[0])
+		}
+	}
+	if err := c.Txns().Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if ins.ForceID != 0 {
+		t.Fatalf("journalling pinned key %d on the caller's request", ins.ForceID)
+	}
+
+	rec := <-sub.C
+	if len(rec.Entries) != 4 {
+		t.Fatalf("commit record holds %d entries, want 4", len(rec.Entries))
+	}
+	if rec.Entries[2].Req != upd {
+		t.Error("the commit stream holds a copy of the UPDATE, not the caller's request")
+	}
+	pinned := []abdm.RecordID{rec.Entries[0].Req.ForceID, rec.Entries[1].Req.ForceID, rec.Entries[3].Req.ForceID}
+	if !reflect.DeepEqual(pinned, keys) {
+		t.Fatalf("commit stream pinned keys %v, the inserts were allocated %v", pinned, keys)
+	}
+
+	// The same objects run again, now outside the transaction.
+	for _, req := range []*abdl.Request{ins, upd} {
+		if _, err := c.Exec(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logged []abdm.RecordID
+	if err := wire.ReadJournal(bytes.NewReader(journal.Bytes()), func(e *wire.JournalEntry) error {
+		if e.Req != nil && e.Req.Kind == abdl.Insert {
+			logged = append(logged, e.Req.ForceID)
+			if len(e.Affected) != 1 || abdm.RecordID(e.Affected[0]) != e.Req.ForceID {
+				t.Errorf("journalled INSERT pins key %d but affected %v", e.Req.ForceID, e.Affected)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 4 || !reflect.DeepEqual(logged[:3], keys) {
+		t.Fatalf("journal pins keys %v, want %v and one more", logged, keys)
+	}
+
+	rows := func(c *Controller) map[abdm.RecordID]int64 {
+		res, err := c.Exec(abdl.NewRetrieve(abdm.And(
+			abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("f")}), abdl.AllAttrs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[abdm.RecordID]int64)
+		for _, sr := range res.Records {
+			v, _ := sr.Rec.Get("x")
+			out[sr.ID] = v.AsInt()
+		}
+		return out
+	}
+	live := rows(c)
+	c2 := newController(t)
+	if n, err := c2.RecoverJournal(bytes.NewReader(journal.Bytes())); err != nil || n != 6 {
+		t.Fatalf("recover: n=%d err=%v, want 6, nil", n, err)
+	}
+	if got := rows(c2); len(live) != 4 || !reflect.DeepEqual(got, live) {
+		t.Fatalf("replayed rows %v, live rows %v", got, live)
+	}
+}
+
 // gobJournal is a journal as the pre-framing format wrote it: one gob stream
-// of entries.
+// of entries, each request in an exported-field form of its own.
 func gobJournal(t testing.TB) []byte {
 	t.Helper()
+	type gobValue struct {
+		Kind byte
+		I    int64
+	}
+	type gobKeyword struct {
+		Attr string
+		Val  gobValue
+	}
+	type gobRequest struct {
+		Kind     int
+		HasRec   bool
+		Keywords []gobKeyword
+	}
 	type gobEntry struct {
-		Req    wire.Request
+		Req    gobRequest
 		Key    int64
 		Txn    uint64
 		Marker byte
@@ -138,7 +244,9 @@ func gobJournal(t testing.TB) []byte {
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
 	for _, e := range []gobEntry{
-		{Req: wire.FromRequest(insertX(1)), Key: 1, Txn: 1},
+		{Req: gobRequest{Kind: int(abdl.Insert), HasRec: true, Keywords: []gobKeyword{
+			{Attr: abdm.FileAttr, Val: gobValue{Kind: 's'}}, {Attr: "x", Val: gobValue{Kind: 'i', I: 1}}}},
+			Key: 1, Txn: 1},
 		{Txn: 1, Marker: 2},
 	} {
 		if err := enc.Encode(&e); err != nil {

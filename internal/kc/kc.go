@@ -43,13 +43,11 @@ type Controller struct {
 
 	// Fuzzy-checkpoint bookkeeping (see checkpoint.go). jEntries counts
 	// committed data entries ever written to the journal, jMaxKey the key
-	// allocator's high water among them; jPairs maps each published commit
-	// epoch to the journal position its batch flushed at. jf is the journal's
-	// file handle when attached via AttachJournalFile — what rotation swaps.
+	// allocator's high water among them. jf is the journal's file handle
+	// when attached via AttachJournalFile — what rotation swaps.
 	jEntries uint64
 	jNoted   uint64 // jEntries as of the last NoteEpoch (or recovery seed)
 	jMaxKey  int64
-	jPairs   map[uint64]ckptPair
 	lastCkpt uint64
 	jf       *JournalFile
 

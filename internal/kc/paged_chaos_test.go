@@ -90,14 +90,10 @@ func TestPagedFleetChaos(t *testing.T) {
 		defer close(watcherDone)
 		for rec := range sub.C {
 			for _, e := range rec.Entries {
-				if e.Req.Kind != int(abdl.Insert) {
+				if e.Req.Kind != abdl.Insert {
 					continue
 				}
-				r, err := e.Req.Record.ToRecord()
-				if err != nil {
-					continue
-				}
-				if v, ok := r.Get("x"); ok {
+				if v, ok := e.Req.Record.Get("x"); ok {
 					oracleMu.Lock()
 					oracle[v.AsInt()] = true
 					oracleMu.Unlock()

@@ -342,7 +342,7 @@ func BenchmarkCheckpointFlush(b *testing.B) {
 				if _, err := s.CheckpointBegin(); err != nil {
 					b.Fatal(err)
 				}
-				if err := s.CheckpointCommit(pager.Meta{Epoch: 1}); err != nil {
+				if err := commitCheckpoint(s, pager.Meta{Epoch: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

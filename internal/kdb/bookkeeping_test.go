@@ -312,7 +312,7 @@ func TestBackedCommittedIndexMatchesHeap(t *testing.T) {
 			m.exec(t, func() *abdl.Request { return &abdl.Request{Kind: abdl.MvccCommit, TxnID: txn, MvccEpoch: epoch} })
 		}
 		check(-1)
-		if err := s.CheckpointCommitAfterBegin(t, pager.Meta{Epoch: m.epoch}); err != nil {
+		if err := s.checkpoint(t, pager.Meta{Epoch: m.epoch}); err != nil {
 			t.Fatal(err)
 		}
 		want := indexFromScan(t, s)

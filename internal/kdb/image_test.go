@@ -109,7 +109,7 @@ func TestImageGoldenKIM1(t *testing.T) {
 	if got := imageFromScratch(s); !bytes.Equal(got, golden) {
 		t.Fatalf("from-scratch image differs from the golden one:\n got %x\nwant %x", got, golden)
 	}
-	if err := s.CheckpointCommitAfterBegin(t, pager.Meta{Epoch: 1}); err != nil {
+	if err := s.checkpoint(t, pager.Meta{Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := committedImage(t, s); !bytes.Equal(got, golden) {
@@ -137,7 +137,7 @@ func TestImageGoldenKIM1(t *testing.T) {
 	if _, ok := s.backing.img.attrs["title"]; !ok || s.backing.img.rids.end == 0 {
 		t.Fatal("untouched sections were marked stale")
 	}
-	if err := s.CheckpointCommitAfterBegin(t, pager.Meta{Epoch: 1}); err != nil {
+	if err := s.checkpoint(t, pager.Meta{Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := committedImage(t, s); !bytes.Equal(got, golden) {
@@ -296,7 +296,7 @@ func TestCheckpointImageMatchesFromScratch(t *testing.T) {
 			case r == 5 && !fenced:
 				// Reopen from the last committed generation; uncommitted
 				// transactions die with the old store.
-				if err := s.CheckpointCommitAfterBegin(t, pager.Meta{Epoch: m.epoch}); err != nil {
+				if err := s.checkpoint(t, pager.Meta{Epoch: m.epoch}); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.CloseBacking(); err != nil {

@@ -556,8 +556,7 @@ func (s *Store) CheckpointBegin() (uint64, error) {
 // the backing's id high water). It runs without the store lock — the fence raised by
 // CheckpointBegin keeps the committed structures frozen — so concurrent
 // commits only ever pay the cost of queueing behind the fence. The fence
-// stays up; call CheckpointRelease (or use CheckpointCommit, which is
-// flush + release).
+// stays up; call CheckpointRelease.
 func (s *Store) CheckpointFlush(meta pager.Meta) error {
 	b := s.backing
 	if b == nil {
@@ -594,13 +593,14 @@ func (s *Store) CheckpointFlush(meta pager.Meta) error {
 // write-throughs. If the preceding CheckpointFlush committed, the previous
 // generation's image pages are freed (durably at the next commit) and the
 // new image takes their place; after a failed or skipped flush there is
-// nothing to swap.
-func (s *Store) CheckpointRelease() {
+// nothing to swap. It returns the backing's sticky write-through error, so
+// a checkpoint whose drained writes failed does not report success.
+func (s *Store) CheckpointRelease() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.backing
 	if b == nil {
-		return
+		return ErrNoBacking
 	}
 	if b.ckptOK {
 		for _, id := range b.indexPages {
@@ -615,22 +615,6 @@ func (s *Store) CheckpointRelease() {
 		s.applyBackingNow(a.id, a.rec, a.epoch)
 	}
 	b.deferred = nil
-}
-
-// CheckpointCommit is CheckpointFlush followed by CheckpointRelease: the
-// single-store checkpoint path.
-func (s *Store) CheckpointCommit(meta pager.Meta) error {
-	b := s.backing
-	if b == nil {
-		return ErrNoBacking
-	}
-	err := s.CheckpointFlush(meta)
-	s.CheckpointRelease()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return b.err
 }
 

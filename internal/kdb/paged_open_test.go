@@ -40,7 +40,7 @@ func TestOpenBackedReopenCostIndexPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.CheckpointCommitAfterBegin(t, pager.Meta{Epoch: 2, Entries: n, MaxKey: n}); err != nil {
+	if err := s.checkpoint(t, pager.Meta{Epoch: 2, Entries: n, MaxKey: n}); err != nil {
 		t.Fatal(err)
 	}
 	s.CloseBacking()

@@ -140,7 +140,7 @@ func TestBackedPendingStaysOut(t *testing.T) {
 	}
 }
 
-// TestCheckpointFence: between CheckpointBegin and CheckpointCommit,
+// TestCheckpointFence: between CheckpointBegin and CheckpointRelease,
 // write-throughs are deferred — the flushed image holds exactly the state
 // fenced at Begin — and they drain into the working generation afterwards.
 func TestCheckpointFence(t *testing.T) {
@@ -155,7 +155,7 @@ func TestCheckpointFence(t *testing.T) {
 	}
 	// Commits while the fence is up: deferred, not in the image.
 	loadCourses(t, s, 3)
-	if err := s.CheckpointCommit(pager.Meta{Epoch: epoch, Entries: 5, MaxKey: 5}); err != nil {
+	if err := commitCheckpoint(s, pager.Meta{Epoch: epoch, Entries: 5, MaxKey: 5}); err != nil {
 		t.Fatal(err)
 	}
 	// The fence lifted: the deferred writes drained into the working
@@ -203,7 +203,7 @@ func TestCheckpointAbort(t *testing.T) {
 func TestOpenBackedRestoresStore(t *testing.T) {
 	s, path := backedStore(t)
 	loadCourses(t, s, 20)
-	if err := s.CheckpointCommitAfterBegin(t, pager.Meta{Epoch: 9, Entries: 20, MaxKey: 20}); err != nil {
+	if err := s.checkpoint(t, pager.Meta{Epoch: 9, Entries: 20, MaxKey: 20}); err != nil {
 		t.Fatal(err)
 	}
 	s.CloseBacking()
@@ -246,13 +246,24 @@ func TestOpenBackedRestoresStore(t *testing.T) {
 	}
 }
 
-// CheckpointCommitAfterBegin is a test helper pairing Begin and Commit.
-func (s *Store) CheckpointCommitAfterBegin(t *testing.T, meta pager.Meta) error {
+// checkpoint is a test helper running one whole checkpoint: Begin, Flush,
+// Release.
+func (s *Store) checkpoint(t *testing.T, meta pager.Meta) error {
 	t.Helper()
 	if _, err := s.CheckpointBegin(); err != nil {
 		return err
 	}
-	return s.CheckpointCommit(meta)
+	return commitCheckpoint(s, meta)
+}
+
+// commitCheckpoint flushes and releases a fenced store, reporting the
+// flush's error first.
+func commitCheckpoint(s *Store, meta pager.Meta) error {
+	err := s.CheckpointFlush(meta)
+	if rerr := s.CheckpointRelease(); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // TestBackedImportAndDrop: migration imports write the newest committed

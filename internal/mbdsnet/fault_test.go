@@ -74,11 +74,7 @@ func (d *droppyServer) serve(conn net.Conn) {
 			if env.Req == nil {
 				return nil, nil
 			}
-			req, err := env.Req.ToRequest()
-			if err != nil {
-				return nil, err
-			}
-			return d.store.Exec(req)
+			return d.store.Exec(env.Req)
 		}
 		if atomic.AddInt32(&d.drops, -1) >= 0 {
 			_, _ = apply() // executed, but never acknowledged
@@ -92,8 +88,7 @@ func (d *droppyServer) serve(conn net.Conn) {
 			case err != nil:
 				reply.Err = err.Error()
 			case res != nil:
-				w := wire.FromResult(res)
-				reply.Res = &w
+				reply.Res = res
 			}
 		case "len":
 			reply.N = d.store.Len()

@@ -178,43 +178,23 @@ func (s *BackendServer) serveConn(conn net.Conn) {
 				noteErr("mbdsnet: exec without a request")
 				break
 			}
-			req, err := env.Req.ToRequest()
+			res, err := s.store.Exec(env.Req)
 			if err != nil {
 				noteErr(err.Error())
 				break
 			}
-			res, err := s.store.Exec(req)
-			if err != nil {
-				noteErr(err.Error())
-				break
-			}
-			wres := wire.FromResult(res)
-			reply.Res = &wres
+			reply.Res = res
 		case "execbatch":
 			s.nBatch.Add(1)
 			s.mBatch.Inc()
 			s.nBatchReqs.Add(uint64(len(env.Reqs)))
 			s.mBatchReqs.Add(uint64(len(env.Reqs)))
-			reqs := make([]*abdl.Request, len(env.Reqs))
-			var convErr error
-			for i := range env.Reqs {
-				if reqs[i], convErr = env.Reqs[i].ToRequest(); convErr != nil {
-					break
-				}
-			}
-			if convErr != nil {
-				noteErr(convErr.Error())
-				break
-			}
-			results, err := s.store.ExecBatch(reqs)
+			results, err := s.store.ExecBatch(env.Reqs)
 			if err != nil {
 				noteErr(err.Error())
 				break
 			}
-			reply.Results = make([]wire.Result, len(results))
-			for i, res := range results {
-				reply.Results[i] = wire.FromResult(res)
-			}
+			reply.Results = results
 		case "len":
 			reply.N = s.store.Len()
 		case "export":
@@ -223,25 +203,11 @@ func (s *BackendServer) serveConn(conn net.Conn) {
 				noteErr(err.Error())
 				break
 			}
-			reply.Migs = make([]wire.Mig, len(recs))
-			for i := range recs {
-				reply.Migs[i] = wire.FromMig(&recs[i])
-			}
+			reply.Migs = recs
 			reply.Next = uint64(next)
 			reply.Epoch = epoch
 		case "import":
-			recs := make([]kdb.MigRecord, len(env.Migs))
-			var convErr error
-			for i := range env.Migs {
-				if recs[i], convErr = env.Migs[i].ToMig(); convErr != nil {
-					break
-				}
-			}
-			if convErr != nil {
-				noteErr(convErr.Error())
-				break
-			}
-			n, err := s.store.ImportPartition(recs)
+			n, err := s.store.ImportPartition(env.Migs)
 			if err != nil {
 				noteErr(err.Error())
 				break
@@ -536,8 +502,7 @@ func (rb *RemoteBackend) Exec(req *abdl.Request) (*kdb.Result, error) {
 	// read, DELETE/UPDATE qualify by query and assign absolute values, and
 	// a replica-pinned INSERT overwrites its own key.
 	idem := req.Kind != abdl.Insert || req.ForceID != 0
-	wreq := wire.FromRequest(req)
-	reply, err := rb.roundTrip(wire.Envelope{Action: "exec", Req: &wreq}, idem)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "exec", Req: req}, idem)
 	if err != nil {
 		return nil, err
 	}
@@ -547,7 +512,7 @@ func (rb *RemoteBackend) Exec(req *abdl.Request) (*kdb.Result, error) {
 	if reply.Res == nil {
 		return nil, fmt.Errorf("mbdsnet: backend %s sent an empty reply", rb.addr)
 	}
-	return reply.Res.ToResult()
+	return reply.Res, nil
 }
 
 // ExecBatch executes a slice of ABDL requests on the remote backend as one
@@ -557,14 +522,12 @@ func (rb *RemoteBackend) Exec(req *abdl.Request) (*kdb.Result, error) {
 // failure only when every request in it is idempotent.
 func (rb *RemoteBackend) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) {
 	idem := true
-	wreqs := make([]wire.Request, len(reqs))
-	for i, req := range reqs {
+	for _, req := range reqs {
 		if req.Kind == abdl.Insert && req.ForceID == 0 {
 			idem = false
 		}
-		wreqs[i] = wire.FromRequest(req)
 	}
-	reply, err := rb.roundTrip(wire.Envelope{Action: "execbatch", Reqs: wreqs}, idem)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "execbatch", Reqs: reqs}, idem)
 	if err != nil {
 		return nil, err
 	}
@@ -575,13 +538,7 @@ func (rb *RemoteBackend) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) 
 		return nil, fmt.Errorf("mbdsnet: backend %s answered %d results for a %d-request batch",
 			rb.addr, len(reply.Results), len(reqs))
 	}
-	out := make([]*kdb.Result, len(reply.Results))
-	for i := range reply.Results {
-		if out[i], err = reply.Results[i].ToResult(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return reply.Results, nil
 }
 
 // Len reports the remote partition's record count.
@@ -608,24 +565,14 @@ func (rb *RemoteBackend) ExportSince(since uint64, after abdm.RecordID, limit in
 	if err := rb.replyError(reply); err != nil {
 		return nil, 0, 0, err
 	}
-	recs := make([]kdb.MigRecord, len(reply.Migs))
-	for i := range reply.Migs {
-		if recs[i], err = reply.Migs[i].ToMig(); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	return recs, abdm.RecordID(reply.Next), reply.Epoch, nil
+	return reply.Migs, abdm.RecordID(reply.Next), reply.Epoch, nil
 }
 
 // ImportPartition installs exported records on the remote partition (see
 // kdb.Store.ImportPartition). Imports replace whole per-key states, so the
 // verb is idempotent and safely resent.
 func (rb *RemoteBackend) ImportPartition(recs []kdb.MigRecord) (int, error) {
-	migs := make([]wire.Mig, len(recs))
-	for i := range recs {
-		migs[i] = wire.FromMig(&recs[i])
-	}
-	reply, err := rb.roundTrip(wire.Envelope{Action: "import", Migs: migs}, true)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "import", Migs: recs}, true)
 	if err != nil {
 		return 0, err
 	}

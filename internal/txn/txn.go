@@ -27,7 +27,6 @@ import (
 	"mlds/internal/abdm"
 	"mlds/internal/kdb"
 	"mlds/internal/obs"
-	"mlds/internal/wire"
 )
 
 // Executor runs ABDL requests against the kernel. *mbds.System satisfies it;
@@ -39,13 +38,14 @@ type Executor interface {
 }
 
 // JournalRec is one redo-log record of a transaction: the mutating request
-// in wire form plus the controller's key-allocator position (so replay
-// restores key allocation exactly). Affected pins the
+// as executed plus the controller's key-allocator position (so replay
+// restores key allocation exactly). The request is shared with the caller,
+// the journal and change capture: none of them modifies it. Affected pins the
 // database keys the mutation touched, so change-data-capture consumers can
 // apply UPDATE and DELETE deltas by key instead of re-evaluating the query
 // (which would observe post-commit state, not the state the statement saw).
 type JournalRec struct {
-	Req      wire.Request
+	Req      *abdl.Request
 	Key      int64
 	Affected []uint64
 }
@@ -425,11 +425,14 @@ func (m *Manager) beforeImages(ctx context.Context, req *abdl.Request) ([]undoRe
 // journalRec builds the redo record for an applied mutation. An INSERT that
 // let the kernel assign its database key is journalled with that key pinned
 // (ForceID), so a replay against a checkpoint image re-creates the record
-// under the identical key regardless of allocator state.
+// under the identical key regardless of allocator state. The key goes on a
+// shallow copy: the caller's request stays as it was.
 func (m *Manager) journalRec(req *abdl.Request, res *kdb.Result) JournalRec {
-	rec := JournalRec{Req: wire.FromRequest(req)}
+	rec := JournalRec{Req: req}
 	if req.Kind == abdl.Insert && req.ForceID == 0 && res != nil && len(res.Affected) > 0 {
-		rec.Req.ForceID = uint64(res.Affected[0])
+		cp := *req
+		cp.ForceID = res.Affected[0]
+		rec.Req = &cp
 	}
 	if res != nil && len(res.Affected) > 0 {
 		rec.Affected = make([]uint64, len(res.Affected))

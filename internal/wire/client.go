@@ -1,6 +1,10 @@
 package wire
 
-import "io"
+import (
+	"io"
+
+	"mlds/internal/abdm"
+)
 
 // The client hop of framing v2: the message exchanged between a remote
 // client and the mldsserver front end. One TCP connection multiplexes many
@@ -64,17 +68,16 @@ type DBInfo struct {
 	Records  int
 }
 
-// Event is one pushed change in a MsgEvent batch — the wire form of
-// cdc.Change (internal/cdc converts both ways).
+// Event is one pushed change in a MsgEvent batch — the fields of a
+// cdc.Change (internal/cdc copies them both ways).
 type Event struct {
-	Op     byte   // cdc.Op
-	ID     uint64 // database key of the affected record
-	Pos    uint64 // journal position (0 on load rows)
-	Epoch  uint64 // commit epoch (0 when unknown)
-	Txn    uint64 // committing transaction id
-	File   string // kernel file
-	HasRec bool
-	Rec    Record // projected post-image, when HasRec
+	Op    byte         // cdc.Op
+	ID    uint64       // database key of the affected record
+	Pos   uint64       // journal position (0 on load rows)
+	Epoch uint64       // commit epoch (0 when unknown)
+	Txn   uint64       // committing transaction id
+	File  string       // kernel file
+	Rec   *abdm.Record // projected post-image; nil when the change has none
 }
 
 // Msg is one client↔server message. Unused fields encode as their zero
@@ -138,8 +141,7 @@ func EncodeMsg(m *Msg) []byte {
 		b = appendUvarint(b, e.Epoch)
 		b = appendUvarint(b, e.Txn)
 		b = appendString(b, e.File)
-		b = appendBool(b, e.HasRec)
-		b = appendRecord(b, e.Rec)
+		b = appendOptRecord(b, e.Rec)
 	}
 	return b
 }
@@ -184,8 +186,7 @@ func DecodeMsg(payload []byte) (*Msg, error) {
 			e.Epoch = d.uvarint()
 			e.Txn = d.uvarint()
 			e.File = d.string()
-			e.HasRec = d.bool()
-			e.Rec = d.record()
+			e.Rec = d.optRecord()
 		}
 	}
 	if err := d.done(); err != nil {

@@ -14,99 +14,142 @@ package wire
 // Optional pointers are a presence bool followed by the value; collections a
 // uvarint count followed by the elements.
 
-import "io"
+import (
+	"io"
 
-func appendValue(b []byte, v Value) []byte {
-	b = append(b, v.Kind)
-	b = appendVarint(b, v.I)
-	b = appendFloat(b, v.F)
-	return appendString(b, v.S)
+	"mlds/internal/abdl"
+	"mlds/internal/abdm"
+	"mlds/internal/kdb"
+)
+
+// appendValue writes a value as kind, then the int, float and string slots;
+// a slot the kind does not use is written as its zero.
+func appendValue(b []byte, v abdm.Value) []byte {
+	var f float64
+	if v.Kind() == abdm.KindFloat {
+		f = v.AsFloat() // AsFloat widens an int, whose float slot stays zero
+	}
+	b = append(b, byte(v.Kind()))
+	b = appendVarint(b, v.AsInt())
+	b = appendFloat(b, f)
+	return appendString(b, v.AsString())
 }
 
-func (d *dec) value() Value {
-	var v Value
-	v.Kind = d.byte()
-	v.I = d.varint()
-	v.F = d.float()
-	v.S = d.string()
-	return v
+func (d *dec) value() abdm.Value {
+	kind := abdm.Kind(d.byte())
+	i, f, s := d.varint(), d.float(), d.string()
+	switch kind {
+	case abdm.KindNull:
+		return abdm.Null()
+	case abdm.KindInt:
+		return abdm.Int(i)
+	case abdm.KindFloat:
+		return abdm.Float(f)
+	case abdm.KindString:
+		return abdm.String(s)
+	}
+	d.fail("unknown value kind %d", byte(kind))
+	return abdm.Null()
 }
 
-func appendKeyword(b []byte, k Keyword) []byte {
-	b = appendString(b, k.Attr)
-	return appendValue(b, k.Val)
+func appendKeyword(b []byte, attr string, v abdm.Value) []byte {
+	b = appendString(b, attr)
+	return appendValue(b, v)
 }
 
-func (d *dec) keyword() Keyword {
-	return Keyword{Attr: d.string(), Val: d.value()}
-}
-
-func appendRecord(b []byte, r Record) []byte {
+// appendRecord writes a record; a nil one is written as an empty record,
+// which is how an absent record follows its presence bool.
+func appendRecord(b []byte, r *abdm.Record) []byte {
+	if r == nil {
+		return appendString(appendUvarint(b, 0), "")
+	}
 	b = appendUvarint(b, uint64(len(r.Keywords)))
 	for _, k := range r.Keywords {
-		b = appendKeyword(b, k)
+		b = appendKeyword(b, k.Attr, k.Val)
 	}
 	return appendString(b, r.Text)
 }
 
-func (d *dec) record() Record {
-	var r Record
-	if n := d.length(); n > 0 {
-		r.Keywords = make([]Keyword, n)
-		for i := range r.Keywords {
-			r.Keywords[i] = d.keyword()
-		}
-	}
-	r.Text = d.string()
-	return r
+// appendOptRecord writes a record's presence bool, then the record.
+func appendOptRecord(b []byte, r *abdm.Record) []byte {
+	return appendRecord(appendBool(b, r != nil), r)
 }
 
-func appendQuery(b []byte, q Query) []byte {
+// record decodes a record. An empty one decodes with nil Keywords.
+func (d *dec) record() *abdm.Record {
+	kws, text := d.recordParts()
+	return &abdm.Record{Keywords: kws, Text: text}
+}
+
+// optRecord decodes a presence bool and the record behind it: nil when the
+// record is absent.
+func (d *dec) optRecord() *abdm.Record {
+	present := d.bool()
+	kws, text := d.recordParts()
+	if !present {
+		return nil
+	}
+	return &abdm.Record{Keywords: kws, Text: text}
+}
+
+func (d *dec) recordParts() ([]abdm.Keyword, string) {
+	var kws []abdm.Keyword
+	if n := d.length(); n > 0 {
+		kws = make([]abdm.Keyword, n)
+		for i := range kws {
+			kws[i] = abdm.Keyword{Attr: d.string(), Val: d.value()}
+		}
+	}
+	return kws, d.string()
+}
+
+func appendQuery(b []byte, q abdm.Query) []byte {
 	b = appendUvarint(b, uint64(len(q)))
 	for _, conj := range q {
 		b = appendUvarint(b, uint64(len(conj)))
 		for _, p := range conj {
 			b = appendString(b, p.Attr)
-			b = append(b, p.Op)
+			b = append(b, byte(p.Op))
 			b = appendValue(b, p.Val)
 		}
 	}
 	return b
 }
 
-func (d *dec) query() Query {
+// query decodes a query: nil when it has no conjunctions.
+func (d *dec) query() abdm.Query {
 	n := d.length()
 	if n == 0 {
 		return nil
 	}
-	q := make(Query, n)
+	q := make(abdm.Query, n)
 	for i := range q {
-		m := d.length()
-		q[i] = make([]Predicate, m)
+		q[i] = make(abdm.Conjunction, d.length())
 		for j := range q[i] {
-			q[i][j] = Predicate{Attr: d.string(), Op: d.byte(), Val: d.value()}
+			q[i][j] = abdm.Predicate{Attr: d.string(), Op: abdm.Op(d.byte()), Val: d.value()}
 		}
 	}
 	return q
 }
 
-func appendTargetItem(b []byte, t TargetItem) []byte {
+func appendTargetItem(b []byte, t abdl.TargetItem) []byte {
 	b = appendVarint(b, int64(t.Agg))
 	return appendString(b, t.Attr)
 }
 
-func (d *dec) targetItem() TargetItem {
-	return TargetItem{Agg: int(d.varint()), Attr: d.string()}
+func (d *dec) targetItem() abdl.TargetItem {
+	return abdl.TargetItem{Agg: abdl.Aggregate(d.varint()), Attr: d.string()}
 }
 
-func appendRequest(b []byte, r Request) []byte {
+// appendRequest writes every request field but CacheKey, which is local to
+// the process that rendered it.
+func appendRequest(b []byte, r *abdl.Request) []byte {
 	b = appendVarint(b, int64(r.Kind))
-	b = appendBool(b, r.HasRec)
-	b = appendRecord(b, r.Record)
+	b = appendOptRecord(b, r.Record)
 	b = appendQuery(b, r.Query)
 	b = appendUvarint(b, uint64(len(r.Mods)))
 	for _, m := range r.Mods {
-		b = appendKeyword(b, m)
+		b = appendKeyword(b, m.Attr, m.Val)
 	}
 	b = appendUvarint(b, uint64(len(r.Target)))
 	for _, t := range r.Target {
@@ -115,27 +158,25 @@ func appendRequest(b []byte, r Request) []byte {
 	b = appendString(b, r.By)
 	b = appendString(b, r.Common)
 	b = appendQuery(b, r.Query2)
-	b = appendUvarint(b, r.ForceID)
+	b = appendUvarint(b, uint64(r.ForceID))
 	b = appendUvarint(b, r.TxnID)
 	b = appendUvarint(b, r.SnapEpoch)
 	b = appendBool(b, r.NoVersion)
 	return appendUvarint(b, r.MvccEpoch)
 }
 
-func (d *dec) request() Request {
-	var r Request
-	r.Kind = int(d.varint())
-	r.HasRec = d.bool()
-	r.Record = d.record()
+func (d *dec) request() *abdl.Request {
+	r := &abdl.Request{Kind: abdl.Kind(d.varint())}
+	r.Record = d.optRecord()
 	r.Query = d.query()
 	if n := d.length(); n > 0 {
-		r.Mods = make([]Keyword, n)
+		r.Mods = make([]abdl.Modifier, n)
 		for i := range r.Mods {
-			r.Mods[i] = d.keyword()
+			r.Mods[i] = abdl.Modifier{Attr: d.string(), Val: d.value()}
 		}
 	}
 	if n := d.length(); n > 0 {
-		r.Target = make([]TargetItem, n)
+		r.Target = make([]abdl.TargetItem, n)
 		for i := range r.Target {
 			r.Target[i] = d.targetItem()
 		}
@@ -143,7 +184,7 @@ func (d *dec) request() Request {
 	r.By = d.string()
 	r.Common = d.string()
 	r.Query2 = d.query()
-	r.ForceID = d.uvarint()
+	r.ForceID = abdm.RecordID(d.uvarint())
 	r.TxnID = d.uvarint()
 	r.SnapEpoch = d.uvarint()
 	r.NoVersion = d.bool()
@@ -151,28 +192,34 @@ func (d *dec) request() Request {
 	return r
 }
 
-func appendStored(b []byte, s StoredRecord) []byte {
-	b = appendUvarint(b, s.ID)
-	return appendRecord(b, s.Rec)
-}
-
-func (d *dec) stored() StoredRecord {
-	return StoredRecord{ID: d.uvarint(), Rec: d.record()}
-}
-
-func appendResult(b []byte, r Result) []byte {
-	b = appendVarint(b, int64(r.Op))
-	b = appendUvarint(b, uint64(len(r.Records)))
-	for _, s := range r.Records {
-		b = appendStored(b, s)
+func appendStored(b []byte, recs []kdb.StoredRecord) []byte {
+	b = appendUvarint(b, uint64(len(recs)))
+	for _, s := range recs {
+		b = appendUvarint(b, uint64(s.ID))
+		b = appendRecord(b, s.Rec)
 	}
+	return b
+}
+
+func (d *dec) stored() []kdb.StoredRecord {
+	n := d.length()
+	if n == 0 {
+		return nil
+	}
+	recs := make([]kdb.StoredRecord, n)
+	for i := range recs {
+		recs[i] = kdb.StoredRecord{ID: abdm.RecordID(d.uvarint()), Rec: d.record()}
+	}
+	return recs
+}
+
+func appendResult(b []byte, r *kdb.Result) []byte {
+	b = appendVarint(b, int64(r.Op))
+	b = appendStored(b, r.Records)
 	b = appendUvarint(b, uint64(len(r.Groups)))
 	for _, g := range r.Groups {
 		b = appendValue(b, g.By)
-		b = appendUvarint(b, uint64(len(g.Recs)))
-		for _, s := range g.Recs {
-			b = appendStored(b, s)
-		}
+		b = appendStored(b, g.Recs)
 		b = appendUvarint(b, uint64(len(g.Aggs)))
 		for _, a := range g.Aggs {
 			b = appendTargetItem(b, a.Item)
@@ -182,7 +229,7 @@ func appendResult(b []byte, r Result) []byte {
 	b = appendVarint(b, int64(r.Count))
 	b = appendUvarint(b, uint64(len(r.Affected)))
 	for _, id := range r.Affected {
-		b = appendUvarint(b, id)
+		b = appendUvarint(b, uint64(id))
 	}
 	b = appendVarint(b, int64(r.Cost.FilesTouched))
 	b = appendVarint(b, int64(r.Cost.BlocksRead))
@@ -192,39 +239,28 @@ func appendResult(b []byte, r Result) []byte {
 	return appendVarint(b, int64(r.Versions))
 }
 
-func (d *dec) result() Result {
-	var r Result
-	r.Op = int(d.varint())
+func (d *dec) result() *kdb.Result {
+	r := &kdb.Result{Op: abdl.Kind(d.varint())}
+	r.Records = d.stored()
 	if n := d.length(); n > 0 {
-		r.Records = make([]StoredRecord, n)
-		for i := range r.Records {
-			r.Records[i] = d.stored()
-		}
-	}
-	if n := d.length(); n > 0 {
-		r.Groups = make([]Group, n)
+		r.Groups = make([]kdb.Group, n)
 		for i := range r.Groups {
 			g := &r.Groups[i]
 			g.By = d.value()
+			g.Recs = d.stored()
 			if m := d.length(); m > 0 {
-				g.Recs = make([]StoredRecord, m)
-				for j := range g.Recs {
-					g.Recs[j] = d.stored()
-				}
-			}
-			if m := d.length(); m > 0 {
-				g.Aggs = make([]AggValue, m)
+				g.Aggs = make([]kdb.AggValue, m)
 				for j := range g.Aggs {
-					g.Aggs[j] = AggValue{Item: d.targetItem(), Val: d.value()}
+					g.Aggs[j] = kdb.AggValue{Item: d.targetItem(), Val: d.value()}
 				}
 			}
 		}
 	}
 	r.Count = int(d.varint())
 	if n := d.length(); n > 0 {
-		r.Affected = make([]uint64, n)
+		r.Affected = make([]abdm.RecordID, n)
 		for i := range r.Affected {
-			r.Affected[i] = d.uvarint()
+			r.Affected[i] = abdm.RecordID(d.uvarint())
 		}
 	}
 	r.Cost.FilesTouched = int(d.varint())
@@ -236,35 +272,28 @@ func (d *dec) result() Result {
 	return r
 }
 
-func appendMig(b []byte, m Mig) []byte {
+// appendMig writes one migration record; a nil Live or version Rec (deleted,
+// a tombstone) is an absent record.
+func appendMig(b []byte, m *kdb.MigRecord) []byte {
 	b = appendString(b, m.File)
-	b = appendUvarint(b, m.ID)
-	b = appendBool(b, m.HasLive)
-	b = appendRecord(b, m.Live)
+	b = appendUvarint(b, uint64(m.ID))
+	b = appendOptRecord(b, m.Live)
 	b = appendUvarint(b, uint64(len(m.Chain)))
 	for _, v := range m.Chain {
 		b = appendUvarint(b, v.Epoch)
 		b = appendUvarint(b, v.Txn)
-		b = appendBool(b, v.HasRec)
-		b = appendRecord(b, v.Rec)
+		b = appendOptRecord(b, v.Rec)
 	}
 	return b
 }
 
-func (d *dec) mig() Mig {
-	var m Mig
-	m.File = d.string()
-	m.ID = d.uvarint()
-	m.HasLive = d.bool()
-	m.Live = d.record()
+func (d *dec) mig() kdb.MigRecord {
+	m := kdb.MigRecord{File: d.string(), ID: abdm.RecordID(d.uvarint())}
+	m.Live = d.optRecord()
 	if n := d.length(); n > 0 {
-		m.Chain = make([]MigVersion, n)
+		m.Chain = make([]kdb.MigVersion, n)
 		for i := range m.Chain {
-			v := &m.Chain[i]
-			v.Epoch = d.uvarint()
-			v.Txn = d.uvarint()
-			v.HasRec = d.bool()
-			v.Rec = d.record()
+			m.Chain[i] = kdb.MigVersion{Epoch: d.uvarint(), Txn: d.uvarint(), Rec: d.optRecord()}
 		}
 	}
 	return m
@@ -281,7 +310,7 @@ func EncodeEnvelope(env *Envelope) []byte {
 	b = appendVarint(b, int64(env.N))
 	b = appendBool(b, env.Req != nil)
 	if env.Req != nil {
-		b = appendRequest(b, *env.Req)
+		b = appendRequest(b, env.Req)
 	}
 	b = appendUvarint(b, uint64(len(env.Reqs)))
 	for _, r := range env.Reqs {
@@ -289,7 +318,7 @@ func EncodeEnvelope(env *Envelope) []byte {
 	}
 	b = appendBool(b, env.Res != nil)
 	if env.Res != nil {
-		b = appendResult(b, *env.Res)
+		b = appendResult(b, env.Res)
 	}
 	b = appendUvarint(b, uint64(len(env.Results)))
 	for _, r := range env.Results {
@@ -299,8 +328,8 @@ func EncodeEnvelope(env *Envelope) []byte {
 	b = appendUvarint(b, env.After)
 	b = appendVarint(b, int64(env.Limit))
 	b = appendUvarint(b, uint64(len(env.Migs)))
-	for _, m := range env.Migs {
-		b = appendMig(b, m)
+	for i := range env.Migs {
+		b = appendMig(b, &env.Migs[i])
 	}
 	b = appendUvarint(b, env.Next)
 	b = appendUvarint(b, env.Epoch)
@@ -322,21 +351,19 @@ func DecodeEnvelope(payload []byte) (*Envelope, error) {
 	env.Err = d.string()
 	env.N = int(d.varint())
 	if d.bool() {
-		req := d.request()
-		env.Req = &req
+		env.Req = d.request()
 	}
 	if n := d.length(); n > 0 {
-		env.Reqs = make([]Request, n)
+		env.Reqs = make([]*abdl.Request, n)
 		for i := range env.Reqs {
 			env.Reqs[i] = d.request()
 		}
 	}
 	if d.bool() {
-		res := d.result()
-		env.Res = &res
+		env.Res = d.result()
 	}
 	if n := d.length(); n > 0 {
-		env.Results = make([]Result, n)
+		env.Results = make([]*kdb.Result, n)
 		for i := range env.Results {
 			env.Results[i] = d.result()
 		}
@@ -345,7 +372,7 @@ func DecodeEnvelope(payload []byte) (*Envelope, error) {
 	env.After = d.uvarint()
 	env.Limit = int(d.varint())
 	if n := d.length(); n > 0 {
-		env.Migs = make([]Mig, n)
+		env.Migs = make([]kdb.MigRecord, n)
 		for i := range env.Migs {
 			env.Migs[i] = d.mig()
 		}

@@ -13,19 +13,19 @@ import (
 
 // testEnvelope builds an envelope exercising every field group.
 func testEnvelope() *Envelope {
-	req := FromRequest(abdl.NewRetrieve(abdm.Query{
+	req := abdl.NewRetrieve(abdm.Query{
 		{{Attr: "FILE", Op: abdm.OpEq, Val: abdm.String("student")},
 			{Attr: "gpa", Op: abdm.OpGe, Val: abdm.Float(3.5)}},
 		{{Attr: "major", Op: abdm.OpEq, Val: abdm.String("CS")}},
-	}, "pname", "gpa").WithBy("major"))
+	}, "pname", "gpa").WithBy("major")
 	req.TxnID = 7
 	req.SnapEpoch = 9
-	ins := FromRequest(abdl.NewInsert(abdm.NewRecord("course",
+	ins := abdl.NewInsert(abdm.NewRecord("course",
 		abdm.Keyword{Attr: "title", Val: abdm.String("DB")},
 		abdm.Keyword{Attr: "credits", Val: abdm.Int(4)},
-		abdm.Keyword{Attr: "score", Val: abdm.Null()})))
+		abdm.Keyword{Attr: "score", Val: abdm.Null()}))
 	ins.ForceID = 42
-	res := FromResult(&kdb.Result{
+	res := &kdb.Result{
 		Op:       abdl.Retrieve,
 		Count:    2,
 		Affected: []abdm.RecordID{4, 8},
@@ -41,28 +41,28 @@ func testEnvelope() *Envelope {
 				Val:  abdm.Float(3.25),
 			}},
 		}},
-	})
+	}
 	return &Envelope{
 		Seq:     3,
 		Action:  "execbatch",
 		Err:     "boom",
 		ErrCode: CodeDraining,
 		N:       -4,
-		Req:     &req,
-		Reqs:    []Request{ins},
-		Res:     &res,
-		Results: []Result{res},
+		Req:     req,
+		Reqs:    []*abdl.Request{ins},
+		Res:     res,
+		Results: []*kdb.Result{res},
 		Since:   5,
 		After:   6,
 		Limit:   128,
-		Migs: []Mig{{
-			File: "student", ID: 12, HasLive: true,
-			Live: FromRecord(abdm.NewRecord("student", abdm.Keyword{Attr: "gpa", Val: abdm.Float(3)})),
-			Chain: []MigVersion{
-				{Epoch: 2, Txn: 3, HasRec: true, Rec: FromRecord(abdm.NewRecord("student"))},
+		Migs: []kdb.MigRecord{{
+			File: "student", ID: 12,
+			Live: abdm.NewRecord("student", abdm.Keyword{Attr: "gpa", Val: abdm.Float(3)}),
+			Chain: []kdb.MigVersion{
+				{Epoch: 2, Txn: 3, Rec: abdm.NewRecord("student")},
 				{Epoch: 4, Txn: 5}, // tombstone
 			},
-		}},
+		}, {File: "student", ID: 13}}, // deleted: no live record
 		Next:  13,
 		Epoch: 14,
 		IDs:   []uint64{1, 2, 3},
@@ -70,8 +70,7 @@ func testEnvelope() *Envelope {
 }
 
 // sameEnvelope compares envelopes through the deterministic encoder, so nil
-// and empty collections (identical on the wire and to ToRequest/ToResult)
-// compare equal.
+// and empty collections (identical on the wire) compare equal.
 func sameEnvelope(a, b *Envelope) bool {
 	return bytes.Equal(EncodeEnvelope(a), EncodeEnvelope(b))
 }
@@ -87,20 +86,20 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 	}
 	if got.ErrCode != CodeDraining || got.N != -4 || got.Limit != 128 ||
 		got.Req == nil || got.Res == nil || len(got.Reqs) != 1 ||
-		len(got.Results) != 1 || len(got.Migs) != 1 || len(got.IDs) != 3 {
+		len(got.Results) != 1 || len(got.Migs) != 2 || len(got.IDs) != 3 {
 		t.Fatalf("decoded fields wrong: %+v", got)
 	}
-	// The decoded request must convert back to an identical model request.
-	want, err := env.Req.ToRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := got.Req.ToRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != back.String() || back.TxnID != 7 || back.SnapEpoch != 9 {
+	// The decoded request is an identical model request.
+	if want, back := env.Req, got.Req; want.String() != back.String() || back.TxnID != 7 || back.SnapEpoch != 9 {
 		t.Fatalf("model request drifted: %s vs %s", want, back)
+	}
+	// Migration records keep their live state, their chain and its
+	// tombstone; a deleted record decodes with no live record.
+	if !reflect.DeepEqual(got.Migs, env.Migs) {
+		t.Fatalf("migration records drifted:\n in  %+v\n out %+v", env.Migs, got.Migs)
+	}
+	if got.Migs[0].Chain[1].Rec != nil || got.Migs[1].Live != nil || got.Migs[1].Chain != nil {
+		t.Fatalf("tombstone or deleted record decoded with a record: %+v", got.Migs)
 	}
 	// Empty envelope too.
 	empty := &Envelope{Action: "len"}
@@ -121,12 +120,9 @@ func TestEnvelopeGoldenFrame(t *testing.T) {
 		Seq:     9,
 		Action:  "exec",
 		ErrCode: CodeOK,
-		Req: func() *Request {
-			r := FromRequest(abdl.NewRetrieve(abdm.And(
-				abdm.Predicate{Attr: "FILE", Op: abdm.OpEq, Val: abdm.String("dept")},
-			), "dname"))
-			return &r
-		}(),
+		Req: abdl.NewRetrieve(abdm.And(
+			abdm.Predicate{Attr: "FILE", Op: abdm.OpEq, Val: abdm.String("dept")},
+		), "dname"),
 	}
 	const golden = "02090465786563000000010600000001010446494c4500" +
 		"73000000000000000000046465707400010005646e616d6500000000" +
@@ -172,9 +168,8 @@ func TestEventGoldenFrame(t *testing.T) {
 	m := &Msg{
 		Kind: MsgEvent, SID: 5, Watch: 3,
 		Events: []Event{
-			{Op: 2, ID: 11, Pos: 7, Epoch: 4, Txn: 9, File: "emp", HasRec: true,
-				Rec: FromRecord(abdm.NewRecord("emp",
-					abdm.Keyword{Attr: "pay", Val: abdm.Int(900)}))},
+			{Op: 2, ID: 11, Pos: 7, Epoch: 4, Txn: 9, File: "emp",
+				Rec: abdm.NewRecord("emp", abdm.Keyword{Attr: "pay", Val: abdm.Int(900)})},
 			{Op: 4, ID: 12, Pos: 8, Epoch: 4, Txn: 9, File: "emp"},
 		},
 	}

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"os"
 	"testing"
+
+	"mlds/internal/abdm"
 )
 
 // FuzzDecodeEnvelope hunts for inputs that crash, hang or over-allocate the
@@ -38,8 +41,8 @@ func FuzzDecodeMsg(f *testing.F) {
 		DBs: []DBInfo{{Name: "u", Model: "functional", Backends: 2, Records: 9}}}))
 	f.Add(EncodeMsg(&Msg{Kind: MsgReply, SID: 1, Seq: 3, Watch: 2, Rendered: "watch established"}))
 	f.Add(EncodeMsg(&Msg{Kind: MsgEvent, SID: 1, Watch: 2, Events: []Event{
-		{Op: 2, ID: 7, Pos: 3, Epoch: 1, Txn: 5, File: "emp", HasRec: true,
-			Rec: Record{Keywords: []Keyword{{Attr: "pay", Val: Value{Kind: 1, I: 900}}}}},
+		{Op: 2, ID: 7, Pos: 3, Epoch: 1, Txn: 5, File: "emp",
+			Rec: &abdm.Record{Keywords: []abdm.Keyword{{Attr: "pay", Val: abdm.Int(900)}}}},
 		{Op: 4, ID: 8, Pos: 4, File: "emp"},
 	}}))
 	f.Add(EncodeMsg(&Msg{Kind: MsgWatchClose, SID: 1, Watch: 2, Code: CodeInternal, Err: "gone"}))
@@ -55,6 +58,46 @@ func FuzzDecodeMsg(f *testing.F) {
 			t.Fatalf("re-decode of accepted msg failed: %v", err)
 		}
 		if !bytes.Equal(re, EncodeMsg(m2)) {
+			t.Fatalf("encode not a fixpoint for %x", data)
+		}
+	})
+}
+
+// FuzzReadImage does the same for the database-image reader, seeded with
+// real images and cuts of them.
+func FuzzReadImage(f *testing.F) {
+	golden, err := os.ReadFile("testdata/image-v1.mldi")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var small bytes.Buffer
+	if err := WriteImage(&small, &Image{Name: "n", Records: []*abdm.Record{
+		abdm.NewRecord("t", abdm.Keyword{Attr: "a", Val: abdm.Int(1)})}}); err != nil {
+		f.Fatal(err)
+	}
+	for _, img := range [][]byte{golden, small.Bytes()} {
+		for _, cut := range []int{len(img), len(img) - 1, len(img) / 2, len(imageMagic) + 1} {
+			f.Add(img[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := ReadImage(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := WriteImage(&re, img); err != nil {
+			t.Fatal(err)
+		}
+		img2, err := ReadImage(bytes.NewReader(re.Bytes()))
+		if err != nil {
+			t.Fatalf("re-read of an accepted image failed: %v", err)
+		}
+		var re2 bytes.Buffer
+		if err := WriteImage(&re2, img2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), re2.Bytes()) {
 			t.Fatalf("encode not a fixpoint for %x", data)
 		}
 	})

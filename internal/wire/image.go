@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"mlds/internal/abdm"
 )
 
 const (
@@ -25,7 +27,7 @@ type Image struct {
 	Name    string
 	Model   int
 	DDL     string
-	Records []Record
+	Records []*abdm.Record
 }
 
 // WriteImage writes img to w.
@@ -56,7 +58,7 @@ func ReadImage(r io.Reader) (*Image, error) {
 	}
 	d := &dec{b: b[len(imageMagic)+1:]}
 	img := &Image{Name: d.string(), Model: int(d.varint()), DDL: d.string()}
-	img.Records = make([]Record, d.length())
+	img.Records = make([]*abdm.Record, d.length())
 	for i := range img.Records {
 		img.Records[i] = d.record()
 	}

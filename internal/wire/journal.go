@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"mlds/internal/abdl"
 )
 
 const (
@@ -33,12 +35,13 @@ const (
 
 // JournalEntry is one record of the kernel controller's redo journal. The
 // controller owns the meaning of Marker and of which fields each marker uses;
-// Req is present on data entries only.
+// Req is present on data entries only. Req is the request the controller
+// executed, logged as is: the journal neither copies nor modifies it.
 type JournalEntry struct {
 	Marker      byte
 	Txn         uint64
 	Key         int64
-	Req         *Request
+	Req         *abdl.Request
 	Affected    []uint64
 	CkptEpoch   uint64
 	CkptEntries uint64
@@ -59,7 +62,7 @@ func AppendJournalEntry(b []byte, e *JournalEntry) ([]byte, error) {
 	b = appendVarint(b, e.Key)
 	b = appendBool(b, e.Req != nil)
 	if e.Req != nil {
-		b = appendRequest(b, *e.Req)
+		b = appendRequest(b, e.Req)
 	}
 	b = appendUvarint(b, uint64(len(e.Affected)))
 	for _, id := range e.Affected {
@@ -110,8 +113,7 @@ func ReadJournal(r io.Reader, fn func(e *JournalEntry) error) error {
 		d := &dec{b: frame.Bytes()}
 		e := &JournalEntry{Marker: d.byte(), Txn: d.uvarint(), Key: d.varint()}
 		if d.bool() {
-			req := d.request()
-			e.Req = &req
+			e.Req = d.request()
 		}
 		if k := d.length(); k > 0 {
 			e.Affected = make([]uint64, k)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,11 +16,11 @@ import (
 // request and affected keys, a commit marker, a checkpoint marker.
 func testJournal(t *testing.T) ([]byte, []JournalEntry) {
 	t.Helper()
-	req := FromRequest(abdl.NewUpdate(abdm.And(
+	req := abdl.NewUpdate(abdm.And(
 		abdm.Predicate{Attr: "id", Op: abdm.OpEq, Val: abdm.Int(1)}),
-		abdl.Modifier{Attr: "balance", Val: abdm.Int(70)}))
+		abdl.Modifier{Attr: "balance", Val: abdm.Int(70)})
 	entries := []JournalEntry{
-		{Marker: 0, Txn: 7, Key: -3, Req: &req, Affected: []uint64{4, 9}},
+		{Marker: 0, Txn: 7, Key: -3, Req: req, Affected: []uint64{4, 9}},
 		{Marker: 1, Txn: 7},
 		{Marker: 2, Key: 12, CkptEpoch: 5, CkptEntries: 1},
 	}
@@ -127,10 +128,10 @@ func TestJournalRejects(t *testing.T) {
 // TestJournalRefusesOversizedEntry: an entry no reader would accept is
 // refused at write time, leaving the buffer as it was.
 func TestJournalRefusesOversizedEntry(t *testing.T) {
-	req := FromRequest(abdl.NewInsert(abdm.NewRecord("f")))
+	req := abdl.NewInsert(abdm.NewRecord("f"))
 	req.Record.Text = strings.Repeat("x", DefaultMaxFrame)
 	head := AppendJournalHeader(make([]byte, 0, DefaultMaxFrame+64))
-	b, err := AppendJournalEntry(head, &JournalEntry{Req: &req})
+	b, err := AppendJournalEntry(head, &JournalEntry{Req: req})
 	if err == nil {
 		t.Fatal("oversized entry accepted")
 	}
@@ -142,9 +143,9 @@ func TestJournalRefusesOversizedEntry(t *testing.T) {
 // TestImageRoundTrip: a saved image reads back whole, and any cut of it is an
 // error — an image is written in one piece, so a short one is damaged.
 func TestImageRoundTrip(t *testing.T) {
-	img := &Image{Name: "shop", Model: 2, DDL: "CREATE TABLE t (a INTEGER);", Records: []Record{
-		FromRecord(abdm.NewRecord("t", abdm.Keyword{Attr: "a", Val: abdm.Int(1)})),
-		FromRecord(abdm.NewRecord("t", abdm.Keyword{Attr: "a", Val: abdm.Null()})),
+	img := &Image{Name: "shop", Model: 2, DDL: "CREATE TABLE t (a INTEGER);", Records: []*abdm.Record{
+		abdm.NewRecord("t", abdm.Keyword{Attr: "a", Val: abdm.Int(1)}),
+		abdm.NewRecord("t", abdm.Keyword{Attr: "a", Val: abdm.Null()}),
 	}}
 	var buf bytes.Buffer
 	if err := WriteImage(&buf, img); err != nil {
@@ -161,5 +162,43 @@ func TestImageRoundTrip(t *testing.T) {
 		if _, err := ReadImage(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Fatalf("image cut at byte %d of %d accepted", cut, buf.Len())
 		}
+	}
+}
+
+// goldenImage is the image testdata/image-v1.mldi holds: every value kind,
+// one record with Text, and one empty record.
+func goldenImage() *Image {
+	withText := abdm.NewRecord("t",
+		abdm.Keyword{Attr: "a", Val: abdm.Int(-7)},
+		abdm.Keyword{Attr: "b", Val: abdm.Float(2.5)},
+		abdm.Keyword{Attr: "c", Val: abdm.String("x y")},
+		abdm.Keyword{Attr: "d", Val: abdm.Null()})
+	withText.Text = "note"
+	return &Image{Name: "shop", Model: 2,
+		DDL:     "CREATE TABLE t (a INTEGER, b FLOAT, c CHAR(8), d INTEGER);",
+		Records: []*abdm.Record{withText, {}}}
+}
+
+// TestImageGoldenFrame pins the image layout byte for byte against a file
+// an earlier build wrote: saved images outlive the build that wrote them,
+// so any layout change must bump ImageFormat.
+func TestImageGoldenFrame(t *testing.T) {
+	golden, err := os.ReadFile("testdata/image-v1.mldi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteImage(&buf, goldenImage()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("image golden frame drifted:\n got  %x\n want %x", buf.Bytes(), golden)
+	}
+	back, err := ReadImage(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, goldenImage()) {
+		t.Fatalf("golden image decoded as %+v", back)
 	}
 }

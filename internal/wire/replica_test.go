@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"testing"
 
 	"mlds/internal/abdl"
@@ -11,45 +12,19 @@ import (
 func TestForceIDRoundTrip(t *testing.T) {
 	req := abdl.NewInsert(abdm.NewRecord("f", abdm.Keyword{Attr: "a", Val: abdm.Int(1)}))
 	req.ForceID = 12345
-	w := FromRequest(req)
-	env, err := DecodeEnvelope(EncodeEnvelope(&Envelope{Action: "exec", Req: &w}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := env.Req.ToRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ForceID != 12345 {
-		t.Errorf("ForceID round trip = %d", back.ForceID)
+	if back := roundTrip(t, &Envelope{Action: "exec", Req: req}); back.Req.ForceID != 12345 {
+		t.Errorf("ForceID round trip = %d", back.Req.ForceID)
 	}
 	// Zero stays zero (allocator-assigned insert).
-	plain, err := FromRequest(abdl.NewInsert(req.Record)).ToRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.ForceID != 0 {
-		t.Errorf("unpinned insert gained ForceID %d", plain.ForceID)
+	if back := roundTrip(t, &Envelope{Action: "exec", Req: abdl.NewInsert(req.Record)}); back.Req.ForceID != 0 {
+		t.Errorf("unpinned insert gained ForceID %d", back.Req.ForceID)
 	}
 }
 
 func TestAffectedRoundTrip(t *testing.T) {
 	res := &kdb.Result{Count: 3, Affected: []abdm.RecordID{4, 8, 15}}
-	w := FromResult(res)
-	env, err := DecodeEnvelope(EncodeEnvelope(&Envelope{Action: "exec", Res: &w}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := env.Res.ToResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Affected) != 3 {
-		t.Fatalf("Affected round trip = %v", back.Affected)
-	}
-	for i, want := range []abdm.RecordID{4, 8, 15} {
-		if back.Affected[i] != want {
-			t.Errorf("Affected[%d] = %d, want %d", i, back.Affected[i], want)
-		}
+	back := roundTrip(t, &Envelope{Action: "exec", Res: res})
+	if !reflect.DeepEqual(back.Res.Affected, res.Affected) {
+		t.Fatalf("Affected round trip = %v", back.Res.Affected)
 	}
 }
