@@ -74,6 +74,20 @@ func (d *Directory) FileTemplate(name string) ([]string, bool) {
 	return append([]string(nil), t...), true
 }
 
+// LockKey returns the file's lock key: the first attribute of its template,
+// the record type's key in the kernel layout every model derives (FILE, then
+// the key, then the rest). The transaction manager locks records by their
+// value of it. ok is false for an undeclared file or an empty template.
+func (d *Directory) LockKey(file string) (attr string, ok bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	t := d.files[file]
+	if len(t) == 0 {
+		return "", false
+	}
+	return t[0], true
+}
+
 // Files lists the declared file names, sorted.
 func (d *Directory) Files() []string {
 	d.mu.RLock()

@@ -109,3 +109,18 @@ func TestDirectoryClone(t *testing.T) {
 		t.Error("Clone lost file template")
 	}
 }
+
+func TestDirectoryLockKey(t *testing.T) {
+	d := univDir(t)
+	if k, ok := d.LockKey("course"); !ok || k != "title" {
+		t.Errorf("LockKey(course) = %q,%v, want title", k, ok)
+	}
+	if err := d.DefineFile("empty", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"empty", "nosuch"} {
+		if k, ok := d.LockKey(f); ok {
+			t.Errorf("LockKey(%s) = %q, want none", f, k)
+		}
+	}
+}

@@ -103,8 +103,8 @@ func (c *Controller) SeedRecovery(meta pager.Meta, entries uint64) {
 	}
 	c.jEntries = entries
 	c.jNoted = entries
-	if int64(c.nextKey) > c.jMaxKey {
-		c.jMaxKey = int64(c.nextKey)
+	if k := c.nextKey.Load(); k > c.jMaxKey {
+		c.jMaxKey = k
 	}
 	c.lastCkpt = meta.Epoch
 }

@@ -69,8 +69,8 @@ func (c *Controller) CheckpointFleet(stores []*kdb.Store) (CheckpointInfo, error
 		// would skip it as covered.
 		c.mu.Lock()
 		pos, maxKey = c.jNoted, c.jMaxKey
-		if int64(c.nextKey) > maxKey {
-			maxKey = int64(c.nextKey)
+		if k := c.nextKey.Load(); k > maxKey {
+			maxKey = k
 		}
 		c.mu.Unlock()
 		// An image already past pos (mounted without SeedRecovery) would be

@@ -20,15 +20,17 @@ func fleetPath(tmp string, pos int) string {
 // fleetController builds an n-backend controller where partition pos lives
 // in tmp/part{pos}.pgf. Existing page files are mounted — at the cut when
 // bound is non-nil (fleet recovery), newest otherwise — and missing ones are
-// created fresh.
-func fleetController(t *testing.T, tmp string, n int, bound *uint64) (*Controller, []*kdb.Store, []pager.Meta) {
+// created fresh. A nil dir declares file f with the one attribute x.
+func fleetController(t *testing.T, tmp string, n int, bound *uint64, dir *abdm.Directory) (*Controller, []*kdb.Store, []pager.Meta) {
 	t.Helper()
-	dir := abdm.NewDirectory()
-	if err := dir.DefineAttr("x", abdm.KindInt); err != nil {
-		t.Fatal(err)
-	}
-	if err := dir.DefineFile("f", []string{"x"}); err != nil {
-		t.Fatal(err)
+	if dir == nil {
+		dir = abdm.NewDirectory()
+		if err := dir.DefineAttr("x", abdm.KindInt); err != nil {
+			t.Fatal(err)
+		}
+		if err := dir.DefineFile("f", []string{"x"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	metas := make([]pager.Meta, n)
 	cfg := mbds.DefaultConfig(n)
@@ -80,7 +82,7 @@ func fleetController(t *testing.T, tmp string, n int, bound *uint64) (*Controlle
 // recoverFleet is the full fleet crash-recovery path: compute the cut from
 // the page files, mount every partition at it, and replay the shared
 // journal's tail once.
-func recoverFleet(t *testing.T, tmp string, n int, journalPath string) (*Controller, []*kdb.Store, []pager.Meta, int, uint64) {
+func recoverFleet(t *testing.T, tmp string, n int, journalPath string, dir *abdm.Directory) (*Controller, []*kdb.Store, []pager.Meta, int, uint64) {
 	t.Helper()
 	paths := make([]string, n)
 	for i := range paths {
@@ -90,7 +92,7 @@ func recoverFleet(t *testing.T, tmp string, n int, journalPath string) (*Control
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, stores, metas := fleetController(t, tmp, n, &cut)
+	c, stores, metas := fleetController(t, tmp, n, &cut, dir)
 	f, err := os.Open(journalPath)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +115,7 @@ func TestFleetCheckpointConsistentCut(t *testing.T) {
 	journalPath := filepath.Join(tmp, "journal.gob")
 	const n = 3
 
-	c, stores, _ := fleetController(t, tmp, n, nil)
+	c, stores, _ := fleetController(t, tmp, n, nil, nil)
 	attachJournalFile(t, c, journalPath)
 	for v := int64(1); v <= 9; v++ {
 		if _, err := c.Exec(insertX(v)); err != nil {
@@ -137,7 +139,7 @@ func TestFleetCheckpointConsistentCut(t *testing.T) {
 	}
 
 	// Crash. Every page file must be stamped at the same barrier position.
-	c2, stores2, metas2, replayed, cut := recoverFleet(t, tmp, n, journalPath)
+	c2, stores2, metas2, replayed, cut := recoverFleet(t, tmp, n, journalPath, nil)
 	if cut != 9 {
 		t.Fatalf("fleet cut = %d, want the barrier position 9", cut)
 	}
@@ -165,7 +167,7 @@ func TestFleetCheckpointConsistentCut(t *testing.T) {
 	if info.Meta.Entries != 14 {
 		t.Fatalf("post-recovery fleet checkpoint covers %d entries, want 14", info.Meta.Entries)
 	}
-	c3, _, _, replayed, cut := recoverFleet(t, tmp, n, journalPath)
+	c3, _, _, replayed, cut := recoverFleet(t, tmp, n, journalPath, nil)
 	if cut != 14 || replayed != 0 {
 		t.Fatalf("recovery after clean fleet checkpoint: cut=%d replayed=%d, want 14/0", cut, replayed)
 	}
@@ -187,7 +189,7 @@ func TestFleetCrashBetweenImageCommits(t *testing.T) {
 	journalPath := filepath.Join(tmp, "journal.gob")
 	const n = 2
 
-	c, stores, _ := fleetController(t, tmp, n, nil)
+	c, stores, _ := fleetController(t, tmp, n, nil, nil)
 	attachJournalFile(t, c, journalPath)
 	for v := int64(1); v <= 8; v++ {
 		if _, err := c.Exec(insertX(v)); err != nil {
@@ -238,7 +240,7 @@ func TestFleetCrashBetweenImageCommits(t *testing.T) {
 
 	// On disk: part0 newest at 14, part1 newest at 8. The cut is 8 and every
 	// partition mounts there.
-	c2, _, metas2, replayed, cut := recoverFleet(t, tmp, n, journalPath)
+	c2, _, metas2, replayed, cut := recoverFleet(t, tmp, n, journalPath, nil)
 	if cut != 8 {
 		t.Fatalf("fleet cut = %d, want the last complete barrier 8", cut)
 	}
@@ -273,7 +275,7 @@ func TestFleetCrashBetweenImageCommits(t *testing.T) {
 // fenced are released — a follow-up checkpoint of the healthy fleet works.
 func TestFleetCheckpointBeginFailureAborts(t *testing.T) {
 	tmp := t.TempDir()
-	c, stores, _ := fleetController(t, tmp, 2, nil)
+	c, stores, _ := fleetController(t, tmp, 2, nil, nil)
 	if _, err := c.Exec(insertX(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
@@ -325,4 +327,66 @@ func FuzzRecoverJournal(f *testing.F) {
 			t.Fatalf("recovery applied %d entries, change capture reads %d (err %v)", n, len(got), err)
 		}
 	})
+}
+
+// stallWriter blocks every write until release is closed and announces the
+// first one on entered.
+type stallWriter struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStatementsPassAStalledJournalWrite: the group-commit leader holds the
+// controller's mutex across the journal write. Statements of other
+// transactions on other keys — an autocommit read, and an INSERT inside an
+// open transaction, which reads the key allocator for its redo record — must
+// not queue behind it.
+func TestStatementsPassAStalledJournalWrite(t *testing.T) {
+	c := newController(t)
+	w := &stallWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(w.release) })
+	defer release()
+	c.AttachJournal(w)
+	committed := make(chan error, 1)
+	go func() {
+		_, err := c.Exec(insertX(1))
+		committed <- err
+	}()
+	<-w.entered
+
+	done := make(chan error, 1)
+	go func() {
+		read := abdl.NewRetrieve(abdm.And(
+			abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("f")},
+			abdm.Predicate{Attr: "x", Op: abdm.OpEq, Val: abdm.Int(2)}), abdl.AllAttrs)
+		if _, err := c.Exec(read); err != nil {
+			done <- err
+			return
+		}
+		tx := c.Txns().Begin()
+		if _, err := c.ExecCtx(txn.NewContext(context.Background(), tx), insertX(3)); err != nil {
+			done <- err
+			return
+		}
+		done <- c.Txns().Abort(tx)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("statements queued behind the stalled journal write")
+	}
+	release()
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mlds/internal/abdl"
@@ -33,13 +34,18 @@ type Controller struct {
 	sys  *mbds.System
 	txns *txn.Manager
 
-	mu      sync.Mutex
-	nextKey currency.Key
-	trace   []string
-	tracing bool
-	simTime time.Duration
-	jw      *bufio.Writer
-	jbuf    []byte // scratch the journal entries of one write are framed into
+	// The statement path takes no mutex: the key allocator, the trace
+	// switch and the simulated-time total are atomics, and mu — which the
+	// journal holds across its write — is taken only to append to a trace.
+	// mu guards every field below it.
+	nextKey atomic.Int64 // a currency.Key
+	tracing atomic.Bool
+	simTime atomic.Int64 // a time.Duration
+
+	mu    sync.Mutex
+	trace []string
+	jw    *bufio.Writer
+	jbuf  []byte // scratch the journal entries of one write are framed into
 
 	// Fuzzy-checkpoint bookkeeping (see checkpoint.go). jEntries counts
 	// committed data entries ever written to the journal, jMaxKey the key
@@ -111,11 +117,7 @@ func (c *Controller) SubscribeCommits(buf int) *txn.CommitSub {
 }
 
 // keyPos reports the key allocator's position for journal records.
-func (c *Controller) keyPos() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int64(c.nextKey)
-}
+func (c *Controller) keyPos() int64 { return c.nextKey.Load() }
 
 // Exec validates and executes one ABDL request, recording it in the trace.
 func (c *Controller) Exec(req *abdl.Request) (*kdb.Result, error) {
@@ -130,11 +132,9 @@ func (c *Controller) Exec(req *abdl.Request) (*kdb.Result, error) {
 // and the mutation reaches the journal only if that transaction commits;
 // otherwise the statement runs auto-commit.
 func (c *Controller) ExecCtx(ctx context.Context, req *abdl.Request) (*kdb.Result, error) {
-	c.mu.Lock()
-	if c.tracing {
-		c.trace = append(c.trace, req.String())
+	if c.tracing.Load() {
+		c.record(req)
 	}
-	c.mu.Unlock()
 	ctx, span := obs.StartSpan(ctx, "kc.exec")
 	if span != nil { // untraced requests do not pay for the rendering
 		span.SetAttr("abdl", req.String())
@@ -156,9 +156,7 @@ func (c *Controller) ExecCtx(ctx context.Context, req *abdl.Request) (*kdb.Resul
 	}
 	span.AddSim(t)
 	span.End()
-	c.mu.Lock()
-	c.simTime += t
-	c.mu.Unlock()
+	c.simTime.Add(int64(t))
 	return res, nil
 }
 
@@ -193,13 +191,9 @@ func (c *Controller) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) {
 // journal flush per batch, with a journal failure surfacing as one
 // JournalError carrying every applied result.
 func (c *Controller) ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result, error) {
-	c.mu.Lock()
-	if c.tracing {
-		for _, req := range reqs {
-			c.trace = append(c.trace, req.String())
-		}
+	if c.tracing.Load() {
+		c.record(reqs...)
 	}
-	c.mu.Unlock()
 	ctx, span := obs.StartSpan(ctx, "kc.batch")
 	if span != nil {
 		span.SetAttr("requests", strconv.Itoa(len(reqs)))
@@ -221,9 +215,7 @@ func (c *Controller) ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]
 	}
 	span.AddSim(t)
 	span.End()
-	c.mu.Lock()
-	c.simTime += t
-	c.mu.Unlock()
+	c.simTime.Add(int64(t))
 	return results, nil
 }
 
@@ -241,20 +233,26 @@ func (c *Controller) execBatchAuto(ctx context.Context, reqs []*abdl.Request) ([
 }
 
 // NextKey allocates a fresh logical database key.
-func (c *Controller) NextKey() currency.Key {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextKey++
-	return c.nextKey
-}
+func (c *Controller) NextKey() currency.Key { return c.nextKey.Add(1) }
 
 // SeedKeys advances the key allocator past max, so bulk-loaded keys and
 // session-allocated keys never collide.
 func (c *Controller) SeedKeys(max currency.Key) {
+	for {
+		cur := c.nextKey.Load()
+		if max <= cur || c.nextKey.CompareAndSwap(cur, max) {
+			return
+		}
+	}
+}
+
+// record appends requests to the trace. A request that read the switch just
+// before StopTrace may still land; one after StartTrace always does.
+func (c *Controller) record(reqs ...*abdl.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if max > c.nextKey {
-		c.nextKey = max
+	for _, req := range reqs {
+		c.trace = append(c.trace, req.String())
 	}
 }
 
@@ -262,8 +260,8 @@ func (c *Controller) SeedKeys(max currency.Key) {
 func (c *Controller) StartTrace() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tracing = true
 	c.trace = nil
+	c.tracing.Store(true)
 }
 
 // Trace returns the requests executed since StartTrace.
@@ -274,15 +272,7 @@ func (c *Controller) Trace() []string {
 }
 
 // StopTrace stops recording.
-func (c *Controller) StopTrace() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tracing = false
-}
+func (c *Controller) StopTrace() { c.tracing.Store(false) }
 
 // SimTime reports the accumulated simulated kernel response time.
-func (c *Controller) SimTime() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.simTime
-}
+func (c *Controller) SimTime() time.Duration { return time.Duration(c.simTime.Load()) }

@@ -173,7 +173,7 @@ func TestRecoveryMatrixFleetBarrier(t *testing.T) {
 	journalPath := filepath.Join(tmp, "journal.gob")
 	const n = 2
 
-	c, stores, _ := fleetController(t, tmp, n, nil)
+	c, stores, _ := fleetController(t, tmp, n, nil, nil)
 	attachJournalFile(t, c, journalPath)
 	ctx := context.Background()
 
@@ -232,7 +232,7 @@ func TestRecoveryMatrixFleetBarrier(t *testing.T) {
 		if err := os.WriteFile(jp, journal[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c2, _, _, replayed, barrier := recoverFleet(t, dir, n, jp)
+		c2, _, _, replayed, barrier := recoverFleet(t, dir, n, jp, nil)
 		if barrier != 2 {
 			t.Fatalf("cut at byte %d: fleet cut %d, want the barrier 2", cut, barrier)
 		}

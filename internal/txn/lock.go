@@ -1,15 +1,17 @@
 package txn
 
 import (
+	"cmp"
 	"errors"
 	"sync"
 	"time"
 )
 
 // Mode is a lock mode of the multi-granularity scheme. Transactions lock the
-// whole store (the root resource) in an intention mode and individual ABDM
-// files in S or X; requests whose qualification carries no FILE predicate can
-// touch any file, so they lock the root itself in S or X.
+// whole store (the root resource) in an intention mode and then either an
+// ABDM file in S or X, or the file in the intention mode and one of its
+// lock-key values in S or X; requests whose qualification carries no FILE
+// predicate can touch any file, so they lock the root itself in S or X.
 type Mode int
 
 // Lock modes, weakest to strongest. SIX arises only as the upgrade of S+IX
@@ -77,9 +79,47 @@ func lub(a, b Mode) Mode {
 	return X
 }
 
-// rootResource is the lock name of the whole store; ABDM file names are
-// never empty, so the root cannot collide with a file.
-const rootResource = ""
+// lockName names one lockable resource of the three-level hierarchy: the
+// root (the zero name — ABDM file names are never empty, so it cannot
+// collide with a file), a file (kind nameFile), or one value of a file's lock
+// key (kind nameNum or nameStr). It is a comparable struct so that naming a
+// lock allocates nothing.
+type lockName struct {
+	file string
+	kind nameKind
+	num  uint64 // nameNum: the float64 bits of the value
+	str  string // nameStr: the value's bytes
+}
+
+type nameKind uint8
+
+const (
+	nameFile nameKind = iota
+	nameNum
+	nameStr
+)
+
+// rootResource is the lock name of the whole store.
+var rootResource = lockName{}
+
+// fileLock names a file.
+func fileLock(file string) lockName { return lockName{file: file} }
+
+// compareNames orders lock names root first, each file before its values:
+// the order a plan acquires in, parents before children, so that every
+// transaction takes its locks in one global order.
+func compareNames(a, b lockName) int {
+	if c := cmp.Compare(a.file, b.file); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.kind, b.kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.num, b.num); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.str, b.str)
+}
 
 // Lock-wait failures. Both abort the waiting transaction: a deadlock victim
 // is chosen by the wait-for-graph detector (the youngest transaction of the
@@ -94,26 +134,74 @@ var (
 // waiter is one blocked lock request.
 type waiter struct {
 	tx      *Txn
-	resName string
+	res     *resource
 	target  Mode // lub of the held and requested modes
 	ready   chan struct{}
 	err     error // set before ready is closed when the wait fails
 	granted bool
 }
 
-// resource is one lockable unit: the root or one ABDM file.
+// resource is one lockable unit: the root, one ABDM file or one lock-key
+// value of a file.
 type resource struct {
-	holders map[uint64]Mode
+	name    lockName
+	holders []holder // few: the transactions in flight at most
 	queue   []*waiter
+}
+
+// holder is one transaction's granted mode on a resource.
+type holder struct {
+	tx   uint64
+	mode Mode
+}
+
+// heldBy returns the mode the transaction holds on r (modeNone if none).
+func (r *resource) heldBy(txID uint64) Mode {
+	for _, h := range r.holders {
+		if h.tx == txID {
+			return h.mode
+		}
+	}
+	return modeNone
+}
+
+// grant records tx as holding mode on r, converting a lock it already holds;
+// a fresh lock joins the transaction's held set.
+func (r *resource) grant(tx *Txn, mode Mode) {
+	for i := range r.holders {
+		if r.holders[i].tx == tx.id {
+			r.holders[i].mode = mode
+			return
+		}
+	}
+	r.holders = append(r.holders, holder{tx.id, mode})
+	tx.held = append(tx.held, r)
+}
+
+// drop removes the transaction's lock on r.
+func (r *resource) drop(txID uint64) {
+	for i, h := range r.holders {
+		if h.tx == txID {
+			last := len(r.holders) - 1
+			r.holders[i] = r.holders[last]
+			r.holders = r.holders[:last]
+			return
+		}
+	}
 }
 
 // lockTable is the strict-2PL lock manager: locks accumulate per transaction
 // and release only at commit or abort (releaseAll).
 type lockTable struct {
 	mu      sync.Mutex
-	res     map[string]*resource
+	res     map[lockName]*resource
 	waiting map[uint64]*waiter // one blocked request per transaction
 	timeout time.Duration
+
+	// free holds released resources for reuse: value locks come and go with
+	// every transaction, and recycling them keeps the lock path free of
+	// allocation in steady state.
+	free []*resource
 
 	// onWait observes every completed lock wait (granted or not);
 	// onDeadlock fires once per detected cycle. Both may be nil.
@@ -123,16 +211,26 @@ type lockTable struct {
 
 func newLockTable(timeout time.Duration) *lockTable {
 	return &lockTable{
-		res:     make(map[string]*resource),
+		res:     make(map[lockName]*resource),
 		waiting: make(map[uint64]*waiter),
 		timeout: timeout,
 	}
 }
 
-func (lt *lockTable) resource(name string) *resource {
+// maxFree bounds the recycled resources kept: enough for the locks of the
+// transactions in flight, small enough that a burst leaves little behind.
+const maxFree = 256
+
+func (lt *lockTable) resource(name lockName) *resource {
 	r := lt.res[name]
 	if r == nil {
-		r = &resource{holders: make(map[uint64]Mode)}
+		if n := len(lt.free); n > 0 {
+			r = lt.free[n-1]
+			lt.free = lt.free[:n-1]
+		} else {
+			r = &resource{}
+		}
+		r.name = name
 		lt.res[name] = r
 	}
 	return r
@@ -141,11 +239,8 @@ func (lt *lockTable) resource(name string) *resource {
 // grantable reports whether tx may hold target on r alongside every other
 // current holder (its own holder entry, if upgrading, is ignored).
 func (r *resource) grantable(txID uint64, target Mode) bool {
-	for id, m := range r.holders {
-		if id == txID {
-			continue
-		}
-		if !compatible(target, m) {
+	for _, h := range r.holders {
+		if h.tx != txID && !compatible(target, h.mode) {
 			return false
 		}
 	}
@@ -172,22 +267,21 @@ func (r *resource) queueBlocks(target Mode) bool {
 // acquire takes the lock, blocking until it is granted, the transaction is
 // chosen as a deadlock victim, or the wait times out. Re-acquiring a covered
 // mode is free; a stronger request converts the held lock.
-func (lt *lockTable) acquire(tx *Txn, name string, want Mode) error {
+func (lt *lockTable) acquire(tx *Txn, name lockName, want Mode) error {
 	lt.mu.Lock()
-	held := tx.locks[name]
+	r := lt.resource(name)
+	held := r.heldBy(tx.id)
 	target := lub(held, want)
 	if target == held {
 		lt.mu.Unlock()
 		return nil
 	}
-	r := lt.resource(name)
 	if r.grantable(tx.id, target) && (held != modeNone || !r.queueBlocks(target)) {
-		r.holders[tx.id] = target
-		tx.locks[name] = target
+		r.grant(tx, target)
 		lt.mu.Unlock()
 		return nil
 	}
-	w := &waiter{tx: tx, resName: name, target: target, ready: make(chan struct{})}
+	w := &waiter{tx: tx, res: r, target: target, ready: make(chan struct{})}
 	r.queue = append(r.queue, w)
 	lt.waiting[tx.id] = w
 	if cycle := lt.findCycle(tx.id); len(cycle) > 0 {
@@ -206,7 +300,7 @@ func (lt *lockTable) acquire(tx *Txn, name string, want Mode) error {
 		close(vw.ready)
 		// The victim's vacated queue slot may unblock waiters queued
 		// behind it under the FIFO fairness rule.
-		lt.sweep(vw.resName)
+		lt.sweep(vw.res)
 		if victim == tx.id {
 			lt.mu.Unlock()
 			return ErrDeadlock
@@ -231,7 +325,7 @@ func (lt *lockTable) acquire(tx *Txn, name string, want Mode) error {
 		return nil
 	}
 	lt.removeWaiter(w)
-	lt.sweep(w.resName)
+	lt.sweep(w.res)
 	lt.mu.Unlock()
 	lt.observeWait(time.Since(start))
 	return ErrLockTimeout
@@ -246,7 +340,7 @@ func (lt *lockTable) observeWait(d time.Duration) {
 // removeWaiter drops w from its resource queue and the waiting map.
 // Caller holds lt.mu.
 func (lt *lockTable) removeWaiter(w *waiter) {
-	r := lt.res[w.resName]
+	r := w.res
 	for i, q := range r.queue {
 		if q == w {
 			r.queue = append(r.queue[:i], r.queue[i+1:]...)
@@ -279,12 +373,12 @@ func (lt *lockTable) findCycle(start uint64) []uint64 {
 		path = append(path, id)
 		onPath[id] = true
 		visited[id] = true
-		r := lt.res[w.resName]
-		for hid, m := range r.holders {
-			if hid == id || compatible(w.target, m) {
+		r := w.res
+		for _, h := range r.holders {
+			if h.tx == id || compatible(w.target, h.mode) {
 				continue
 			}
-			if c := follow(id, hid); c != nil {
+			if c := follow(id, h.tx); c != nil {
 				return c
 			}
 		}
@@ -325,20 +419,16 @@ func (lt *lockTable) findCycle(start uint64) []uint64 {
 func (lt *lockTable) releaseAll(tx *Txn) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if len(tx.locks) == 0 {
-		return
+	// Every release lands before any sweep, so a waiter is judged against
+	// all of them at once.
+	for _, r := range tx.held {
+		r.drop(tx.id)
 	}
-	touched := make([]string, 0, len(tx.locks))
-	for name := range tx.locks {
-		if r := lt.res[name]; r != nil {
-			delete(r.holders, tx.id)
-			touched = append(touched, name)
-		}
+	for _, r := range tx.held {
+		lt.sweep(r)
 	}
-	tx.locks = make(map[string]Mode)
-	for _, name := range touched {
-		lt.sweep(name)
-	}
+	clear(tx.held)
+	tx.held = tx.held[:0]
 }
 
 // sweep grants queued waiters that are now compatible with the resource's
@@ -347,18 +437,13 @@ func (lt *lockTable) releaseAll(tx *Txn) {
 // conversions may be granted past it — the converter already holds the
 // resource, so holding it back can only delay the queue further.
 // Caller holds lt.mu.
-func (lt *lockTable) sweep(name string) {
-	r := lt.res[name]
-	if r == nil {
-		return
-	}
+func (lt *lockTable) sweep(r *resource) {
 	blocked := false
 	for i := 0; i < len(r.queue); {
 		w := r.queue[i]
-		conversion := w.tx.locks[w.resName] != modeNone
+		conversion := r.heldBy(w.tx.id) != modeNone
 		if r.grantable(w.tx.id, w.target) && (conversion || !blocked) {
-			r.holders[w.tx.id] = w.target
-			w.tx.locks[w.resName] = w.target
+			r.grant(w.tx, w.target)
 			w.granted = true
 			r.queue = append(r.queue[:i], r.queue[i+1:]...)
 			if lt.waiting[w.tx.id] == w {
@@ -371,6 +456,10 @@ func (lt *lockTable) sweep(name string) {
 		i++
 	}
 	if len(r.holders) == 0 && len(r.queue) == 0 {
-		delete(lt.res, name)
+		delete(lt.res, r.name)
+		if len(lt.free) < maxFree {
+			r.queue = nil
+			lt.free = append(lt.free, r)
+		}
 	}
 }

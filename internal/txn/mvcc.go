@@ -48,7 +48,6 @@ func (m *Manager) BeginSnapshot() *Txn {
 		id:       m.ids.Add(1),
 		m:        m,
 		readOnly: true,
-		locks:    make(map[string]Mode),
 	}
 	if m.cfg.MVCC {
 		m.smu.Lock()

@@ -2,23 +2,47 @@
 // system: it gives every session BEGIN/COMMIT/ABORT semantics over the
 // existing LIL→KMS→KC→MBDS pipeline.
 //
-// Concurrency control is strict two-phase locking at ABDM-file granularity
-// (the multi-granularity IS/IX/S/SIX/X scheme with a root resource standing
-// for the whole store), with a wait-for-graph deadlock detector that aborts
-// the youngest transaction of a cycle and a lock-wait timeout as fallback.
-// Atomicity is undo-based: before every DELETE or UPDATE the manager captures
-// before-images of the qualifying records, and every INSERT records its
-// assigned database key, so ABORT restores the store exactly by deleting by
-// key and re-inserting the images in reverse order. Durability is redo-based:
-// a committing transaction hands its buffered mutation log to a CommitSink
-// (the kc journal) which frames it with a commit marker and flushes once per
-// commit batch — group commit.
+// Concurrency control is strict two-phase locking over a three-level
+// multi-granularity hierarchy (Gray et al.'s IS/IX/S/SIX/X scheme): a root
+// resource standing for the whole store, each ABDM file, and each value of a
+// file's lock key — the first attribute of its template, which every model's
+// kernel layout makes the record type's key. A keyed request locks the value
+// it names, not the file:
+//   - a RETRIEVE, UPDATE or DELETE is keyed when every conjunction of its
+//     qualification names FILE = f and k = v, where k is f's lock key and v is
+//     neither NULL nor NaN, and (an UPDATE) no modifier sets FILE or k;
+//   - an INSERT is keyed when its record carries a lock-key value that is
+//     neither NULL nor NaN and it is not pinned to a database key (ForceID).
+//
+// A keyed request takes the root and each file in IS (read) or IX (write) and
+// each value in S or X. Every other request keeps the file plan — the root in
+// IS or IX and each named file in S or X — or, when its qualification does
+// not confine it to named files (or it is a DELETE by database key), the
+// root itself in S or X. The rule needs no uniqueness: two requests that can
+// touch one record either both are keyed on its lock-key value, so they meet
+// on that value lock, or one of them holds the record's file in S or X, which
+// conflicts with the other's IS or IX unless both only read. Updates that
+// change a key fall back to the file, so a record never moves between value
+// locks while one is held, and a keyed INSERT's X lock blocks a keyed read
+// that found nothing, so there are no phantoms. Strict 2PL keeps commit
+// order a serialisation order, and the journal is written in commit order.
+//
+// A wait-for-graph deadlock detector aborts the youngest transaction of a
+// cycle, with a lock-wait timeout as fallback. Atomicity is undo-based:
+// before every DELETE or UPDATE the manager captures before-images of the
+// qualifying records, and every INSERT records its assigned database key, so
+// ABORT restores the store exactly by deleting by key and re-inserting the
+// images in reverse order. Durability is redo-based: a committing
+// transaction hands its buffered mutation log to a CommitSink (the kc
+// journal) which frames it with a commit marker and flushes once per commit
+// batch — group commit.
 package txn
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +59,9 @@ import (
 type Executor interface {
 	ExecTimedCtx(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error)
 	ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result, time.Duration, error)
+	// Directory is the kernel's attribute catalog; the lock planner reads
+	// each file's lock key from it.
+	Directory() *abdm.Directory
 }
 
 // JournalRec is one redo-log record of a transaction: the mutating request
@@ -172,9 +199,12 @@ type Txn struct {
 	// must broadcast MVCC-ABORT.
 	touched bool
 
-	// locks is this transaction's held lock set, keyed by resource name.
-	// Guarded by the manager's lock table mutex, not tx.mu.
-	locks map[string]Mode
+	// held is the set of resources this transaction holds a lock on (its
+	// mode is the resource's holder entry), at first in heldBuf: a keyed
+	// statement takes three locks. Guarded by the manager's lock table
+	// mutex, not tx.mu.
+	held    []*resource
+	heldBuf [4]*resource
 }
 
 // ID returns the transaction's id. Ids increase monotonically, so a larger
@@ -309,11 +339,9 @@ func NewManager(cfg Config) *Manager {
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
 	m.begins.Add(1)
-	return &Txn{
-		id:    m.ids.Add(1),
-		m:     m,
-		locks: make(map[string]Mode),
-	}
+	tx := &Txn{id: m.ids.Add(1), m: m}
+	tx.held = tx.heldBuf[:0]
+	return tx
 }
 
 // Stats returns the manager's counters.
@@ -328,59 +356,188 @@ func (m *Manager) Stats() Stats {
 
 // lockStep is one entry of a request's lock plan.
 type lockStep struct {
-	name string
+	name lockName
 	mode Mode
 }
 
-// lockPlan computes the locks a request needs: the root resource in an
-// intention mode plus each named file in S or X — or, when the request's
-// qualification does not confine it to named files, the root itself in
-// S or X.
-func lockPlan(req *abdl.Request) []lockStep {
-	write := false
-	var files []string
-	confined := true
+// planBuf is the stack capacity callers give a lock plan: a keyed statement
+// takes three locks, so the common plan is built without allocating.
+const planBuf = 8
+
+// appendLocks appends the locks req needs to plan, unsorted and possibly
+// repeating a resource (mergePlan puts a plan in order):
+//   - a keyed request takes the root and its files in an intention mode and
+//     each lock-key value it names in S or X (see appendKeyed);
+//   - any other request confined to named files takes the root in an
+//     intention mode and each file in S or X;
+//   - one that may touch any file takes the root itself in S or X.
+func (m *Manager) appendLocks(plan []lockStep, req *abdl.Request) []lockStep {
+	intent, whole := IS, S
+	if isMutation(req.Kind) {
+		intent, whole = IX, X
+	}
 	switch req.Kind {
 	case abdl.Insert:
-		write = true
-		files = []string{req.Record.File()}
-	case abdl.Delete, abdl.Update:
-		write = true
-		files, confined = req.Query.Files()
-		if req.Kind == abdl.Delete && req.ForceID != 0 {
-			// Targeted delete ignores the qualification and may touch any
-			// file, so it needs the root exclusively.
-			confined = false
+		file := fileLock(req.Record.File())
+		if v, ok := m.insertLock(req); ok {
+			return append(plan, lockStep{rootResource, IX}, lockStep{file, IX}, lockStep{v, X})
 		}
-	case abdl.Retrieve:
-		files, confined = req.Query.Files()
+		return append(plan, lockStep{rootResource, IX}, lockStep{file, X})
+	case abdl.Delete, abdl.Update, abdl.Retrieve:
+		if req.Kind == abdl.Delete && req.ForceID != 0 {
+			// A DELETE by database key ignores the qualification and may
+			// touch any file, and a database key is no lock-key value: it
+			// needs the root exclusively.
+			return append(plan, lockStep{rootResource, X})
+		}
+		if keyed, ok := m.appendKeyed(plan, req, intent, whole); ok {
+			return keyed
+		}
+		return appendFiles(plan, intent, whole, req.Query)
 	case abdl.RetrieveCommon:
-		f1, ok1 := req.Query.Files()
-		f2, ok2 := req.Query2.Files()
-		confined = ok1 && ok2
-		files = append(f1, f2...)
+		return appendFiles(plan, IS, S, req.Query, req.Query2)
 	}
-	fileMode, rootMode := S, IS
-	if write {
-		fileMode, rootMode = X, IX
-	}
-	if !confined {
-		return []lockStep{{rootResource, fileMode}}
-	}
-	plan := []lockStep{{rootResource, rootMode}}
-	sort.Strings(files)
-	prev := "\x00"
-	for _, f := range files {
-		if f != prev {
-			plan = append(plan, lockStep{f, fileMode})
-			prev = f
+	return append(plan, lockStep{rootResource, intent})
+}
+
+// appendFiles appends the file-level plan of the queries: the root in intent
+// and every file a conjunction names in whole — or, when some query is empty
+// or some conjunction names no file, the root itself in whole.
+func appendFiles(plan []lockStep, intent, whole Mode, qs ...abdm.Query) []lockStep {
+	start := len(plan)
+	plan = append(plan, lockStep{rootResource, intent})
+	for _, q := range qs {
+		if len(q) == 0 {
+			return append(plan[:start], lockStep{rootResource, whole})
+		}
+		for _, c := range q {
+			f, ok := c.File()
+			if !ok {
+				return append(plan[:start], lockStep{rootResource, whole})
+			}
+			plan = append(plan, lockStep{fileLock(f), whole})
 		}
 	}
 	return plan
 }
 
-// acquirePlan takes every lock of the plan in order (root first, then files
-// sorted), returning the first lock failure.
+// appendKeyed appends the plan of a keyed RETRIEVE, UPDATE or DELETE and
+// reports whether req is one. It is keyed when every conjunction names
+// FILE = f and k = v, where k is f's lock key (abdm.Directory.LockKey), v is
+// neither NULL nor NaN, and — for an UPDATE — no modifier sets FILE or k, so
+// no record moves between value locks while one of them is held. The plan
+// is the root and each file in intent and each value in whole. A record the
+// request can touch carries FILE = f and k = v for one of its conjunctions,
+// so every other transaction that can touch it either meets it on that
+// value lock or holds f in S or X, which conflicts with intent unless both
+// only read.
+func (m *Manager) appendKeyed(plan []lockStep, req *abdl.Request, intent, whole Mode) ([]lockStep, bool) {
+	if len(req.Query) == 0 || setsAttr(req.Mods, abdm.FileAttr) {
+		return plan, false
+	}
+	dir := m.cfg.Exec.Directory()
+	start := len(plan)
+	plan = append(plan, lockStep{rootResource, intent})
+	for _, c := range req.Query {
+		f, ok := c.File()
+		if !ok {
+			return plan[:start], false
+		}
+		key, ok := dir.LockKey(f)
+		if !ok || setsAttr(req.Mods, key) {
+			return plan[:start], false
+		}
+		v, ok := conjunctionLock(f, key, c)
+		if !ok {
+			return plan[:start], false
+		}
+		plan = append(plan, lockStep{fileLock(f), intent}, lockStep{v, whole})
+	}
+	return plan, true
+}
+
+// insertLock names the value lock of a keyed INSERT: one whose record
+// carries a value for its file's lock key. An INSERT pinned to a database key
+// (ForceID) replaces whatever record is stored under it, whatever that
+// record's lock-key value, so it is never keyed.
+func (m *Manager) insertLock(req *abdl.Request) (lockName, bool) {
+	if req.ForceID != 0 {
+		return lockName{}, false
+	}
+	f := req.Record.File()
+	key, ok := m.cfg.Exec.Directory().LockKey(f)
+	if !ok {
+		return lockName{}, false
+	}
+	v, ok := req.Record.Get(key)
+	if !ok {
+		return lockName{}, false
+	}
+	return valueLock(f, v)
+}
+
+// conjunctionLock names the value lock of a conjunction's equality on the
+// lock key, if it has one.
+func conjunctionLock(file, key string, c abdm.Conjunction) (lockName, bool) {
+	for _, p := range c {
+		if p.Attr == key && p.Op == abdm.OpEq {
+			if v, ok := valueLock(file, p.Val); ok {
+				return v, true
+			}
+		}
+	}
+	return lockName{}, false
+}
+
+// valueLock names the lock of one value of file's lock key. A number is
+// named by its float64 image with −0 folded into 0, so an int and a float
+// that compare equal share a lock (ints that round together share one too:
+// over-locking is safe); a string by its bytes. NULL and NaN name no lock.
+func valueLock(file string, v abdm.Value) (lockName, bool) {
+	switch v.Kind() {
+	case abdm.KindInt, abdm.KindFloat:
+		f := v.AsFloat()
+		if math.IsNaN(f) {
+			return lockName{}, false
+		}
+		if f == 0 {
+			f = 0 // −0 compares equal to 0
+		}
+		return lockName{file: file, kind: nameNum, num: math.Float64bits(f)}, true
+	case abdm.KindString:
+		return lockName{file: file, kind: nameStr, str: v.AsString()}, true
+	}
+	return lockName{}, false
+}
+
+// setsAttr reports whether an UPDATE's modifiers assign attr.
+func setsAttr(mods []abdl.Modifier, attr string) bool {
+	for _, md := range mods {
+		if md.Attr == attr {
+			return true
+		}
+	}
+	return false
+}
+
+// mergePlan sorts a plan into acquisition order (compareNames: root, then
+// each file before its values) and folds the steps on one resource into
+// their least upper bound. It reorders in place.
+func mergePlan(plan []lockStep) []lockStep {
+	slices.SortFunc(plan, func(a, b lockStep) int { return compareNames(a.name, b.name) })
+	out := plan[:0]
+	for _, st := range plan {
+		if n := len(out); n > 0 && out[n-1].name == st.name {
+			out[n-1].mode = lub(out[n-1].mode, st.mode)
+			continue
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// acquirePlan takes every lock of the plan in order (see mergePlan),
+// returning the first lock failure.
 func (m *Manager) acquirePlan(tx *Txn, plan []lockStep) error {
 	for _, st := range plan {
 		if err := m.locks.acquire(tx, st.name, st.mode); err != nil {
@@ -496,7 +653,8 @@ func (m *Manager) Exec(ctx context.Context, tx *Txn, req *abdl.Request) (*kdb.Re
 	if tx.readOnly {
 		return m.execSnapshot(ctx, tx, req)
 	}
-	if err := m.acquirePlan(tx, lockPlan(req)); err != nil {
+	var buf [planBuf]lockStep
+	if err := m.acquirePlan(tx, mergePlan(m.appendLocks(buf[:0], req))); err != nil {
 		m.rollback(tx)
 		return nil, 0, &AbortedError{ID: tx.id, Cause: err}
 	}
@@ -549,22 +707,12 @@ func (m *Manager) ExecBatch(ctx context.Context, tx *Txn, reqs []*abdl.Request) 
 	if tx.readOnly {
 		return m.execSnapshotBatch(ctx, tx, reqs)
 	}
-	merged := make(map[string]Mode)
+	var buf [planBuf]lockStep
+	plan := buf[:0]
 	for _, req := range reqs {
-		for _, st := range lockPlan(req) {
-			merged[st.name] = lub(merged[st.name], st.mode)
-		}
+		plan = m.appendLocks(plan, req)
 	}
-	names := make([]string, 0, len(merged))
-	for name := range merged {
-		names = append(names, name)
-	}
-	sort.Strings(names) // root ("") sorts first
-	plan := make([]lockStep, 0, len(names))
-	for _, name := range names {
-		plan = append(plan, lockStep{name, merged[name]})
-	}
-	if err := m.acquirePlan(tx, plan); err != nil {
+	if err := m.acquirePlan(tx, mergePlan(plan)); err != nil {
 		m.rollback(tx)
 		return nil, 0, &AbortedError{ID: tx.id, Cause: err}
 	}

@@ -176,8 +176,8 @@ func TestSharedLocksCoexist(t *testing.T) {
 	m.Commit(t2)
 }
 
-// TestWriterBlocksUntilCommit: a writer holding X on a file blocks a second
-// writer until commit releases the lock.
+// TestWriterBlocksUntilCommit: a writer holding X on a key value blocks a
+// second writer of that value until commit releases the lock.
 func TestWriterBlocksUntilCommit(t *testing.T) {
 	m, _ := newManager(t, Config{LockTimeout: 5 * time.Second})
 	ctx := context.Background()
@@ -190,7 +190,7 @@ func TestWriterBlocksUntilCommit(t *testing.T) {
 	go func() {
 		t2 := m.Begin()
 		close(entered)
-		_, _, err := m.Exec(ctx, t2, insert("f", 2))
+		_, _, err := m.Exec(ctx, t2, insert("f", 1))
 		if err == nil {
 			err = m.Commit(t2)
 		}
@@ -208,14 +208,14 @@ func TestWriterBlocksUntilCommit(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("second writer failed after release: %v", err)
 	}
-	if got := countEq(t, m, 2); got != 1 {
-		t.Errorf("count(x=2) = %d, want 1", got)
+	if got := countEq(t, m, 1); got != 2 {
+		t.Errorf("count(x=1) = %d, want 2", got)
 	}
 }
 
-// TestDeadlockVictimIsYoungest: two transactions locking files f and g in
-// opposite orders deadlock; the detector aborts the younger one and the
-// older completes.
+// TestDeadlockVictimIsYoungest: two transactions locking key 1 of files f
+// and g in opposite orders deadlock; the detector aborts the younger one and
+// the older completes.
 func TestDeadlockVictimIsYoungest(t *testing.T) {
 	m, _ := newManager(t, Config{LockTimeout: 10 * time.Second})
 	ctx := context.Background()
@@ -231,13 +231,13 @@ func TestDeadlockVictimIsYoungest(t *testing.T) {
 	}
 	olderDone := make(chan error, 1)
 	go func() {
-		// Blocks on younger's X(g) until the detector kills younger.
-		_, _, err := m.Exec(ctx, older, insert("g", 2))
+		// Blocks on younger's X(g/1) until the detector kills younger.
+		_, _, err := m.Exec(ctx, older, insert("g", 1))
 		olderDone <- err
 	}()
 	// Give the older transaction time to block, then close the cycle.
 	time.Sleep(50 * time.Millisecond)
-	_, _, err := m.Exec(ctx, younger, insert("f", 2))
+	_, _, err := m.Exec(ctx, younger, insert("f", 1))
 	var ae *AbortedError
 	if !errors.As(err, &ae) || !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("younger got %v, want AbortedError wrapping ErrDeadlock", err)
@@ -277,7 +277,7 @@ func TestLockTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	waiterTx := m.Begin()
-	_, _, err := m.Exec(ctx, waiterTx, insert("f", 2))
+	_, _, err := m.Exec(ctx, waiterTx, insert("f", 1))
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("got %v, want ErrLockTimeout", err)
 	}
