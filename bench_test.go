@@ -274,39 +274,6 @@ func BenchmarkAblation_IndexVsScan(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelVsSerial compares broadcast dispatch modes.
-func BenchmarkAblation_ParallelVsSerial(b *testing.B) {
-	for _, serial := range []bool{false, true} {
-		name := "parallel"
-		if serial {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			db, err := univgen.Generate(benchScale(2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := mbds.DefaultConfig(4)
-			cfg.Serial = serial
-			sys, err := mbds.New(db.AB.Dir, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(sys.Close)
-			if _, err := db.Load(sys); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Exec(sweepQuery); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_DirectVsPreprocess compares the one-step schema
 // transformation against the two-step textual pipeline.
 func BenchmarkAblation_DirectVsPreprocess(b *testing.B) {

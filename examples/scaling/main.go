@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("%-10s %-12s %s\n", "backends", "db scale", "response")
 	for _, n := range []int{1, 2, 4, 8} {
 		rt := responseTime(n, n)
-		fmt.Printf("%-10d %-12dx %v\n", n, n, rt)
+		fmt.Printf("%-10d %-12s %v\n", n, fmt.Sprintf("%dx", n), rt)
 	}
 }
 

@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"mlds/internal/daplex"
 	"mlds/internal/funcmodel"
@@ -31,12 +30,6 @@ type Report struct {
 	Title string
 	Body  string
 	OK    bool
-
-	// Wall is the wall-clock time the experiment took (stamped by Timed).
-	Wall time.Duration
-	// Sim is the simulated kernel time the experiment charged, where the
-	// experiment has a simulated-time figure; zero for pure-schema work.
-	Sim time.Duration
 }
 
 func (r *Report) String() string {
@@ -47,45 +40,26 @@ func (r *Report) String() string {
 	return fmt.Sprintf("=== %s: %s [%s] ===\n%s", r.ID, r.Title, status, r.Body)
 }
 
-// All runs every experiment in order, stamping wall-clock times.
-func All() []*Report {
-	runners := []func() *Report{
-		E1SchemaParse,
-		E2Transform,
-		E3ABMapping,
-		E4EntitySubtypeGoldens,
-		E5Translations,
-		E6BackendsScaling,
-		E7CapacityGrowth,
-		E8CrossModel,
-		E9SharedKernel,
-		E10FiveInterfaces,
-		E11FaultTolerance,
-		E12BatchedLoad,
-		E13GroupCommit,
-		E14SnapshotScaling,
-		E15ElasticScaling,
-		func() *Report { return E16NetServing(0) },
-		E17PagedStorage,
-		E18ChangeCapture,
-		E19DemandPaging,
-		AblationIndexVsScan,
-		AblationParallelVsSerial,
-		AblationDirectVsPreprocess,
-	}
-	out := make([]*Report, 0, len(runners))
-	for _, run := range runners {
-		out = append(out, Timed(run))
-	}
-	return out
+// Experiment names one report and the function that regenerates it.
+type Experiment struct {
+	ID  string
+	Run func() *Report
 }
 
-// Timed runs one experiment and stamps its wall-clock time.
-func Timed(run func() *Report) *Report {
-	start := time.Now()
-	r := run()
-	r.Wall = time.Since(start)
-	return r
+// All lists every experiment in the order a full run prints them.
+var All = []Experiment{
+	{"E1", E1SchemaParse},
+	{"E2", E2Transform},
+	{"E3", E3ABMapping},
+	{"E4", E4EntitySubtypeGoldens},
+	{"E5", E5Translations},
+	{"E6", E6BackendsScaling},
+	{"E7", E7CapacityGrowth},
+	{"E8", E8CrossModel},
+	{"E9", E9SharedKernel},
+	{"E10", E10FiveInterfaces},
+	{"A1", AblationIndexVsScan},
+	{"A3", AblationDirectVsPreprocess},
 }
 
 func report(id, title string, ok bool, body string) *Report {

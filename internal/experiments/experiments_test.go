@@ -85,103 +85,12 @@ func TestAblation_DirectVsPreprocess(t *testing.T) {
 	assertOK(t, AblationDirectVsPreprocess())
 }
 
-func TestE13_GroupCommit(t *testing.T) {
-	r := E13GroupCommit()
-	assertOK(t, r)
-	for _, want := range []string{"auto-commit", "one explicit txn", "recovery"} {
-		if !strings.Contains(r.Body, want) {
-			t.Errorf("E13 missing %q:\n%s", want, r.Body)
-		}
-	}
-}
-
-// TestE14_SnapshotReads runs the reader/writer mix behind mldsbench
-// -readers/-writers: snapshot readers must beat locked readers under the
-// same write load, with zero torn reads in either mode and no lost updates.
-func TestE14_SnapshotReads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	r := E14SnapshotScaling()
-	assertOK(t, r)
-	if !strings.Contains(r.Body, "speedup") {
-		t.Errorf("E14 missing the throughput comparison:\n%s", r.Body)
-	}
-}
-
-// TestTxnContention runs the mldsbench -txn workload at a small scale: with
-// every operation hitting the shared hot record, the no-lost-updates check
-// is exactly the serializability claim of the transaction subsystem.
-func TestTxnContention(t *testing.T) {
-	assertOK(t, TxnContention(4, 6, 2, 1.0))
-}
-
-// TestE17_PagedStorage runs the paged storage engine's bulk-load/scan and
-// recovery-vs-checkpoint-interval sweep: the buffer pool must evict and
-// write back under the 10x load, and tighter checkpoint cadences must leave
-// strictly less journal to replay after a crash.
-func TestE17_PagedStorage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	r := E17PagedStorage()
-	assertOK(t, r)
-	for _, want := range []string{"evictions", "checkpoint interval", "every 500"} {
-		if !strings.Contains(r.Body, want) {
-			t.Errorf("E17 missing %q:\n%s", want, r.Body)
-		}
-	}
-}
-
-// TestE18_ChangeCapture runs the CDC experiment: every commit must surface
-// on the watch with bounded latency, and the materialized view must equal a
-// full recomputation while catching up far faster than per-change recompute.
-func TestE18_ChangeCapture(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	r := E18ChangeCapture()
-	assertOK(t, r)
-	for _, want := range []string{"p99", "exactness", "recompute"} {
-		if !strings.Contains(r.Body, want) {
-			t.Errorf("E18 missing %q:\n%s", want, r.Body)
-		}
-	}
-}
-
-func TestAllRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	for _, r := range All() {
-		if !r.OK {
-			t.Errorf("%s: MISMATCH\n%s", r.ID, r.Body)
-		}
-	}
-}
-
 func TestE10_FiveInterfaces(t *testing.T) {
 	r := E10FiveInterfaces()
 	assertOK(t, r)
 	for _, want := range []string{"functional/Daplex", "network/CODASYL-DML", "relational/SQL", "hierarchical/DL-I", "attribute-based/ABDL"} {
 		if !strings.Contains(r.Body, want) {
 			t.Errorf("E10 missing %q:\n%s", want, r.Body)
-		}
-	}
-}
-
-// TestE15_ElasticScaling grows and shrinks one live fleet under a write
-// workload: E6's scaling curve must hold elastically, with zero failed
-// requests and the writer's records intact.
-func TestE15_ElasticScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	r := E15ElasticScaling()
-	assertOK(t, r)
-	for _, want := range []string{"grown (add+rebalance)", "drained back", "0 failures"} {
-		if !strings.Contains(r.Body, want) {
-			t.Errorf("E15 missing %q:\n%s", want, r.Body)
 		}
 	}
 }

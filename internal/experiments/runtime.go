@@ -135,9 +135,7 @@ func E5Translations() *Report {
 	run("MODIFY credits IN course", "UPDATE ((FILE = 'course') AND (course = ")
 	// VI.H ERASE of the fresh course.
 	run("ERASE course", "DELETE ((FILE = 'course') AND (course = ")
-	r := report(id, title, ok, b.String())
-	r.Sim = s.ctrl.SimTime()
-	return r
+	return report(id, title, ok, b.String())
 }
 
 func outHas(out *kms.Outcome, substr string) bool {
@@ -186,13 +184,12 @@ func E6BackendsScaling() *Report {
 	fmt.Fprintf(&b, "%-10s %-14s %s\n", "backends", "response", "speedup")
 	var base time.Duration
 	ok := true
-	var prev, sim time.Duration
+	var prev time.Duration
 	for _, n := range []int{1, 2, 4, 8} {
 		rt, err := ResponseTime(n, 1)
 		if err != nil {
 			return failf(id, title, "sweep: %v", err)
 		}
-		sim += rt
 		if n == 1 {
 			base = rt
 		} else if float64(rt) > 0.8*float64(prev) {
@@ -201,9 +198,7 @@ func E6BackendsScaling() *Report {
 		prev = rt
 		fmt.Fprintf(&b, "%-10d %-14v %.2fx\n", n, rt, float64(base)/float64(rt))
 	}
-	r := report(id, title, ok, b.String())
-	r.Sim = sim
-	return r
+	return report(id, title, ok, b.String())
 }
 
 // E7CapacityGrowth regenerates MBDS claim 2: response-time invariance when
@@ -213,14 +208,12 @@ func E7CapacityGrowth() *Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %-10s %s\n", "backends", "scale", "response")
 	var times []time.Duration
-	var sim time.Duration
 	for _, n := range []int{1, 2, 4, 8} {
 		rt, err := ResponseTime(n, n)
 		if err != nil {
 			return failf(id, title, "sweep: %v", err)
 		}
 		times = append(times, rt)
-		sim += rt
 		fmt.Fprintf(&b, "%-10d %-10d %v\n", n, n, rt)
 	}
 	ok := true
@@ -230,9 +223,7 @@ func E7CapacityGrowth() *Report {
 			ok = false
 		}
 	}
-	r := report(id, title, ok, b.String())
-	r.Sim = sim
-	return r
+	return report(id, title, ok, b.String())
 }
 
 // E8CrossModel verifies the thesis goal: the same question answered by the
@@ -365,48 +356,7 @@ func AblationIndexVsScan() *Report {
 		"path", "response", "records examined",
 		"indexed", idxT, idxExam,
 		"scan", scanT, scanExam)
-	r := report(id, title, ok, body)
-	r.Sim = idxT + scanT
-	return r
-}
-
-// AblationParallelVsSerial compares parallel broadcast against serial
-// dispatch to the backends.
-func AblationParallelVsSerial() *Report {
-	const id, title = "A2", "Ablation — parallel vs serial backend dispatch"
-	wall := func(serial bool) (time.Duration, error) {
-		db, err := univgen.Generate(scaleConfig(2))
-		if err != nil {
-			return 0, err
-		}
-		cfg := mbds.DefaultConfig(4)
-		cfg.Serial = serial
-		sys, err := mbds.New(db.AB.Dir, cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer sys.Close()
-		if _, err := db.Load(sys); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < 200; i++ {
-			if _, err := sys.Exec(sweepQuery); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	par, err := wall(false)
-	if err != nil {
-		return failf(id, title, "%v", err)
-	}
-	ser, err := wall(true)
-	if err != nil {
-		return failf(id, title, "%v", err)
-	}
-	body := fmt.Sprintf("parallel broadcast: %v for 200 requests\nserial dispatch   : %v for 200 requests\n", par, ser)
-	return report(id, title, true, body)
+	return report(id, title, ok, body)
 }
 
 // AblationDirectVsPreprocess compares the thesis's chosen strategy (the

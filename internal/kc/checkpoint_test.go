@@ -155,6 +155,50 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 	}
 }
 
+// TestReplayShrinksWithCheckpointInterval: loading the same records under
+// tighter checkpoint cadences leaves a crash strictly less journal to
+// replay, never more than one interval, and every recovery is exact.
+func TestReplayShrinksWithCheckpointInterval(t *testing.T) {
+	const n = 100
+	prev := n + 1
+	for _, interval := range []int{0, 40, 15} {
+		tmp := t.TempDir()
+		pagePath := filepath.Join(tmp, "part0.pgf")
+		journalPath := filepath.Join(tmp, "journal.gob")
+		c, st, _ := backedController(t, pagePath)
+		attachJournalFile(t, c, journalPath)
+		for v := int64(1); v <= n; v++ {
+			if _, err := c.Exec(insertX(v)); err != nil {
+				t.Fatal(err)
+			}
+			if interval > 0 && v%int64(interval) == 0 {
+				if _, err := c.Checkpoint(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		c2, _, replayed := recoverBacked(t, pagePath, journalPath)
+		bound := n
+		if interval > 0 {
+			bound = interval
+		}
+		if replayed > bound || replayed >= prev {
+			t.Fatalf("interval %d: replayed %d entries, want at most %d and fewer than the looser cadence's %d",
+				interval, replayed, bound, prev)
+		}
+		prev = replayed
+		res, err := c2.Exec(abdl.NewRetrieve(abdm.And(
+			abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("f")}), "x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != n {
+			t.Fatalf("interval %d: recovered %d records, want %d", interval, len(res.Records), n)
+		}
+	}
+}
+
 // TestCheckpointAfterRecovery: a recovered controller checkpoints again, and
 // the next recovery replays nothing.
 func TestCheckpointAfterRecovery(t *testing.T) {

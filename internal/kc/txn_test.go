@@ -3,6 +3,7 @@ package kc
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"mlds/internal/abdl"
@@ -185,11 +186,11 @@ func TestAbortInvalidatesRetrieveCache(t *testing.T) {
 }
 
 // TestExplicitTxnJournalsOnceAtCommit: a multi-statement transaction reaches
-// the journal only at COMMIT, as one framed batch.
+// the journal only at COMMIT, as one framed batch written with one flush.
 func TestExplicitTxnJournalsOnceAtCommit(t *testing.T) {
 	c := newController(t)
-	var journal bytes.Buffer
-	c.AttachJournal(&journal)
+	journal := &flushCounter{}
+	c.AttachJournal(journal)
 
 	tx := c.Txns().Begin()
 	tctx := txn.NewContext(context.Background(), tx)
@@ -204,12 +205,80 @@ func TestExplicitTxnJournalsOnceAtCommit(t *testing.T) {
 	if err := c.Txns().Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if journal.Len() == 0 {
-		t.Fatal("commit flushed nothing")
+	if journal.writes != 1 {
+		t.Fatalf("commit wrote the journal %d times, want one flush", journal.writes)
 	}
 
 	c2 := newController(t)
-	if n, err := c2.RecoverJournal(&journal); err != nil || n != 3 {
+	if n, err := c2.RecoverJournal(&journal.Buffer); err != nil || n != 3 {
 		t.Fatalf("recover: n=%d err=%v, want 3, nil", n, err)
+	}
+}
+
+// flushCounter counts the journal's physical writes. The controller flushes
+// its buffered journal once per commit batch, so each Write is one flush.
+type flushCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *flushCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestJournalFlushesPerCommit prices the journal in flushes: auto-commit
+// pays at least one per statement, and concurrent committers share the group
+// commit's flushes — never more flushes than commits — while recovery
+// restores every committed statement.
+func TestJournalFlushesPerCommit(t *testing.T) {
+	const stmts = 64
+
+	auto := &flushCounter{}
+	c := newController(t)
+	c.AttachJournal(auto)
+	for v := int64(0); v < stmts; v++ {
+		if _, err := c.Exec(insertX(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if auto.writes < stmts {
+		t.Errorf("auto-commit: %d flushes for %d statements, want at least one each", auto.writes, stmts)
+	}
+
+	const workers, each = 8, 16
+	grp := &flushCounter{}
+	c = newController(t)
+	c.AttachJournal(grp)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tx := c.Txns().Begin()
+				if _, err := c.ExecCtx(txn.NewContext(context.Background(), tx), insertX(int64(w*each+i))); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.Txns().Commit(tx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if commits := int(c.Txns().Stats().Commits); grp.writes > commits {
+		t.Errorf("%d flushes for %d commits", grp.writes, commits)
+	}
+	c2 := newController(t)
+	if n, err := c2.RecoverJournal(bytes.NewReader(grp.Bytes())); err != nil || n != workers*each {
+		t.Fatalf("recover: n=%d err=%v, want %d, nil", n, err, workers*each)
+	}
+	for v := int64(0); v < workers*each; v++ {
+		if n := countX(t, c2, v); n != 1 {
+			t.Fatalf("x=%d recovered %d times, want 1", v, n)
+		}
 	}
 }

@@ -112,6 +112,14 @@ func TestExecBatchMatchesSequentialResults(t *testing.T) {
 			t.Fatalf("batched load is missing %q", n)
 		}
 	}
+	// The repeat of a retrieval is served from the backends' result caches.
+	before := bat.StoreStats()
+	if _, err := bat.Exec(probe); err != nil {
+		t.Fatal(err)
+	}
+	if after := bat.StoreStats(); after.CacheHits <= before.CacheHits {
+		t.Fatalf("repeated retrieve: cache hits %d → %d, want a hit", before.CacheHits, after.CacheHits)
+	}
 }
 
 func TestExecBatchMixedMutations(t *testing.T) {
@@ -215,28 +223,6 @@ func TestExecBatchEmpty(t *testing.T) {
 	}
 	if len(results) != 0 || simt != 0 {
 		t.Fatalf("empty batch: %d results, %v sim time", len(results), simt)
-	}
-}
-
-func TestExecBatchSerialAblation(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Serial = true
-	cfg.MsgLatency = time.Millisecond
-	s, err := New(testDir(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	var reqs []*abdl.Request
-	for i := 0; i < 8; i++ {
-		reqs = append(reqs, abdl.NewInsert(employee(i)))
-	}
-	results, _, err := s.ExecBatch(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 || s.Len() != 8 {
-		t.Fatalf("serial batch: %d results, %d records", len(results), s.Len())
 	}
 }
 

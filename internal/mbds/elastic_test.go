@@ -177,6 +177,67 @@ func TestDrainUnderLiveWrites(t *testing.T) {
 	}
 }
 
+// TestGrowAndDrainFollowDiskModel is E6's scaling curve on one fleet:
+// growing from two backends to four (AddBackend + Rebalance) cuts the
+// simulated response of a broad retrieval by at least 20%, and draining back
+// to two restores the two-backend cost per record the slowest backend
+// examines. That cost is compared, not the raw response, because the split
+// a drain leaves depends on database keys, not on arrival order.
+func TestGrowAndDrainFollowDiskModel(t *testing.T) {
+	s := newSystem(t, 2)
+	loadEmployees(t, s, 2000)
+	q := abdl.NewRetrieve(abdm.And(
+		abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("employee")},
+	), "salary")
+	// probe returns the simulated response and the records examined by the
+	// backend that examines the most: the share the response waits for.
+	probe := func() (time.Duration, int) {
+		t.Helper()
+		_, rt, err := s.ExecTimed(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := 0
+		for pos := 0; pos < s.Backends(); pos++ {
+			res, err := s.Store(pos).Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			most = max(most, res.Cost.RecordsExam)
+		}
+		return rt, most
+	}
+
+	rt2, exam2 := probe()
+	for i := 0; i < 2; i++ {
+		pos, err := s.AddBackend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rebalance(pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt4, _ := probe()
+	if float64(rt4) > 0.8*float64(rt2) {
+		t.Errorf("four backends answer in %v, two in %v: the doubling cut less than 20%%", rt4, rt2)
+	}
+
+	if err := s.DrainBackend(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DrainBackend(2); err != nil {
+		t.Fatal(err)
+	}
+	rtBack, examBack := probe()
+	back := (float64(rtBack) / float64(examBack)) / (float64(rt2) / float64(exam2))
+	if back < 0.8 || back > 1.2 {
+		t.Errorf("drained back: %v for %d records on the slowest backend, initially %v for %d (ratio %.2f, want 0.8–1.2)",
+			rtBack, examBack, rt2, exam2, back)
+	}
+	checkExact(t, s, 2000)
+}
+
 // TestRemoveBackendPromotes: with one replica, losing a backend outright
 // loses no committed record — its keys are promoted to the ring successor and
 // the replication factor is restored in the background.

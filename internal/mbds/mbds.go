@@ -62,7 +62,6 @@ type Config struct {
 	Disk       kdb.DiskModel // per-backend disk model
 	Placement  Placement     // record placement policy
 	MsgLatency time.Duration // simulated bus latency per message hop
-	Serial     bool          // ablation: dispatch to backends one at a time
 	NoIndexes  bool          // ablation: backends scan instead of indexing
 
 	// Fault tolerance. Replicas > 0 makes INSERT write each record to its

@@ -333,27 +333,6 @@ func TestSystemClosed(t *testing.T) {
 	}
 }
 
-func TestSystemSerialSlowerShape(t *testing.T) {
-	// The serial-dispatch ablation must still return correct results.
-	cfg := DefaultConfig(4)
-	cfg.Serial = true
-	s, err := New(testDir(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	loadEmployees(t, s, 20)
-	res, err := s.Exec(abdl.NewRetrieve(abdm.And(
-		abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("employee")},
-	), abdl.AllAttrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 20 {
-		t.Errorf("serial dispatch lost records: %d", len(res.Records))
-	}
-}
-
 func TestSystemConcurrentClients(t *testing.T) {
 	s := newSystem(t, 4)
 	loadEmployees(t, s, 40)

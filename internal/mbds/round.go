@@ -225,12 +225,11 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 		shares[k].out, out = out[:n:n], out[n:]
 	}
 
-	// Fan out, in parallel unless the Serial ablation is on; the last share
-	// runs on this goroutine.
+	// Fan out in parallel; the last share runs on this goroutine.
 	var wg sync.WaitGroup
 	for k := range shares {
 		sh := &shares[k]
-		if s.cfg.Serial || k == len(shares)-1 {
+		if k == len(shares)-1 {
 			s.callShare(ctx, sh)
 			continue
 		}

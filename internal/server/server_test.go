@@ -169,6 +169,92 @@ func TestMultiplexedSessionsRace(t *testing.T) {
 	}
 }
 
+// TestThousandSessionsFiveLanguages holds a thousand live sessions at once,
+// multiplexed over eight connections and spread over all five languages:
+// every session opens before any statement runs, so the peak is truly
+// concurrent; then each runs a short read-only script (every tenth inside a
+// snapshot transaction) and closes. Nothing may fail, and no session may
+// outlive its close.
+func TestThousandSessionsFiveLanguages(t *testing.T) {
+	const sessions, conns = 1000, 8
+	srv := startServer(t, testSystem(t), server.Config{})
+	ctx := context.Background()
+	clients := make([]*client.Client, conns)
+	for i := range clients {
+		clients[i] = dial(t, srv)
+	}
+	scripts := []struct {
+		db, lang string
+		stmts    []string
+	}{
+		{"university", "daplex", []string{"FOR EACH department PRINT dname;"}},
+		{"university", "dml", []string{
+			"MOVE 'History' TO dname IN department",
+			"FIND ANY department USING dname IN department",
+			"GET dname IN department",
+		}},
+		{"shop", "sql", []string{"SELECT COUNT(*) FROM emp"}},
+		{"school", "dli", []string{"GU dept (dname = 'CS')"}},
+		{"university", "abdl", []string{"RETRIEVE ((FILE = department)) (dname)"}},
+	}
+
+	open := make([]*client.Session, sessions)
+	var wg sync.WaitGroup
+	for i := range open {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sc := scripts[i%len(scripts)]
+			sess, err := clients[i%conns].Open(ctx, sc.db, sc.lang)
+			if err != nil {
+				t.Errorf("open %s/%s: %v", sc.db, sc.lang, err)
+				return
+			}
+			open[i] = sess
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if peak := srv.Sessions(); peak < sessions {
+		t.Fatalf("%d live sessions after opening %d", peak, sessions)
+	}
+
+	for i, sess := range open {
+		wg.Add(1)
+		go func(i int, sess *client.Session) {
+			defer wg.Done()
+			snapshot := i%10 == 0
+			if snapshot {
+				if err := sess.BeginSnapshot(); err != nil {
+					t.Errorf("begin: %v", err)
+					return
+				}
+			}
+			for _, stmt := range scripts[i%len(scripts)].stmts {
+				if _, err := sess.ExecuteCtx(ctx, stmt); err != nil {
+					t.Errorf("%s: %v", stmt, err)
+					return
+				}
+			}
+			if snapshot {
+				if err := sess.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+			if err := sess.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}(i, sess)
+	}
+	wg.Wait()
+	if got := srv.Sessions(); got != 0 {
+		t.Errorf("%d sessions still live after every close", got)
+	}
+}
+
 func TestSessionLimits(t *testing.T) {
 	srv := startServer(t, testSystem(t), server.Config{MaxSessions: 2})
 	c := dial(t, srv)
