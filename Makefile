@@ -83,27 +83,19 @@ cover:
 		echo "$$pkg: coverage $$pct% (floor $(COVER_FLOOR)%)"; \
 	done
 
-# fuzz-smoke gives each native fuzz target a short live fuzzing budget.
-# New crashers it finds land in testdata/fuzz and then run on every plain
+# fuzz-smoke gives each native fuzz target a short live fuzzing budget. It
+# finds the targets with `go test -list` per package, so a new one is never
+# left out. New crashers it finds land in testdata/fuzz and then run on every plain
 # `go test` as regression inputs.
 FUZZ_TIME ?= 5s
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/sql
-	$(GO) test -run '^$$' -fuzz '^FuzzParseDDL$$' -fuzztime $(FUZZ_TIME) ./internal/sql
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/abdl
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSchema$$' -fuzztime $(FUZZ_TIME) ./internal/daplex
-	$(GO) test -run '^$$' -fuzz '^FuzzParseDML$$' -fuzztime $(FUZZ_TIME) ./internal/daplex
-	$(GO) test -run '^$$' -fuzz '^FuzzParseStmt$$' -fuzztime $(FUZZ_TIME) ./internal/codasyl
-	$(GO) test -run '^$$' -fuzz '^FuzzParseScript$$' -fuzztime $(FUZZ_TIME) ./internal/codasyl
-	$(GO) test -run '^$$' -fuzz '^FuzzParseDLI$$' -fuzztime $(FUZZ_TIME) ./internal/dli
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZ_TIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime $(FUZZ_TIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime $(FUZZ_TIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzRecoverJournal$$' -fuzztime $(FUZZ_TIME) ./internal/kc
-	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZ_TIME) ./internal/pager
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/kdb
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZ_TIME) ./internal/kdb
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) $$pkg; \
+		done; \
+	done
 
 # rig runs one workload of the benchmark BENCHMARK.json declares (see
 # rig/README.md): end-to-end metrics, every reply checked against its oracle.

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -255,6 +256,41 @@ func TestServerGoneFailsPending(t *testing.T) {
 
 // TestConcurrentSessionsOneConn exercises the multiplexing paths under the
 // race detector from the client side.
+// TestOversizedReplyFailsOnlyItsSession: a reply over the server's frame
+// limit comes back as ErrResultTooLarge on its own session, and the other
+// sessions multiplexed on the connection — and the failing one — carry on.
+func TestOversizedReplyFailsOnlyItsSession(t *testing.T) {
+	srv := startServer(t, server.Config{MaxFrame: 1024})
+	c := dial(t, srv)
+	ctx := context.Background()
+	big, err := c.Open(ctx, "shop", "sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := c.Open(ctx, "shop", "sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		stmt := fmt.Sprintf("INSERT INTO emp (ename, pay) VALUES ('employee-%010d', %d)", i, i)
+		if _, err := big.ExecuteCtx(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := big.ExecuteCtx(ctx, "SELECT ename, pay FROM emp"); !errors.Is(err, client.ErrResultTooLarge) {
+		t.Fatalf("oversized SELECT: err = %v, want ErrResultTooLarge", err)
+	}
+	for _, sess := range []*client.Session{small, big} {
+		out, err := sess.ExecuteCtx(ctx, "SELECT pay FROM emp WHERE ename = 'employee-0000000007'")
+		if err != nil {
+			t.Fatalf("statement after the oversized reply: %v", err)
+		}
+		if !strings.Contains(out.Rendered, "7") {
+			t.Fatalf("statement after the oversized reply rendered %q", out.Rendered)
+		}
+	}
+}
+
 func TestConcurrentSessionsOneConn(t *testing.T) {
 	srv := startServer(t, server.Config{})
 	c := dial(t, srv)

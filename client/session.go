@@ -144,6 +144,11 @@ func (s *Session) Close() error {
 	return nil
 }
 
+// ErrResultTooLarge reports a statement whose reply would exceed the frame
+// limit: the server refused to send it (wire.CodeResultTooLarge), and the
+// connection and its other sessions carry on. The statement did run.
+var ErrResultTooLarge = errors.New("client: result too large for one reply frame")
+
 // Error is a typed failure from the server for codes that have no richer
 // local form. Code classification (Retryable, NotExecuted) comes with it.
 type Error struct {
@@ -191,6 +196,8 @@ func remoteError(m *wire.Msg) error {
 		return fmt.Errorf("%w: %s", core.ErrUnknownLanguage, m.Err)
 	case wire.CodeNoTxn:
 		return core.ErrNoTxn
+	case wire.CodeResultTooLarge:
+		return fmt.Errorf("%w: %s", ErrResultTooLarge, m.Err)
 	default:
 		return &Error{Code: m.Code, Txn: m.Txn, Msg: m.Err}
 	}

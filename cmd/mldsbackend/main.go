@@ -8,11 +8,11 @@
 //
 // Usage:
 //
-//	mldsbackend -listen :9401 -offset 1 -stride 4            # University schema
-//	mldsbackend -listen :9402 -offset 2 -stride 4 -schema my.daplex
+//	mldsbackend -listen :9401                     # University schema
+//	mldsbackend -listen :9402 -schema my.daplex
 //
-// offset/stride give this backend its share of the database-key space:
-// backend i of n uses -offset i+1 -stride n.
+// The controller assigns every database key, so backends need no key space
+// of their own.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 
 	"mlds/internal/daplex"
 	"mlds/internal/kdb"
@@ -33,8 +32,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9401", "TCP listen address")
 	schemaFile := flag.String("schema", "", "Daplex schema file (default: built-in University)")
-	offset := flag.Uint64("offset", 1, "record-ID offset for this backend")
-	stride := flag.Uint64("stride", 1, "record-ID stride (= backend count)")
 	opsAddr := flag.String("ops", "", "HTTP address serving /metrics and /healthz (empty: disabled)")
 	flag.Parse()
 
@@ -59,17 +56,15 @@ func main() {
 		fatal(err)
 	}
 
-	store := kdb.NewStore(ab.Dir, kdb.WithStrideIDs(*offset, *stride))
-	srv, err := mbdsnet.Listen(*listen, store)
+	srv, err := mbdsnet.Listen(*listen, kdb.NewStore(ab.Dir))
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("mldsbackend: serving schema %q on %s (id offset %d stride %d)\n",
-		fun.Name, srv.Addr(), *offset, *stride)
+	fmt.Printf("mldsbackend: serving schema %q on %s\n", fun.Name, srv.Addr())
 
 	if *opsAddr != "" {
 		reg := obs.NewRegistry()
-		srv.Instrument(reg, obs.L("backend", strconv.FormatUint(*offset, 10)))
+		srv.Instrument(reg, obs.L("backend", srv.Addr()))
 		ops, err := mbdsnet.ServeOps(*opsAddr, reg, nil)
 		if err != nil {
 			fatal(err)

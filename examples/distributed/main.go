@@ -30,13 +30,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Start the slaves: one TCP backend server per partition, each with its
-	// own share of the database-key space. One shared registry collects
-	// every partition's counters for the /metrics endpoint below.
+	// Start the slaves: one TCP backend server per partition. The controller
+	// assigns every database key, so the partitions need no key spaces of
+	// their own. One shared registry collects every partition's counters for
+	// the /metrics endpoint below.
 	reg := obs.NewRegistry()
 	var execs []mbds.Executor
 	for i := 0; i < backends; i++ {
-		store := kdb.NewStore(db.AB.Dir.Clone(), kdb.WithStrideIDs(uint64(i+1), backends))
+		store := kdb.NewStore(db.AB.Dir.Clone())
 		srv, err := mbdsnet.Listen("127.0.0.1:0", store)
 		if err != nil {
 			log.Fatal(err)

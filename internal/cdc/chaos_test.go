@@ -240,11 +240,7 @@ func TestCDCChaos(t *testing.T) {
 		}
 	}
 	for round := 0; round < 2; round++ {
-		pos, err := sys.AddBackend()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Rebalance(pos); err != nil {
+		if _, err := sys.AddBackend(); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.DrainBackend(1); err != nil {

@@ -1,16 +1,19 @@
 package kc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mlds/internal/abdl"
 	"mlds/internal/abdm"
 	"mlds/internal/kdb"
 	"mlds/internal/mbds"
 	"mlds/internal/pager"
+	"mlds/internal/txn"
 )
 
 func fleetPath(tmp string, pos int) string {
@@ -175,6 +178,70 @@ func TestFleetCheckpointConsistentCut(t *testing.T) {
 		if cnt := countX(t, c3, v); cnt != 1 {
 			t.Fatalf("x=%d recovered %d times after re-checkpoint", v, cnt)
 		}
+	}
+}
+
+// TestFleetRestartAbortKeepsPlacement: a recovered controller places an undo
+// restore where the controller that wrote the record placed it. A restore
+// that landed on another partition left the committed image on the original
+// one, and a later write through the new copy resurrected the stale row at
+// the next recovery.
+func TestFleetRestartAbortKeepsPlacement(t *testing.T) {
+	tmp := t.TempDir()
+	journalPath := filepath.Join(tmp, "journal.gob")
+	const n = 2
+	ctx := context.Background()
+
+	c, stores, _ := fleetController(t, tmp, n, nil, nil)
+	attachJournalFile(t, c, journalPath)
+	for v := int64(1); v <= 8; v++ {
+		if _, err := c.Exec(insertX(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.CheckpointFleet(stores); err != nil {
+		t.Fatal(err)
+	}
+
+	update := func(c *Controller, to int64, commit bool) {
+		t.Helper()
+		tx := c.Txns().Begin()
+		upd := abdl.NewUpdate(abdm.And(abdm.Predicate{Attr: "x", Op: abdm.OpEq, Val: abdm.Int(2)}),
+			abdl.Modifier{Attr: "x", Val: abdm.Int(to)})
+		if _, err := c.ExecCtx(txn.NewContext(ctx, tx), upd); err != nil {
+			t.Fatal(err)
+		}
+		end := c.Txns().Abort
+		if commit {
+			end = c.Txns().Commit
+		}
+		if err := end(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c2, stores2, _, _, _ := recoverFleet(t, tmp, n, journalPath, nil)
+	attachJournalFile(t, c2, journalPath)
+	update(c2, 200, false)
+	update(c2, 200, true)
+	if _, err := c2.CheckpointFleet(stores2); err != nil {
+		t.Fatal(err)
+	}
+
+	c3, _, _, _, _ := recoverFleet(t, tmp, n, journalPath, nil)
+	res, err := c3.Exec(abdl.NewRetrieve(abdm.And(abdm.Predicate{
+		Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("f")}), abdl.AllAttrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 8 {
+		t.Errorf("recovered %d rows, want 8", len(res.Records))
+	}
+	if cnt := countX(t, c3, 2); cnt != 0 {
+		t.Errorf("x=2 recovered %d times after it was updated to 200", cnt)
+	}
+	if cnt := countX(t, c3, 200); cnt != 1 {
+		t.Errorf("x=200 recovered %d times, want 1", cnt)
 	}
 }
 

@@ -77,36 +77,6 @@ func WithResultCache(entries int) Option {
 	return func(s *Store) { s.cache.cap = entries }
 }
 
-// WithStrideIDs allocates record IDs offset, offset+stride, offset+2·stride…
-// Remote backends of one kernel database each take a distinct offset with
-// stride = backend count, so their ID spaces never collide without
-// coordination over the bus.
-func WithStrideIDs(offset, stride uint64) Option {
-	return func(s *Store) {
-		if stride == 0 {
-			stride = 1
-		}
-		var n uint64
-		s.nextID = func() abdm.RecordID {
-			id := offset + n*stride
-			n++
-			if id == 0 { // zero is never a valid record ID
-				id = offset + n*stride
-				n++
-			}
-			return abdm.RecordID(id)
-		}
-		s.seedID = func(id abdm.RecordID) {
-			if uint64(id) < offset {
-				return
-			}
-			if k := (uint64(id)-offset)/stride + 1; k > n {
-				n = k
-			}
-		}
-	}
-}
-
 // NewStore builds an empty store over the directory.
 func NewStore(dir *abdm.Directory, opts ...Option) *Store {
 	s := &Store{

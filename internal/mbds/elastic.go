@@ -3,6 +3,7 @@ package mbds
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -13,23 +14,24 @@ import (
 
 // Elastic membership and live partition migration.
 //
-// The backend fleet is no longer frozen at Config time. AddBackend joins a
-// fresh backend (new inserts route to it immediately), Rebalance migrates a
-// fair share of existing keys onto it, DrainBackend migrates everything off
-// a backend before retiring it, and RemoveBackend handles unrecoverable loss
-// by promoting replica successors. All of it runs under live traffic.
+// The backend fleet is not frozen at Config time. AddBackend joins a fresh
+// backend, DrainBackend moves everything off a backend before retiring it,
+// and RemoveBackend handles unrecoverable loss from the surviving copies.
+// Each is one migration from the current view to the next: the placement
+// rule names every key's holders in both, and exactly the keys whose holder
+// set differs move. All of it runs under live traffic.
 //
 // A migration copies data in epoch-bounded rounds against the MVCC version
 // chains (kdb.ExportSince / ImportPartition): round 1 copies everything,
 // each later round copies only what changed while the previous round ran,
 // and the final round runs under the write fence — a brief exclusive pause
-// of the Exec entry points — so the placement flip observes no in-flight
-// writes. Mutations the chains cannot carry (the undo path's NoVersion
-// ForceID operations) and MVCC control ops are captured in a catch-up log
-// while the migration runs and replayed on the destinations before the
-// final round. Reads stay exact throughout: records transiently present on
-// both source and destination answer under one database key, and broadcasts
-// deduplicate by key whenever a migration is in flight.
+// of the Exec entry points — so the view flip observes no in-flight writes.
+// Mutations the chains cannot carry (the undo path's NoVersion ForceID
+// operations) and MVCC control ops are captured in a catch-up log while the
+// migration runs and replayed on the destinations before the final round.
+// Reads stay exact throughout: records transiently present on both source
+// and destination answer under one database key, and broadcasts deduplicate
+// by key whenever a migration is in flight.
 
 // Migration tuning.
 const (
@@ -52,7 +54,7 @@ type MigrationStats struct {
 	Keys           uint64 // records copied by migrations
 	Bytes          uint64 // approximate bytes copied
 	CatchupEntries uint64 // catch-up log entries captured
-	Promotions     uint64 // replica-successor promotions (failovers)
+	Promotions     uint64 // backends removed after loss (failovers)
 	Epoch          uint64 // current membership epoch
 }
 
@@ -136,13 +138,6 @@ func (b *backend) migExec(req *abdl.Request) (*kdb.Result, error) {
 	return migTarget(b.exec).Exec(req)
 }
 
-// placedLookup returns the recorded primary for a key (nil if none).
-func (s *System) placedLookup(id abdm.RecordID) *backend {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	return s.placed[id]
-}
-
 // installView publishes a new backend view and advances the membership
 // epoch.
 func (s *System) installView(v []*backend) {
@@ -161,9 +156,10 @@ func removeFrom(view []*backend, pos int) []*backend {
 	return append(out, view[pos+1:]...)
 }
 
-// AddBackend joins a fresh local backend to the view and returns its
-// position. New inserts route to it immediately; existing keys stay where
-// they are until Rebalance (or a drain) moves them.
+// AddBackend joins a fresh local backend and returns its position: one
+// migration from the current view to the view with the backend appended,
+// which copies onto it the keys the grown view assigns it. Reads and writes
+// continue throughout; the backend takes inserts once the view flips.
 func (s *System) AddBackend() (int, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
@@ -176,9 +172,9 @@ func (s *System) AddBackend() (int, error) {
 }
 
 // AddBackendExecutor joins a backend served by the given executor (typically
-// an mbdsnet.RemoteBackend) and returns its position. The executor's store
-// must allocate database keys that cannot collide with the fleet's (see
-// kdb.WithStrideIDs).
+// an mbdsnet.RemoteBackend) the same way and returns its position. The
+// controller assigns every database key, so the executor's own allocator is
+// never consulted.
 func (s *System) AddBackendExecutor(exec Executor) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
@@ -198,7 +194,10 @@ func (s *System) addBackend(exec Executor, store *kdb.Store) (int, error) {
 	view := s.viewSnap()
 	nv := make([]*backend, 0, len(view)+1)
 	nv = append(append(nv, view...), b)
-	s.installView(nv)
+	if err := s.migrate(view, nv, view); err != nil {
+		b.retire()
+		return 0, fmt.Errorf("mbds: add backend %d: %w", b.id, err)
+	}
 	return len(nv) - 1, nil
 }
 
@@ -210,77 +209,10 @@ func (s *System) allocBID() int {
 	return id
 }
 
-// Rebalance migrates data onto the backend at pos — typically one just
-// added: from every other backend it moves the keys whose database key maps
-// to pos under the grown view's modulus, and repairs replica windows that
-// wrapped past the view's old end. Runs as a live migration per source
-// backend; reads and writes continue throughout.
-func (s *System) Rebalance(pos int) error {
-	if err := s.beginOp(); err != nil {
-		return err
-	}
-	defer s.opWG.Done()
-	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	view := s.viewSnap()
-	if pos < 0 || pos >= len(view) {
-		return fmt.Errorf("mbds: rebalance: no backend at position %d", pos)
-	}
-	if len(view) == 1 {
-		return nil
-	}
-	nb := view[pos]
-	n := uint64(len(view))
-	preView := removeFrom(view, pos) // the view before nb joined
-	for srcPos, src := range view {
-		if src == nb {
-			continue
-		}
-		src := src
-		// A replica window starting at srcPos wrapped around the old view's
-		// end iff it reaches the last old slot, so nb's insertion changed
-		// its membership even for keys that do not move.
-		wrapped := s.cfg.Replicas > 0 && srcPos+s.cfg.Replicas >= len(view)-1
-		moved := func(id abdm.RecordID) bool { return uint64(id)%n == uint64(pos) }
-		plan := &migPlan{
-			src:     src,
-			oldView: preView,
-			dstView: view,
-			pick: func(id abdm.RecordID) bool {
-				if s.placedLookup(id) != src {
-					return false
-				}
-				return moved(id) || wrapped
-			},
-			primary: func(id abdm.RecordID) *backend {
-				if moved(id) {
-					return nb
-				}
-				return src
-			},
-			finish: func() {
-				s.placeMu.Lock()
-				for k, b := range s.placed {
-					if b == src && uint64(k)%n == uint64(pos) {
-						s.placed[k] = nb
-					}
-				}
-				s.metrics.placedKeys.Set(int64(len(s.placed)))
-				s.placeMu.Unlock()
-			},
-		}
-		if err := s.runMigration(plan); err != nil {
-			return fmt.Errorf("mbds: rebalance from backend %d: %w", src.id, err)
-		}
-	}
-	s.installView(view) // data layout changed: advance the epoch
-	return nil
-}
-
-// DrainBackend gracefully removes the backend at pos: every record it
-// materializes — primary keys and replica copies alike — is live-migrated to
-// the holders the shrunken view assigns, the placement map flips atomically
-// under the write fence, and only then is the backend retired. Concurrent
+// DrainBackend gracefully removes the backend at pos: one migration from the
+// current view to the view without it, with every backend — the drained one
+// included — exporting, so each of its copies, replica copies alike, lands
+// on the holders the shrunken view names before it is retired. Concurrent
 // reads and writes see no failures.
 func (s *System) DrainBackend(pos int) error {
 	if err := s.beginOp(); err != nil {
@@ -289,134 +221,67 @@ func (s *System) DrainBackend(pos int) error {
 	defer s.opWG.Done()
 	s.memMu.Lock()
 	defer s.memMu.Unlock()
-	oldView := s.viewSnap()
-	if pos < 0 || pos >= len(oldView) {
+	view := s.viewSnap()
+	if pos < 0 || pos >= len(view) {
 		return fmt.Errorf("mbds: drain: no backend at position %d", pos)
 	}
-	if len(oldView) == 1 {
+	if len(view) == 1 {
 		return errors.New("mbds: cannot drain the last backend")
 	}
-	src := oldView[pos]
-	dstView := removeFrom(oldView, pos)
-	n := uint64(len(dstView))
-	spread := func(id abdm.RecordID) *backend { return dstView[uint64(id)%n] }
-	plan := &migPlan{
-		src:     src,
-		oldView: oldView,
-		dstView: dstView,
-		pick:    func(abdm.RecordID) bool { return true },
-		primary: func(id abdm.RecordID) *backend {
-			if b := s.placedLookup(id); b != nil && b != src {
-				return b // a replica copy held for another primary
-			}
-			return spread(id)
-		},
-		finish: func() {
-			s.placeMu.Lock()
-			for k, b := range s.placed {
-				if b == src {
-					s.placed[k] = spread(k)
-				}
-			}
-			s.metrics.placedKeys.Set(int64(len(s.placed)))
-			s.placeMu.Unlock()
-			s.installView(dstView)
-		},
-	}
-	if err := s.runMigration(plan); err != nil {
+	src := view[pos]
+	if err := s.migrate(view, removeFrom(view, pos), view); err != nil {
 		return fmt.Errorf("mbds: drain backend %d: %w", src.id, err)
 	}
-	src.retire()
-	if src.faulty != nil {
-		src.faulty.releaseHangs()
-	}
+	retireBackend(src)
 	return nil
 }
 
-// RemoveBackend removes the backend at pos without copying anything off it —
-// the path for unrecoverable loss. Keys it was primary for are promoted to
-// its ring successor (which, with Replicas > 0, already holds their copies,
-// so no committed write is lost); the replication factor is re-established
-// in the background from the surviving copies. With Replicas == 0 the dead
-// backend's records are gone — that is what replication is for.
+// RemoveBackend removes the backend at pos without reading anything off it —
+// the path for unrecoverable loss. It is the drain's migration sourced from
+// the survivors only: with Replicas > 0 a surviving copy of every key the
+// dead backend held re-homes it, so no committed write is lost. With
+// Replicas == 0 the dead backend's records are gone — that is what
+// replication is for.
 func (s *System) RemoveBackend(pos int) error {
+	view := s.viewSnap()
+	if pos < 0 || pos >= len(view) {
+		return fmt.Errorf("mbds: remove: no backend at position %d", pos)
+	}
+	return s.removeBackend(view[pos])
+}
+
+// removeBackend removes the backend by identity, so a membership change that
+// shifts positions while the removal waits its turn cannot redirect it.
+func (s *System) removeBackend(dead *backend) error {
 	if err := s.beginOp(); err != nil {
 		return err
 	}
 	defer s.opWG.Done()
 	s.memMu.Lock()
 	defer s.memMu.Unlock()
-	oldView := s.viewSnap()
-	if pos < 0 || pos >= len(oldView) {
-		return fmt.Errorf("mbds: remove: no backend at position %d", pos)
+	view := s.viewSnap()
+	pos := slices.Index(view, dead)
+	if pos < 0 {
+		return nil // already gone
 	}
-	if len(oldView) == 1 {
+	if len(view) == 1 {
 		return errors.New("mbds: cannot remove the last backend")
 	}
-	dead := oldView[pos]
-	dstView := removeFrom(oldView, pos)
-	succ := dstView[pos%len(dstView)] // the dead backend's ring successor
-	s.fence.Lock()
-	s.placeMu.Lock()
-	for k, b := range s.placed {
-		if b == dead {
-			s.placed[k] = succ
-		}
+	survivors := removeFrom(view, pos)
+	if err := s.migrate(view, survivors, survivors); err != nil {
+		return fmt.Errorf("mbds: remove backend %d: %w", dead.id, err)
 	}
-	s.metrics.placedKeys.Set(int64(len(s.placed)))
-	s.placeMu.Unlock()
-	s.installView(dstView)
-	s.fence.Unlock()
 	s.metrics.promotions.Inc()
 	s.elastic.promotions.Add(1)
-	dead.retire()
-	if dead.faulty != nil {
-		dead.faulty.releaseHangs()
-	}
-	if s.cfg.Replicas > 0 {
-		s.bgWG.Add(1)
-		go func() {
-			defer s.bgWG.Done()
-			s.reReplicate(oldView, dstView, dead, succ)
-		}()
-	}
+	retireBackend(dead)
 	return nil
 }
 
-// reReplicate restores the replication factor after a removal: every
-// surviving backend whose replica window contained the dead backend
-// re-migrates its primary keys to the holders the new view assigns, sourcing
-// the copies it already has. Runs as ordinary live migrations.
-func (s *System) reReplicate(oldView, dstView []*backend, dead, succ *backend) {
-	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	if s.closed.Load() {
-		return
-	}
-	for _, src := range dstView {
-		src := src
-		// A backend needs repair when its replica window contained the dead
-		// backend — or when it is the successor, which inherited the dead
-		// backend's keys with one copy fewer than the factor requires.
-		inWindow := src == succ
-		for _, h := range s.holdersIn(oldView, src) {
-			if h == dead {
-				inWindow = true
-				break
-			}
-		}
-		if !inWindow {
-			continue
-		}
-		plan := &migPlan{
-			src:     src,
-			oldView: dstView, // copies already sit inside the new window
-			dstView: dstView,
-			pick:    func(id abdm.RecordID) bool { return s.placedLookup(id) == src },
-			primary: func(id abdm.RecordID) *backend { return src },
-			finish:  func() {},
-		}
-		_ = s.runMigration(plan)
+// retireBackend stops a backend that has left the view.
+func retireBackend(b *backend) {
+	b.retire()
+	if b.faulty != nil {
+		b.faulty.releaseHangs()
 	}
 }
 
@@ -448,7 +313,7 @@ func (s *System) checkFailover() {
 	if len(view) <= 1 {
 		return
 	}
-	for pos, b := range view {
+	for _, b := range view {
 		h := b.snapshotHealth()
 		if h.Up || h.DownSince.IsZero() {
 			continue
@@ -456,28 +321,53 @@ func (s *System) checkFailover() {
 		if time.Since(h.DownSince) < s.cfg.FailoverAfter {
 			continue
 		}
-		_ = s.RemoveBackend(pos)
+		_ = s.removeBackend(b)
 		return // the view changed; rescan on the next tick
 	}
 }
 
-// migPlan describes one live migration: which keys leave the source, where
-// they land, and how the placement state flips once the copy converges.
-type migPlan struct {
-	src     *backend
-	oldView []*backend                      // where copies currently sit
-	dstView []*backend                      // where they belong after the flip
-	pick    func(id abdm.RecordID) bool     // which exported keys participate
-	primary func(id abdm.RecordID) *backend // post-flip primary for picked keys
-	finish  func()                          // runs under the fence after the final round
+// idSet is a set of database keys per backend.
+type idSet map[*backend]map[abdm.RecordID]bool
+
+func (m idSet) note(b *backend, id abdm.RecordID) {
+	if m[b] == nil {
+		m[b] = make(map[abdm.RecordID]bool)
+	}
+	m[b][id] = true
 }
 
-// runMigration executes the plan: unfenced epoch-bounded copy rounds until
-// the residue settles, then — under the exclusive write fence — catch-up log
-// replay, one final round, and the placement flip. On failure every copy the
-// migration installed on a backend outside a key's legitimate holder set is
-// dropped, so the system returns to its pre-migration state.
-func (s *System) runMigration(p *migPlan) (err error) {
+// migration is one live migration between two views.
+type migration struct {
+	from, to []*backend
+	srcs     []*backend // the backends that export: from's live members
+	since    []uint64   // per source: the inclusive epoch bound of its next export
+	imported idSet      // copies installed on holders a key gains
+	strays   idSet      // copies to drop from sources that stop holding a key
+}
+
+// gained lists the holders key id has under the new view and not under the
+// old one.
+func (s *System) gained(m *migration, id abdm.RecordID) []*backend {
+	was := s.holdersOf(m.from, id)
+	var out []*backend
+	for _, h := range s.holdersOf(m.to, id) {
+		if !slices.Contains(was, h) {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// migrate moves the fleet from view from to view to: every source exports
+// its partition, and each copy of a key whose holder set differs between
+// the views is imported by the holders the key gains and dropped from a
+// source that stops holding it. Unfenced epoch-bounded copy rounds run until
+// the residue settles; then, under the exclusive write fence, the catch-up
+// log replays, one final round runs and to is installed. On failure every
+// imported copy is dropped, so from stays in force exactly as it was.
+func (s *System) migrate(from, to, srcs []*backend) (err error) {
+	m := &migration{from: from, to: to, srcs: srcs, since: make([]uint64, len(srcs)),
+		imported: make(idSet), strays: make(idSet)}
 	s.migMu.Lock()
 	s.migLog = nil
 	s.migMu.Unlock()
@@ -488,11 +378,9 @@ func (s *System) runMigration(p *migPlan) (err error) {
 	//lint:ignore SA2001 empty critical section is the barrier
 	s.fence.Unlock()
 
-	imported := make(map[*backend]map[abdm.RecordID]bool)
-	strays := make(map[*backend]map[abdm.RecordID]bool)
 	defer func() {
 		if err != nil {
-			s.cleanupImports(p, imported)
+			dropAll(m.imported)
 		}
 		s.migOn.Store(false)
 		s.migMu.Lock()
@@ -500,13 +388,11 @@ func (s *System) runMigration(p *migPlan) (err error) {
 		s.migMu.Unlock()
 	}()
 
-	var since uint64
 	for round := 0; round < migMaxRounds; round++ {
-		n, first, cerr := s.copyRound(p, since, imported, strays)
+		n, cerr := s.copyRound(m)
 		if cerr != nil {
 			return cerr
 		}
-		since = first
 		if n <= migSettle {
 			break
 		}
@@ -514,92 +400,84 @@ func (s *System) runMigration(p *migPlan) (err error) {
 
 	s.fence.Lock()
 	defer s.fence.Unlock()
-	if rerr := s.replayCatchup(p, imported); rerr != nil {
+	if rerr := s.replayCatchup(m); rerr != nil {
 		return rerr
 	}
-	if _, _, cerr := s.copyRound(p, since, imported, strays); cerr != nil {
+	if _, cerr := s.copyRound(m); cerr != nil {
 		return cerr
 	}
-	p.finish()
-	s.dropStrays(strays)
+	s.installView(to)
+	dropAll(m.strays)
 	return nil
 }
 
-// copyRound pages the source's export once through, importing each picked
-// record to its new holder set and noting where stranded copies must be
-// dropped after the flip. It returns how many records it copied and the
-// source epoch observed at the start — the inclusive bound for the next
-// round.
-func (s *System) copyRound(p *migPlan, since uint64, imported, strays map[*backend]map[abdm.RecordID]bool) (int, uint64, error) {
-	note := func(m map[*backend]map[abdm.RecordID]bool, b *backend, id abdm.RecordID) {
-		if m[b] == nil {
-			m[b] = make(map[abdm.RecordID]bool)
-		}
-		m[b][id] = true
-	}
-	var after abdm.RecordID
-	var first uint64
+// copyRound pages every source's export once through, from the source's
+// bound, importing each moving copy to the holders its key gains and noting
+// the sources that stop holding it. It returns how many copies moved and
+// advances each source's bound to the epoch it observed at the start.
+func (s *System) copyRound(m *migration) (int, error) {
 	copied := 0
-	for {
-		recs, next, epoch, err := p.src.exportSince(since, after, migPage)
-		if err != nil {
-			return copied, first, err
-		}
-		if first == 0 {
-			first = epoch
-		}
-		byDest := make(map[*backend][]kdb.MigRecord)
-		for _, r := range recs {
-			if p.pick != nil && !p.pick(r.ID) {
-				continue
+	for i, src := range m.srcs {
+		var after abdm.RecordID
+		var first uint64
+		for {
+			recs, next, epoch, err := src.exportSince(m.since[i], after, migPage)
+			if err != nil {
+				return copied, err
 			}
-			newHolders := s.holdersIn(p.dstView, p.primary(r.ID))
-			inNew := make(map[*backend]bool, len(newHolders))
-			for _, h := range newHolders {
-				inNew[h] = true
-				if h == p.src {
+			if first == 0 {
+				first = epoch
+			}
+			byDest := make(map[*backend][]kdb.MigRecord)
+			for _, r := range recs {
+				// The invariant puts every copy on a holder of its key; a copy
+				// the source does not hold by the rule is no copy to move.
+				if !slices.Contains(s.holdersOf(m.from, r.ID), src) {
 					continue
 				}
-				byDest[h] = append(byDest[h], r)
-			}
-			oldPrim := s.placedLookup(r.ID)
-			if oldPrim == nil {
-				oldPrim = p.src
-			}
-			for _, h := range s.holdersIn(p.oldView, oldPrim) {
-				if inNew[h] {
+				gained := s.gained(m, r.ID)
+				kept := slices.Contains(s.holdersOf(m.to, r.ID), src)
+				if len(gained) == 0 && kept {
 					continue
 				}
-				note(strays, h, r.ID)
+				for _, h := range gained {
+					byDest[h] = append(byDest[h], r)
+				}
+				if !kept {
+					m.strays.note(src, r.ID)
+				}
+				copied++
+				s.metrics.migKeys.Inc()
+				s.elastic.keys.Add(1)
+				nb := uint64(r.ApproxBytes())
+				s.metrics.migBytes.Add(nb)
+				s.elastic.bytes.Add(nb)
 			}
-			copied++
-			s.metrics.migKeys.Inc()
-			s.elastic.keys.Add(1)
-			nb := uint64(r.ApproxBytes())
-			s.metrics.migBytes.Add(nb)
-			s.elastic.bytes.Add(nb)
-		}
-		for b, rs := range byDest {
-			if err := b.importPartition(rs); err != nil {
-				return copied, first, err
+			for b, rs := range byDest {
+				if err := b.importPartition(rs); err != nil {
+					return copied, err
+				}
+				for _, r := range rs {
+					m.imported.note(b, r.ID)
+				}
 			}
-			for _, r := range rs {
-				note(imported, b, r.ID)
+			if next == 0 {
+				break
 			}
+			after = next
 		}
-		if next == 0 {
-			return copied, first, nil
-		}
-		after = next
+		m.since[i] = first
 	}
+	return copied, nil
 }
 
 // replayCatchup re-executes the catch-up log on the migration's
-// destinations: placement-pinned mutations go to their key's new holder set,
-// MVCC commit/abort stamps to every backend that imported chains (an import
-// may have delivered pending versions after the broadcast ran there). All
-// replayed operations are idempotent. Caller holds the write fence.
-func (s *System) replayCatchup(p *migPlan, imported map[*backend]map[abdm.RecordID]bool) error {
+// destinations: a placement-pinned mutation goes to the holders its key
+// gains, MVCC commit/abort stamps to every backend that imported chains (an
+// import may have delivered pending versions after the broadcast ran there,
+// or the backend is not in the view yet). All replayed operations are
+// idempotent. Caller holds the write fence.
+func (s *System) replayCatchup(m *migration) error {
 	s.migMu.Lock()
 	log := s.migLog
 	s.migLog = nil
@@ -607,75 +485,34 @@ func (s *System) replayCatchup(p *migPlan, imported map[*backend]map[abdm.Record
 	for _, req := range log {
 		switch req.Kind {
 		case abdl.MvccCommit, abdl.MvccAbort:
-			for b := range imported {
+			for b := range m.imported {
 				if _, err := b.migExec(req); err != nil {
 					return err
 				}
 			}
 		default:
-			// Only keys the plan covers replay here: an unrelated pinned
-			// insert (every insert is pinned under replication) already
-			// executed on its own holders, and pushing it through this plan's
-			// primary() would strand a copy on the wrong backends.
-			if p.pick != nil && !p.pick(req.ForceID) {
-				continue
-			}
-			for _, h := range s.holdersIn(p.dstView, p.primary(req.ForceID)) {
-				if h == p.src {
-					continue
-				}
+			for _, h := range s.gained(m, req.ForceID) {
 				if _, err := h.migExec(req); err != nil {
 					return err
 				}
+				m.imported.note(h, req.ForceID)
 			}
 		}
 	}
 	return nil
 }
 
-// cleanupImports undoes a failed migration: every imported copy sitting on a
-// backend outside the key's legitimate (pre-flip) holder set is dropped, so
-// no duplicate survives once broadcast dedup switches back off.
-func (s *System) cleanupImports(p *migPlan, imported map[*backend]map[abdm.RecordID]bool) {
-	for b, ids := range imported {
-		var drop []abdm.RecordID
-		for id := range ids {
-			prim := s.placedLookup(id)
-			if prim == nil {
-				prim = p.src
-			}
-			legit := false
-			for _, h := range s.holdersIn(p.oldView, prim) {
-				if h == b {
-					legit = true
-					break
-				}
-			}
-			if !legit {
-				drop = append(drop, id)
-			}
-		}
-		if len(drop) > 0 {
-			_ = b.dropRecords(drop)
-		}
-	}
-}
-
-// dropStrays removes copies stranded on backends that left their keys'
-// holder sets. The authoritative copies — full version chains included —
-// already live on the new holders, so snapshots lose nothing. Runs after
-// the flip, while broadcast dedup is still forced on.
-func (s *System) dropStrays(strays map[*backend]map[abdm.RecordID]bool) {
-	for b, ids := range strays {
-		if b.store == nil && len(ids) == 0 {
-			continue
-		}
+// dropAll removes the noted copies: after the flip, the strays on backends
+// that left their keys' holder sets (the authoritative copies, full version
+// chains included, already live on the new holders, and broadcast dedup is
+// still forced on); after a failure, every imported copy, so no duplicate
+// survives once dedup switches back off.
+func dropAll(copies idSet) {
+	for b, ids := range copies {
 		drop := make([]abdm.RecordID, 0, len(ids))
 		for id := range ids {
 			drop = append(drop, id)
 		}
-		if len(drop) > 0 {
-			_ = b.dropRecords(drop)
-		}
+		_ = b.dropRecords(drop)
 	}
 }

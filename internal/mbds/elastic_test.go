@@ -2,6 +2,7 @@ package mbds
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,8 +43,34 @@ func checkExact(t *testing.T, s *System, n int) {
 	}
 }
 
-// TestAddBackendJoins: a joined backend advances the epoch and takes a share
-// of new inserts, without disturbing existing data.
+// checkPlacement asserts the placement invariant on a quiet system: every
+// local partition holds exactly the keys whose holder set, by the rule over
+// the current view, includes it.
+func checkPlacement(t *testing.T, s *System) {
+	t.Helper()
+	view := s.viewSnap()
+	for pos, b := range view {
+		recs, err := b.store.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sr := range recs {
+			if !slices.Contains(s.holdersOf(view, sr.ID), b) {
+				t.Fatalf("key %d sits on position %d, outside its holders", sr.ID, pos)
+			}
+		}
+	}
+	all, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(all) * s.holders(len(view)); s.Len() != want {
+		t.Fatalf("%d copies of %d keys, want %d", s.Len(), len(all), want)
+	}
+}
+
+// TestAddBackendJoins: a joined backend advances the epoch once and takes a
+// share of new inserts, without disturbing existing data.
 func TestAddBackendJoins(t *testing.T) {
 	s := newSystem(t, 2)
 	loadEmployees(t, s, 40)
@@ -73,8 +100,10 @@ func TestAddBackendJoins(t *testing.T) {
 	checkExact(t, s, 70)
 }
 
-// TestRebalanceFillsNewBackend: after Rebalance the joined backend holds its
-// modulus share of existing keys and reads stay exact.
+// TestRebalanceFillsNewBackend: joining a backend rebalances the fleet — the
+// joined backend holds the existing keys the grown view assigns it, each
+// other backend exactly the keys the rule still names it for, and reads stay
+// exact.
 func TestRebalanceFillsNewBackend(t *testing.T) {
 	s := newSystem(t, 2)
 	loadEmployees(t, s, 60)
@@ -82,13 +111,11 @@ func TestRebalanceFillsNewBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Rebalance(pos); err != nil {
-		t.Fatal(err)
-	}
 	sizes := s.PartitionSizes()
 	if sizes[pos] < 10 {
 		t.Fatalf("rebalance moved too little onto the new backend: %v", sizes)
 	}
+	checkPlacement(t, s)
 	if total := sizes[0] + sizes[1] + sizes[2]; total != 60 {
 		t.Fatalf("rebalance changed the copy count: %v sums to %d, want 60", sizes, total)
 	}
@@ -175,19 +202,20 @@ func TestDrainUnderLiveWrites(t *testing.T) {
 	if got := s.Len(); got != want {
 		t.Fatalf("Len = %d after drains, want %d", got, want)
 	}
+	checkPlacement(t, s)
 }
 
 // TestGrowAndDrainFollowDiskModel is E6's scaling curve on one fleet:
-// growing from two backends to four (AddBackend + Rebalance) cuts the
-// simulated response of a broad retrieval by at least 20%, and draining back
-// to two restores the two-backend cost per record the slowest backend
-// examines. That cost is compared, not the raw response, because the split
-// a drain leaves depends on database keys, not on arrival order.
+// growing from two backends to four cuts the simulated response of a
+// retrieval of one department by at least 20%, and draining back to two
+// restores the two-backend cost per record the slowest backend examines.
+// That cost is compared, not the raw response, because the split a view
+// gives one department depends on its records' database keys.
 func TestGrowAndDrainFollowDiskModel(t *testing.T) {
 	s := newSystem(t, 2)
 	loadEmployees(t, s, 2000)
 	q := abdl.NewRetrieve(abdm.And(
-		abdm.Predicate{Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("employee")},
+		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")},
 	), "salary")
 	// probe returns the simulated response and the records examined by the
 	// backend that examines the most: the share the response waits for.
@@ -210,11 +238,7 @@ func TestGrowAndDrainFollowDiskModel(t *testing.T) {
 
 	rt2, exam2 := probe()
 	for i := 0; i < 2; i++ {
-		pos, err := s.AddBackend()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Rebalance(pos); err != nil {
+		if _, err := s.AddBackend(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,11 +260,12 @@ func TestGrowAndDrainFollowDiskModel(t *testing.T) {
 			rtBack, examBack, rt2, exam2, back)
 	}
 	checkExact(t, s, 2000)
+	checkPlacement(t, s)
 }
 
 // TestRemoveBackendPromotes: with one replica, losing a backend outright
-// loses no committed record — its keys are promoted to the ring successor and
-// the replication factor is restored in the background.
+// loses no committed record — the surviving copy of each of its keys is
+// promoted, and the removal returns with the replication factor restored.
 func TestRemoveBackendPromotes(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Replicas = 1
@@ -261,16 +286,11 @@ func TestRemoveBackendPromotes(t *testing.T) {
 	if st := s.MigrationStats(); st.Promotions != 1 {
 		t.Fatalf("promotions = %d, want 1", st.Promotions)
 	}
-	// Background re-replication restores two copies of every record.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Len() != 120 {
-		if time.Now().After(deadline) {
-			t.Fatalf("replication factor not restored: Len = %d, want 120 (sizes %v)",
-				s.Len(), s.PartitionSizes())
-		}
-		time.Sleep(10 * time.Millisecond)
+	if got := s.Len(); got != 120 {
+		t.Fatalf("replication factor not restored: Len = %d, want 120 (sizes %v)",
+			got, s.PartitionSizes())
 	}
-	checkExact(t, s, 60)
+	checkPlacement(t, s)
 }
 
 // TestFailoverMonitorPromotes: a backend whose breaker sticks open past
@@ -312,9 +332,10 @@ func TestFailoverMonitorPromotes(t *testing.T) {
 	checkExact(t, s, 40)
 }
 
-// TestPlacedMapBounded: the sticky-placement map grows with replicated
-// inserts and shrinks when aborts and watermark GC remove whole chains.
-func TestPlacedMapBounded(t *testing.T) {
+// TestReplicatedAbortAndGCLeaveNoCopy: an aborted replicated insert leaves
+// no copy on any holder, and a watermark GC that prunes deleted records'
+// whole chains keeps reads exact.
+func TestReplicatedAbortAndGCLeaveNoCopy(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Replicas = 1
 	s, err := New(testDir(t), cfg)
@@ -323,34 +344,39 @@ func TestPlacedMapBounded(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	// An aborted insert: its only history is the aborted transaction, so the
-	// MVCC-ABORT broadcast empties the chain and evicts the placement.
 	ins := abdl.NewInsert(abdm.NewRecord("employee",
 		abdm.Keyword{Attr: "name", Val: abdm.String("ghost")},
 		abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
 		abdm.Keyword{Attr: "salary", Val: abdm.Int(1)}))
 	ins.TxnID = 77
-	if _, err := s.Exec(ins); err != nil {
+	res, err := s.Exec(ins)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PlacedKeys() != 1 {
-		t.Fatalf("PlacedKeys = %d after replicated insert, want 1", s.PlacedKeys())
+	if got := s.Len(); got != 2 {
+		t.Fatalf("Len = %d after a replicated insert, want 2", got)
+	}
+	// The transaction manager's abort: the undo delete by key, then the
+	// MVCC-ABORT broadcast.
+	undo := abdl.NewDelete(abdm.And(abdm.Predicate{
+		Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("employee")}))
+	undo.ForceID, undo.NoVersion = res.Affected[0], true
+	if _, err := s.Exec(undo); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.Exec(&abdl.Request{Kind: abdl.MvccAbort, TxnID: 77}); err != nil {
 		t.Fatal(err)
 	}
-	if s.PlacedKeys() != 0 {
-		t.Fatalf("PlacedKeys = %d after abort emptied the chain, want 0", s.PlacedKeys())
+	if got := s.Len(); got != 0 {
+		t.Fatalf("Len = %d after the abort, want 0", got)
+	}
+	if got := totalVersions(t, s); got != 0 {
+		t.Fatalf("%d versions after the abort, want 0", got)
 	}
 
-	// A committed insert-then-delete: once the watermark passes the delete,
-	// GC removes the tombstone-terminated chain and evicts the placement.
 	loadEmployees(t, s, 10)
-	if s.PlacedKeys() != 10 {
-		t.Fatalf("PlacedKeys = %d after 10 replicated inserts, want 10", s.PlacedKeys())
-	}
-	del := abdl.NewDelete(abdm.And(abdm.Predicate{
-		Attr: abdm.FileAttr, Op: abdm.OpEq, Val: abdm.String("employee")}))
+	del := abdl.NewDelete(abdm.And(
+		abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String("CS")}))
 	del.TxnID = 78
 	if _, err := s.Exec(del); err != nil {
 		t.Fatal(err)
@@ -361,8 +387,10 @@ func TestPlacedMapBounded(t *testing.T) {
 	if _, err := s.Exec(&abdl.Request{Kind: abdl.MvccGC, MvccEpoch: 51}); err != nil {
 		t.Fatal(err)
 	}
-	if s.PlacedKeys() != 0 {
-		t.Fatalf("PlacedKeys = %d after GC pruned every chain, want 0", s.PlacedKeys())
+	// loadEmployees deals depts CS, EE, ME, CE in turn: 3 of the 10 are CS.
+	checkExact(t, s, 7)
+	if got := s.Len(); got != 14 {
+		t.Fatalf("Len = %d after GC, want 14", got)
 	}
 }
 
@@ -387,4 +415,5 @@ func TestDrainWithReplicas(t *testing.T) {
 	if got := s.Len(); got != 80 {
 		t.Fatalf("Len = %d after drain, want 80 (sizes %v)", got, s.PartitionSizes())
 	}
+	checkPlacement(t, s)
 }

@@ -356,9 +356,11 @@ func TestHealthDownAndRecovery(t *testing.T) {
 	}
 }
 
-func TestDeadlineInsertNotRetried(t *testing.T) {
-	// Without replication an INSERT is not idempotent: after a missed
-	// deadline (the request may still execute) it must NOT be resent.
+// TestDeadlineInsertLeavesOneCopy: the controller pins every insert's key,
+// so an insert is idempotent — it is retried after a missed deadline (the
+// late attempt may still execute), and however many attempts reach the
+// backend, exactly one copy of the record is left.
+func TestDeadlineInsertLeavesOneCopy(t *testing.T) {
 	cfg := faultyConfig(1, 0)
 	cfg.RequestTimeout = 20 * time.Millisecond
 	s, err := New(testDir(t), cfg)
@@ -366,7 +368,8 @@ func TestDeadlineInsertNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	s.Fault(0).SetPlan(&FaultPlan{Mode: FaultHang, EveryN: 1})
+	// Every attempt executes, but only after its deadline has passed.
+	s.Fault(0).SetPlan(&FaultPlan{Mode: FaultDelay, EveryN: 1, Delay: 30 * time.Millisecond})
 	rec := abdm.NewRecord("employee",
 		abdm.Keyword{Attr: "name", Val: abdm.String("x")},
 		abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
@@ -376,10 +379,28 @@ func TestDeadlineInsertNotRetried(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want DeadlineError", err)
 	}
-	if h := s.Health()[0]; h.Retries != 0 {
-		t.Errorf("non-idempotent insert was retried %d times", h.Retries)
+	if h := s.Health()[0]; h.Retries == 0 {
+		t.Error("the pinned insert was not retried after its deadline")
 	}
 	s.Fault(0).SetPlan(nil)
+	// The backend serves one share at a time, so a read it answers comes
+	// after every attempt it accepted.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		res, err := s.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+		if err == nil {
+			if len(res.Records) != 1 {
+				t.Fatalf("%d copies of the retried insert, want 1", len(res.Records))
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backend never answered after the faults cleared: %v", err)
+		}
+	}
+	if got := s.Len(); got != 1 {
+		t.Fatalf("Len = %d, want 1", got)
+	}
 }
 
 func TestSnapshotSurfacesLostPartition(t *testing.T) {

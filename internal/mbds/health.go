@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"mlds/internal/abdl"
 )
 
 // BackendHealth is one backend's state as reported by System.Health.
@@ -135,8 +133,8 @@ func (s *System) Health() []BackendHealth {
 
 // DeadlineError reports a backend that did not answer within
 // Config.RequestTimeout. The request may still execute after the deadline
-// (the backend is slow, not provably dead), so only idempotent requests are
-// retried after one.
+// (the backend is slow, not provably dead); the retry is safe because every
+// request the controller sends is idempotent.
 type DeadlineError struct {
 	Backend int
 	Timeout time.Duration
@@ -149,9 +147,6 @@ func (e *DeadlineError) Error() string {
 
 // Transient marks the failure as retryable.
 func (e *DeadlineError) Transient() bool { return true }
-
-// MaybeApplied reports that the request may have executed anyway.
-func (e *DeadlineError) MaybeApplied() bool { return true }
 
 // BackendDownError reports a request skipped because the backend's circuit
 // breaker is open.
@@ -179,20 +174,4 @@ func (e *BackendDownError) Transient() bool { return true }
 func transient(err error) bool {
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()
-}
-
-// maybeApplied reports whether the request behind err may have executed on
-// the backend despite the failure. Retrying such a request is only safe
-// when it is idempotent.
-func maybeApplied(err error) bool {
-	var m interface{ MaybeApplied() bool }
-	return errors.As(err, &m) && m.MaybeApplied()
-}
-
-// idempotent reports whether re-executing the request cannot change the
-// outcome: everything except an INSERT that allocates a fresh database key.
-// (DELETE and UPDATE qualify records by query and assign absolute values;
-// a replica-pinned INSERT overwrites its own key.)
-func idempotent(req *abdl.Request) bool {
-	return req.Kind != abdl.Insert || req.ForceID != 0
 }

@@ -22,13 +22,22 @@
 // (surfaced by Health), and replicated record placement (Config.Replicas)
 // under which broadcasts tolerate down backends and still return complete,
 // deduplicated results — degraded-mode reads.
+//
+// Where a record lives is a function, not state. The controller assigns
+// every inserted record's database key, and the key alone names its
+// holders: home(id, n) in a view of n backends, plus Replicas view
+// successors. A membership change is one live migration between two views,
+// which moves exactly the keys whose holder set differs. The invariant: at
+// every view install, each live key sits exactly on the holders the rule
+// names. So a fresh controller over the same partitions, in the same order,
+// agrees with the one that wrote them — an undo restore after a restart
+// lands on the partition that holds the key's history.
 package mbds
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"slices"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,27 +49,10 @@ import (
 	"mlds/internal/obs"
 )
 
-// Placement selects how INSERTed records are distributed across backends.
-type Placement int
-
-// Placement policies.
-const (
-	// RoundRobin spreads each file's records evenly in arrival order — the
-	// paper's cluster-spreading data placement, with the file as the
-	// cluster. Keeping a cursor per file (rather than one global cursor)
-	// prevents correlated insert patterns from phase-locking a file's
-	// records onto a subset of the backends.
-	RoundRobin Placement = iota
-	// HashKeywords places each record by a hash of its keyword content, so
-	// identical logical databases land identically regardless of load order.
-	HashKeywords
-)
-
 // Config configures an MBDS instance.
 type Config struct {
 	Backends   int           // number of backends (>= 1)
 	Disk       kdb.DiskModel // per-backend disk model
-	Placement  Placement     // record placement policy
 	MsgLatency time.Duration // simulated bus latency per message hop
 	NoIndexes  bool          // ablation: backends scan instead of indexing
 
@@ -78,7 +70,7 @@ type Config struct {
 
 	// Elastic membership. FailoverAfter > 0 starts a monitor that removes a
 	// backend whose circuit breaker has been open for at least that long,
-	// promoting replica successors to primary for its keys (see
+	// re-homing its keys from the surviving copies (see
 	// System.RemoveBackend). FailoverCheck is the monitor's poll period
 	// (default FailoverAfter / 4).
 	FailoverAfter time.Duration
@@ -124,10 +116,6 @@ type System struct {
 	cfg      Config
 	dir      *abdm.Directory
 	nextID   atomic.Uint64
-	rrMu     sync.Mutex
-	rr       map[string]uint64 // per-file round-robin cursors
-	placeMu  sync.Mutex
-	placed   map[abdm.RecordID]*backend // database key -> primary backend
 	closed   atomic.Bool
 	closedCh chan struct{}  // closed by Close; aborts blocked bus operations
 	closeMu  sync.RWMutex   // orders beginOp's opWG.Add before Close's opWG.Wait
@@ -156,7 +144,6 @@ type System struct {
 	// Failover monitor (Config.FailoverAfter > 0).
 	stopMon chan struct{}
 	monWG   sync.WaitGroup
-	bgWG    sync.WaitGroup // background re-replication after a removal
 
 	elastic elasticCounters
 }
@@ -234,8 +221,7 @@ func New(dir *abdm.Directory, cfg Config) (*System, error) {
 	if cfg.Disk.BlockFactor == 0 {
 		cfg.Disk = kdb.DefaultDiskModel()
 	}
-	s := &System{cfg: cfg, dir: dir, rr: make(map[string]uint64),
-		placed: make(map[abdm.RecordID]*backend), closedCh: make(chan struct{})}
+	s := &System{cfg: cfg, dir: dir, closedCh: make(chan struct{})}
 	for i := 0; i < cfg.Backends; i++ {
 		store, err := s.newLocalStore(i)
 		if err != nil {
@@ -290,9 +276,9 @@ func (s *System) finishInit() {
 // NewWithExecutors builds an MBDS instance whose backends are the given
 // executors — typically mbdsnet.RemoteBackend clients, making the controller
 // local and the backends remote machines, as in the original hardware
-// configuration. The config's Backends count is ignored. With Replicas > 0
-// the controller assigns every inserted record's database key itself, so the
-// executors' own allocators are never consulted.
+// configuration. The config's Backends count is ignored. The controller
+// assigns every inserted record's database key itself, so the executors' own
+// allocators are never consulted.
 func NewWithExecutors(dir *abdm.Directory, cfg Config, execs []Executor) (*System, error) {
 	if len(execs) < 1 {
 		return nil, fmt.Errorf("mbds: need at least 1 executor")
@@ -301,8 +287,7 @@ func NewWithExecutors(dir *abdm.Directory, cfg Config, execs []Executor) (*Syste
 		cfg.Disk = kdb.DefaultDiskModel()
 	}
 	cfg.Backends = len(execs)
-	s := &System{cfg: cfg, dir: dir, rr: make(map[string]uint64),
-		placed: make(map[abdm.RecordID]*backend), closedCh: make(chan struct{})}
+	s := &System{cfg: cfg, dir: dir, closedCh: make(chan struct{})}
 	for i, ex := range execs {
 		s.view = append(s.view, newBackend(i, ex, nil, cfg.FaultInjection))
 	}
@@ -383,7 +368,6 @@ func (s *System) Close() {
 		s.monWG.Wait()
 	}
 	s.opWG.Wait()
-	s.bgWG.Wait()
 	view := s.viewSnap()
 	for _, b := range view {
 		b.retire()
@@ -510,84 +494,14 @@ func (s *System) StoreStats() kdb.Stats {
 // ErrClosed is returned by operations on a closed system.
 var ErrClosed = errors.New("mbds: system is closed")
 
-// placePos picks the primary position in an n-backend view for an inserted
-// record, by content hash or per-file round robin.
-func (s *System) placePos(rec *abdm.Record, n int) int {
-	switch s.cfg.Placement {
-	case HashKeywords:
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(rec.Key()))
-		return int(h.Sum64() % uint64(n))
-	default:
-		s.rrMu.Lock()
-		defer s.rrMu.Unlock()
-		file := rec.File()
-		c := s.rr[file]
-		s.rr[file] = c + 1
-		return int(c % uint64(n))
-	}
-}
-
-// insertHome picks the view position of an insert's primary backend. A
-// request that carries a database key (an undo restore, a replay, a
-// replicated copy) belongs to the backend that already holds that key's
-// record versions, so a recorded placement wins over content routing —
-// otherwise an aborted transaction's restore could migrate the record away
-// from its MVCC version chain and a later snapshot would see the key on two
-// partitions. A recorded backend that has left the view (it was removed
-// between the key's last write and now) falls back to content routing.
-func (s *System) insertHome(req *abdl.Request, view []*backend) int {
-	if req.ForceID != 0 {
-		s.placeMu.Lock()
-		b, ok := s.placed[req.ForceID]
-		s.placeMu.Unlock()
-		if ok {
-			for p, v := range view {
-				if v == b {
-					return p
-				}
-			}
-		}
-	}
-	return s.placePos(req.Record, len(view))
-}
-
-// notePlacement records which backend is primary for a database key. Entries
-// are kept after deletion — an aborted delete restores the record under the
-// same key and must land on the same partition — and are evicted when
-// watermark GC removes the key's entire version chain (no snapshot can reach
-// the key any more) or when membership changes reassign it.
-func (s *System) notePlacement(id abdm.RecordID, primary *backend) {
-	if id == 0 {
-		return
-	}
-	s.placeMu.Lock()
-	s.placed[id] = primary
-	s.metrics.placedKeys.Set(int64(len(s.placed)))
-	s.placeMu.Unlock()
-}
-
-// evictPlaced forgets the placement of keys whose version chains are gone:
-// once watermark GC (or an abort that erased a key's only history) removed a
-// chain everywhere, no undo restore or snapshot read can address the key
-// again, so the sticky-placement map stays bounded by the live key count.
-func (s *System) evictPlaced(ids []abdm.RecordID) {
-	if len(ids) == 0 {
-		return
-	}
-	s.placeMu.Lock()
-	for _, id := range ids {
-		delete(s.placed, id)
-	}
-	s.metrics.placedKeys.Set(int64(len(s.placed)))
-	s.placeMu.Unlock()
-}
-
-// PlacedKeys reports the size of the sticky-placement map.
-func (s *System) PlacedKeys() int {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	return len(s.placed)
+// home is the placement rule: the view position of the primary holder of
+// database key id in a view of n backends. Fibonacci hashing scatters the
+// key over the 64-bit circle, and the high word of its product with n cuts
+// that circle into n equal arcs, so consecutive keys spread evenly whatever
+// the period of the insert stream.
+func home(id abdm.RecordID, n int) int {
+	hi, _ := bits.Mul64(uint64(id)*0x9E3779B97F4A7C15, uint64(n))
+	return int(hi)
 }
 
 // isHolder is the replica rule: view position p holds a copy of a key whose
@@ -600,20 +514,14 @@ func (s *System) isHolder(p, home, n int) bool {
 // holders is the size of a key's holder set in a view of n backends.
 func (s *System) holders(n int) int { return min(s.cfg.Replicas+1, n) }
 
-// holdersIn expands a primary backend into its holder set within the view,
-// primary first, then its successors in view order. A primary not in the
-// view yields just itself.
-func (s *System) holdersIn(view []*backend, primary *backend) []*backend {
-	home := slices.Index(view, primary)
-	if home < 0 {
-		return []*backend{primary}
-	}
+// holdersOf is the holder set the rule names for a key in the view: its
+// home, then the home's successors in view order.
+func (s *System) holdersOf(view []*backend, id abdm.RecordID) []*backend {
 	n := len(view)
-	out := make([]*backend, 0, s.holders(n))
-	for i := range n {
-		if p := (home + i) % n; s.isHolder(p, home, n) {
-			out = append(out, view[p])
-		}
+	h := home(id, n)
+	out := make([]*backend, s.holders(n))
+	for i := range out {
+		out[i] = view[(h+i)%n]
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package mbds
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,17 +63,41 @@ func TestSystemInsertDistribution(t *testing.T) {
 	if s.Len() != 100 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	sizes := s.PartitionSizes()
-	for i, n := range sizes {
-		if n != 25 {
-			t.Errorf("backend %d holds %d records, want 25 (round robin)", i, n)
+	// Keys 1..100 hashed onto four arcs.
+	if sizes := s.PartitionSizes(); !slices.Equal(sizes, []int{26, 24, 25, 25}) {
+		t.Errorf("partition sizes %v, want [26 24 25 25]", sizes)
+	}
+}
+
+// TestPeriodicInsertsSpread: an insert stream whose period shares a factor
+// with the backend count still spreads every value over every backend —
+// loadEmployees deals dept = i mod 4, and each dept's 500 records split
+// within 10% of evenly on 2 and on 4 backends.
+func TestPeriodicInsertsSpread(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		s := newSystem(t, n)
+		loadEmployees(t, s, 2000)
+		want := 500 / n
+		for _, dept := range []string{"CS", "EE", "ME", "CE"} {
+			q := abdl.NewRetrieve(abdm.And(
+				abdm.Predicate{Attr: "dept", Op: abdm.OpEq, Val: abdm.String(dept)}), abdl.AllAttrs)
+			for pos := 0; pos < n; pos++ {
+				res, err := s.Store(pos).Exec(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := len(res.Records); got < want*9/10 || got > want*11/10 {
+					t.Errorf("%d backends: backend %d holds %d %s records, want %d ± 10%%", n, pos, got, dept, want)
+				}
+			}
 		}
 	}
 }
 
+// TestSystemHashPlacementDeterministic: placement hashes the database key,
+// so identical systems fed the same inserts place them identically.
 func TestSystemHashPlacementDeterministic(t *testing.T) {
 	cfg := DefaultConfig(3)
-	cfg.Placement = HashKeywords
 	a, err := New(testDir(t), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,11 +18,10 @@ type sysMetrics struct {
 
 	// Elastic membership and live migration.
 	membershipEpoch *obs.Gauge   // current placement-view epoch
-	placedKeys      *obs.Gauge   // sticky-placement map size
 	migKeys         *obs.Counter // records copied by migrations
 	migBytes        *obs.Counter // approximate bytes copied by migrations
 	migCatchup      *obs.Counter // catch-up log entries replayed at flips
-	promotions      *obs.Counter // replica-successor promotions (failovers)
+	promotions      *obs.Counter // backends removed after loss (failovers)
 }
 
 // backendMetrics is one backend's handle set.
@@ -53,8 +52,6 @@ func (s *System) initMetrics() {
 			"wall-clock kernel time per request", nil, db),
 		membershipEpoch: reg.Gauge("mlds_membership_epoch",
 			"current backend placement-view epoch", db),
-		placedKeys: reg.Gauge("mlds_placed_keys",
-			"entries in the sticky-placement map", db),
 		migKeys: reg.Counter("mlds_migration_keys_total",
 			"records copied by live partition migrations", db),
 		migBytes: reg.Counter("mlds_migration_bytes_total",
@@ -62,7 +59,7 @@ func (s *System) initMetrics() {
 		migCatchup: reg.Counter("mlds_migration_catchup_entries_total",
 			"catch-up log entries captured during live migrations", db),
 		promotions: reg.Counter("mlds_promotions_total",
-			"replica-successor promotions after backend loss", db),
+			"backends removed after loss, their keys re-homed on survivors", db),
 	}
 }
 

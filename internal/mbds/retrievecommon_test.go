@@ -29,7 +29,7 @@ func TestRetrieveCommonAcrossBackends(t *testing.T) {
 	}
 	defer s.Close()
 
-	// 16 employees over 4 depts, 8 projects over 2 depts: round-robin
+	// 16 employees over 4 depts, 8 projects over 2 depts: placement
 	// scatters both files over all backends, so phase-1 values must be
 	// gathered globally for phase 2 to be correct.
 	for i := 0; i < 16; i++ {

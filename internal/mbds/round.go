@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -147,15 +148,15 @@ type share struct {
 }
 
 // round executes requests free of RETRIEVE-COMMON as one bus round. Inserts
-// go to their holder set (with a controller-assigned key under replication,
-// so every copy shares it); every other kind broadcasts. Each backend gets
-// its share as a single message under one admit/retry/breaker pass and works
-// it in order, so a later request observes earlier mutations on the same
-// backend; the partial results merge positionally.
+// go to the holder set of a controller-assigned key (every copy shares it,
+// and the key names its holders); every other kind broadcasts. Each backend
+// gets its share as a single message under one admit/retry/breaker pass and
+// works it in order, so a later request observes earlier mutations on the
+// same backend; the partial results merge positionally.
 func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result, time.Duration, error) {
 	view := s.viewSnap()
 	sent := make([]*abdl.Request, len(reqs))
-	var home []int // per insert: the primary's view position; nil without inserts
+	var homes []int // per insert: the primary's view position; nil without inserts
 	inserts := 0
 	for i, req := range reqs {
 		if req.Kind != abdl.Insert {
@@ -167,15 +168,15 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 			// advance the shared allocator past it so later inserts can never
 			// collide with the replayed key space.
 			s.seedNextID(uint64(req.ForceID))
-		} else if s.cfg.Replicas > 0 {
+		} else {
 			cp := *req
 			cp.ForceID = abdm.RecordID(s.nextID.Add(1))
 			req = &cp
 		}
-		if home == nil {
-			home = make([]int, len(reqs))
+		if homes == nil {
+			homes = make([]int, len(reqs))
 		}
-		sent[i], home[i] = req, s.insertHome(req, view)
+		sent[i], homes[i] = req, home(req.ForceID, len(view))
 		inserts++
 	}
 
@@ -183,7 +184,7 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 	// holds a copy of (isHolder); a share that is the whole round takes the
 	// round's slice as is.
 	serves := func(p, i int) bool {
-		return sent[i].Kind != abdl.Insert || s.isHolder(p, home[i], len(view))
+		return sent[i].Kind != abdl.Insert || s.isHolder(p, homes[i], len(view))
 	}
 	// A round of inserts alone reaches at most one holder window each.
 	most := len(view)
@@ -194,7 +195,7 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 	slots := 0
 	for p, b := range view {
 		sh := share{b: b, reqs: sent}
-		if home != nil {
+		if homes != nil {
 			n := 0
 			for i := range sent {
 				if serves(p, i) {
@@ -264,7 +265,13 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 			switch {
 			case sent[i].Kind != abdl.Insert:
 				if results[i] == nil {
+					// Placement spreads a file over every backend, so a
+					// broadcast's records arrive from several shares:
+					// size the merged list once.
 					results[i] = &kdb.Result{Op: sent[i].Kind}
+					if n := recordsAt(shares, i); n > 0 {
+						results[i].Records = make([]kdb.StoredRecord, 0, n)
+					}
 				}
 				results[i].Merge(res)
 			case results[i] == nil:
@@ -284,11 +291,6 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 			// copies than requested (a holder was down) is degraded but
 			// successful; the record is durable on the copies that took it.
 			results[i].Count = 1
-			if req.ForceID != 0 {
-				s.notePlacement(req.ForceID, view[home[i]])
-			} else if len(results[i].Affected) > 0 {
-				s.notePlacement(results[i].Affected[0], view[home[i]])
-			}
 			continue
 		}
 		// A failed backend fails every broadcast at once; with replication
@@ -311,13 +313,28 @@ func (s *System) round(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result
 			}
 		}
 		results[i].RecomputeAggregates(req.Target)
-		// A GC sweep (or an abort erasing a key's only history) that removed
-		// whole chains frees those keys' sticky placements.
-		if req.Kind == abdl.MvccGC || req.Kind == abdl.MvccAbort {
-			s.evictPlaced(results[i].Affected)
-		}
 	}
 	return results, 2*s.cfg.MsgLatency + worst, nil
+}
+
+// recordsAt counts the records the successful shares returned for round
+// position i.
+func recordsAt(shares []share, i int) int {
+	n := 0
+	for _, sh := range shares {
+		if sh.err != nil {
+			continue
+		}
+		j := i
+		if sh.pos != nil {
+			var ok bool
+			if j, ok = slices.BinarySearch(sh.pos, i); !ok {
+				continue
+			}
+		}
+		n += len(sh.out[j].Records)
+	}
+	return n
 }
 
 // withCacheKey returns a RETRIEVE carrying its canonical text as
@@ -412,15 +429,13 @@ func (s *System) callShare(ctx context.Context, sh *share) {
 // callBackend executes requests on one backend under the fault policy: the
 // circuit breaker gates admission, each attempt is bounded by
 // RequestTimeout, and transient failures are retried with exponential
-// backoff when a resend is safe. The requests are the retry unit, so a
-// resend is safe only when every one of them is idempotent. The first
+// backoff. Every request the controller sends is safe to resend, even after
+// an attempt that may have executed: retrieves read, DELETE and UPDATE
+// qualify by query and assign absolute values, and every INSERT carries its
+// controller-assigned key, so a resend overwrites its own copy. The first
 // attempt writes its results into out; an abandoned attempt may still write
 // there late, so every retry gets fresh result memory.
 func (s *System) callBackend(b *backend, reqs []*abdl.Request, out []*kdb.Result) ([]*kdb.Result, error) {
-	idem := true
-	for _, r := range reqs {
-		idem = idem && idempotent(r)
-	}
 	for attempt := 0; ; attempt++ {
 		probing, ok := b.admit(s.cfg)
 		if !ok {
@@ -450,9 +465,8 @@ func (s *System) callBackend(b *backend, reqs []*abdl.Request, out []*kdb.Result
 		}
 		b.metrics.failures.Inc()
 		b.noteFailure(err, s.cfg)
-		// Retry only recoverable failures, and never resend a
-		// non-idempotent request that may already have executed.
-		if !transient(err) || (maybeApplied(err) && !idem) || attempt >= s.cfg.MaxRetries {
+		// Retry only recoverable failures.
+		if !transient(err) || attempt >= s.cfg.MaxRetries {
 			return nil, err
 		}
 		// A failed probe leaves the breaker open; stop instead of burning

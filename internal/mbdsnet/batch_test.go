@@ -21,7 +21,7 @@ func startCountedCluster(t *testing.T, n int) (*mbds.System, []*BackendServer) {
 	var execs []mbds.Executor
 	var servers []*BackendServer
 	for i := 0; i < n; i++ {
-		store := kdb.NewStore(dir.Clone(), kdb.WithStrideIDs(uint64(i+1), uint64(n)))
+		store := kdb.NewStore(dir.Clone())
 		srv, err := Listen("127.0.0.1:0", store)
 		if err != nil {
 			t.Fatal(err)

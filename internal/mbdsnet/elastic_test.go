@@ -84,8 +84,8 @@ func TestReconnectBackoffDoubleRestart(t *testing.T) {
 // over the wire, pending versions included.
 func TestRemoteMigrationVerbs(t *testing.T) {
 	dir := testDir(t)
-	src := kdb.NewStore(dir.Clone(), kdb.WithStrideIDs(1, 2))
-	dst := kdb.NewStore(dir.Clone(), kdb.WithStrideIDs(2, 2))
+	src := kdb.NewStore(dir.Clone())
+	dst := kdb.NewStore(dir.Clone())
 	for i := 0; i < 5; i++ {
 		if _, err := src.Insert(employee(fmt.Sprintf("mig%d", i))); err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestRemoteDrain(t *testing.T) {
 
 	var execs []mbds.Executor
 	for i := 0; i < n; i++ {
-		store := kdb.NewStore(dir.Clone(), kdb.WithStrideIDs(uint64(i+1), n))
+		store := kdb.NewStore(dir.Clone())
 		srv, err := Listen("127.0.0.1:0", store)
 		if err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ func startCluster(t *testing.T, n int) *mbds.System {
 	dir := testDir(t)
 	var execs []mbds.Executor
 	for i := 0; i < n; i++ {
-		store := kdb.NewStore(dir.Clone(), kdb.WithStrideIDs(uint64(i+1), uint64(n)))
+		store := kdb.NewStore(dir.Clone())
 		srv, err := Listen("127.0.0.1:0", store)
 		if err != nil {
 			t.Fatal(err)

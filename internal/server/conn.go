@@ -44,12 +44,23 @@ func newSrvConn(s *Server, nc net.Conn) *srvConn {
 // send writes one framed reply, stamping the draining flag on every reply
 // while the server drains so clients learn to redial no matter which message
 // they were waiting on. Replies from concurrent session workers interleave
-// here in completion order; Seq matches them back to requests.
+// here in completion order; Seq matches them back to requests. A reply
+// larger than the frame limit — which the client refuses to read, failing
+// every session on the connection — goes out as a CodeResultTooLarge
+// refusal instead, failing only its own statement.
 func (c *srvConn) send(m *wire.Msg) {
 	m.Flags |= c.drainFlag()
+	payload := wire.EncodeMsg(m)
+	if limit := c.srv.maxFrame(); len(payload) > limit && m.Kind == wire.MsgReply {
+		c.srv.mRefused.Inc()
+		r := refusal(m, wire.CodeResultTooLarge,
+			fmt.Sprintf("server: reply of %d bytes exceeds the %d-byte frame limit", len(payload), limit))
+		r.Flags = m.Flags
+		payload = wire.EncodeMsg(r)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := wire.WriteMsg(c.bw, m); err != nil {
+	if err := wire.WriteFrame(c.bw, payload); err != nil {
 		return
 	}
 	_ = c.bw.Flush()
@@ -59,7 +70,7 @@ func (c *srvConn) serve() {
 	defer c.srv.wg.Done()
 	defer c.teardown()
 	for {
-		m, err := wire.ReadMsg(c.br, c.srv.cfg.MaxFrame)
+		m, err := wire.ReadMsg(c.br, c.srv.maxFrame())
 		if err != nil {
 			return
 		}

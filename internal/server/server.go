@@ -53,7 +53,9 @@ type Config struct {
 	RateLimit float64
 	// RateBurst is the token-bucket burst size for RateLimit (0 = 16).
 	RateBurst int
-	// MaxFrame caps inbound frame size in bytes (0 = wire.DefaultMaxFrame).
+	// MaxFrame caps frame size in bytes both ways (0 = wire.DefaultMaxFrame,
+	// the client's default): an inbound frame over it is a protocol error, a
+	// reply over it is refused with CodeResultTooLarge.
 	MaxFrame int
 	// MaxWatchesPerConn caps live watches on one connection; a WATCH beyond
 	// it is refused with CodeWatchLimit (0 = 64).
@@ -263,6 +265,14 @@ func (s *Server) dropConn(c *srvConn) {
 }
 
 // refusal builds the typed reply for an admission refusal.
+// maxFrame is the frame limit in force.
+func (s *Server) maxFrame() int {
+	if s.cfg.MaxFrame > 0 {
+		return s.cfg.MaxFrame
+	}
+	return wire.DefaultMaxFrame
+}
+
 func refusal(m *wire.Msg, code wire.Code, text string) *wire.Msg {
 	return &wire.Msg{Kind: wire.MsgReply, SID: m.SID, Seq: m.Seq, Code: code, Err: text}
 }

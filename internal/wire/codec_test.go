@@ -290,13 +290,13 @@ func TestCodeTable(t *testing.T) {
 	// The numbers are frozen protocol; assert a few anchors.
 	anchors := map[Code]uint16{
 		CodeOK: 0, CodeNoDatabase: 3, CodeDeadlock: 6, CodeDraining: 11, CodeProto: 16,
-		CodeNoWatch: 17, CodeWatchLimit: 18, CodeView: 19,
+		CodeNoWatch: 17, CodeWatchLimit: 18, CodeView: 19, CodeResultTooLarge: 20,
 	}
 	if !CodeWatchLimit.Retryable() || !CodeWatchLimit.NotExecuted() {
 		t.Fatal("watch-limit classification wrong")
 	}
-	if CodeView.Retryable() || CodeNoWatch.Retryable() {
-		t.Fatal("view/no-watch must not be retryable")
+	if CodeView.Retryable() || CodeNoWatch.Retryable() || CodeResultTooLarge.Retryable() {
+		t.Fatal("view/no-watch/result-too-large must not be retryable")
 	}
 	for c, n := range anchors {
 		if uint16(c) != n {

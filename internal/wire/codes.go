@@ -65,6 +65,10 @@ const (
 	// CodeView: a view-registry failure — CREATE VIEW on a taken name, DROP
 	// VIEW on an unknown one.
 	CodeView Code = 19
+	// CodeResultTooLarge: the reply would exceed the peer's frame limit, so
+	// the server sent this refusal in its place; the statement ran. Resending
+	// it fails the same way — narrow the query instead.
+	CodeResultTooLarge Code = 20
 )
 
 var codeNames = [...]string{
@@ -88,6 +92,7 @@ var codeNames = [...]string{
 	CodeNoWatch:         "no-watch",
 	CodeWatchLimit:      "watch-limit",
 	CodeView:            "view",
+	CodeResultTooLarge:  "result-too-large",
 }
 
 // String names the code.
