@@ -17,6 +17,7 @@ import (
 	"mlds/internal/daplex"
 	"mlds/internal/dli"
 	"mlds/internal/hiekms"
+	"mlds/internal/kc"
 	"mlds/internal/kdb"
 	"mlds/internal/kfs"
 	"mlds/internal/kms"
@@ -510,18 +511,20 @@ func (s *session) Execute(text string) (*Outcome, error) {
 		out.Trace = root
 	}
 	start := time.Now()
-	simBefore := db.Ctrl.SimTime()
 	var err error
 	if verb, ok := txnVerb(text); ok {
 		err = s.control(verb, out)
 	} else if wv, arg, ok := watchVerb(text); ok {
 		err = db.watchControl(wv, arg, out)
 	} else {
-		err = s.execInTxn(ctx, text, out)
+		// Charge the statement only its own kernel requests, not those of
+		// sessions running at the same time.
+		meter := kc.NewSimMeter(ctx)
+		err = s.execInTxn(meter, text, out)
+		out.Sim = meter.Sim()
 	}
 	out.Wall = time.Since(start)
 	out.Code = CodeOf(err)
-	out.Sim = db.Ctrl.SimTime() - simBefore
 	root.AddSim(out.Sim)
 	if err != nil {
 		root.SetAttr("error", err.Error())

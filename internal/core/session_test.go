@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -208,5 +209,67 @@ func TestSessionMetricsAndSlowLog(t *testing.T) {
 	}
 	if s.SlowLog().Total() < uint64(len(entries)) {
 		t.Errorf("Total() = %d < %d entries", s.SlowLog().Total(), len(entries))
+	}
+}
+
+// TestOutcomeSimIsTheStatementsOwn: a statement's Outcome.Sim is the
+// simulated kernel time of its own requests, so a point SELECT reads the
+// same figure alone and while another session scans the table.
+func TestOutcomeSimIsTheStatementsOwn(t *testing.T) {
+	s, _ := newShop(t, Config{})
+	sess, err := s.Open("shop", "sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := sess.Execute(fmt.Sprintf("INSERT INTO emp (ename, pay) VALUES ('e%d', %d);", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const point = "SELECT ename FROM emp WHERE ename = 'e7';"
+	alone, err := sess.Execute(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Sim <= 0 {
+		t.Fatalf("lone point SELECT charged Sim %v, want > 0", alone.Sim)
+	}
+
+	scanner, err := s.Open("shop", "sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	scanErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				scanErr <- nil
+				return
+			default:
+			}
+			if _, err := scanner.Execute("SELECT ename, pay FROM emp WHERE pay >= 0;"); err != nil {
+				scanErr <- err
+				return
+			}
+		}
+	}()
+	differ := 0
+	for i := 0; i < 200; i++ {
+		out, err := sess.Execute(point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Sim != alone.Sim {
+			differ++
+		}
+	}
+	close(stop)
+	if err := <-scanErr; err != nil {
+		t.Fatal(err)
+	}
+	if differ > 0 {
+		t.Fatalf("%d of 200 point SELECTs under a concurrent scan charged a Sim other than the lone run's %v", differ, alone.Sim)
 	}
 }

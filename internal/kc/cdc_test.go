@@ -268,7 +268,13 @@ func TestCommitRecordStamping(t *testing.T) {
 	if _, err := c.Exec(insertX(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ExecBatch([]*abdl.Request{insertX(2), insertX(3)}); err != nil {
+	tx := c.Txns().Begin()
+	for _, v := range []int64{2, 3} {
+		if _, err := c.ExecCtx(txn.NewContext(context.Background(), tx), insertX(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Txns().Commit(tx); err != nil {
 		t.Fatal(err)
 	}
 	rec1 := <-sub.C
@@ -277,7 +283,7 @@ func TestCommitRecordStamping(t *testing.T) {
 		t.Fatalf("first record stamped %+v, want pos 1", rec1)
 	}
 	if rec2.Pos != 3 || len(rec2.Entries) != 2 {
-		t.Fatalf("batch record stamped pos %d with %d entries, want pos 3", rec2.Pos, len(rec2.Entries))
+		t.Fatalf("two-insert record stamped pos %d with %d entries, want pos 3", rec2.Pos, len(rec2.Entries))
 	}
 	if rec1.Epoch == 0 || rec2.Epoch <= rec1.Epoch {
 		t.Fatalf("epochs not increasing: %d then %d", rec1.Epoch, rec2.Epoch)

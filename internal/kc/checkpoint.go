@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
-	"mlds/internal/kdb"
 	"mlds/internal/pager"
 	"mlds/internal/wire"
 )
@@ -32,8 +30,8 @@ import (
 // Between CheckpointBegin and CheckpointRelease the store defers
 // write-throughs behind its fence while group commit, stamping and reads
 // all proceed — the checkpoint's pool flush and page-file commit never
-// stall the commit path. One protocol serves every case: Checkpoint is
-// CheckpointFleet over one store (fleet.go).
+// stall the commit path. One protocol serves every case: a single store is
+// a fleet of one (CheckpointFleet, fleet.go).
 
 // ErrCheckpointUnaligned reports a checkpoint the journal position cannot
 // cover: a store's current image already holds more journal entries than
@@ -48,17 +46,6 @@ type CheckpointInfo struct {
 	Meta    pager.Meta // metadata committed into the page file
 	Rotated bool       // the journal was truncated to a fresh file
 	Tail    uint64     // committed entries past the checkpoint still in the journal
-}
-
-// Checkpoint takes a fuzzy checkpoint of the backed store: fence the
-// backing at a whole commit epoch, flush the buffer pool and commit a page
-// generation stamped with that epoch's exact journal position, write a
-// checkpoint marker to the journal, and — when no committed entries have
-// accumulated past the checkpoint — rotate the journal down to just the
-// marker. Group commit keeps running throughout; only write-throughs queue
-// behind the store fence. It is CheckpointFleet over the one store.
-func (c *Controller) Checkpoint(st *kdb.Store) (CheckpointInfo, error) {
-	return c.CheckpointFleet([]*kdb.Store{st})
 }
 
 // markCheckpointLocked notes a durable checkpoint (info.Meta) in the journal.
@@ -107,38 +94,6 @@ func (c *Controller) SeedRecovery(meta pager.Meta, entries uint64) {
 		c.jMaxKey = k
 	}
 	c.lastCkpt = meta.Epoch
-}
-
-// StartCheckpointer checkpoints st every interval until the returned stop
-// function is called. The first checkpoint error is remembered and returned
-// by stop; the loop keeps running after one.
-func (c *Controller) StartCheckpointer(st *kdb.Store, interval time.Duration) (stop func() error) {
-	c.mu.Lock()
-	c.ckptStop = make(chan struct{})
-	c.ckptDone = make(chan struct{})
-	stopCh, doneCh := c.ckptStop, c.ckptDone
-	c.mu.Unlock()
-	var firstErr error
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if _, err := c.Checkpoint(st); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			case <-stopCh:
-				return
-			}
-		}
-	}()
-	return func() error {
-		close(stopCh)
-		<-doneCh
-		return firstErr
-	}
 }
 
 // JournalFile is an on-disk journal the controller can rotate at a

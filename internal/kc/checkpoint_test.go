@@ -110,7 +110,7 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	info, err := c.Checkpoint(st)
+	info, err := c.CheckpointFleet([]*kdb.Store{st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestReplayShrinksWithCheckpointInterval(t *testing.T) {
 				t.Fatal(err)
 			}
 			if interval > 0 && v%int64(interval) == 0 {
-				if _, err := c.Checkpoint(st); err != nil {
+				if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -213,7 +213,7 @@ func TestCheckpointAfterRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Checkpoint(st); err != nil {
+	if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 	for v := int64(6); v <= 8; v++ {
@@ -226,7 +226,7 @@ func TestCheckpointAfterRecovery(t *testing.T) {
 	if replayed != 3 {
 		t.Fatalf("first recovery replayed %d, want 3", replayed)
 	}
-	info, err := c2.Checkpoint(st2)
+	info, err := c2.CheckpointFleet([]*kdb.Store{st2})
 	if err != nil {
 		t.Fatalf("checkpoint after recovery: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestCheckpointAfterRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c2.Checkpoint(st2); err != nil {
+	if _, err := c2.CheckpointFleet([]*kdb.Store{st2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,14 +269,14 @@ func TestCheckpointUnaligned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Checkpoint(st); err != nil {
+	if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Remount the image but skip SeedRecovery: the image's epoch is unknown
 	// to the fresh controller.
 	c2, st2, _ := backedController(t, pagePath)
-	if _, err := c2.Checkpoint(st2); !errors.Is(err, ErrCheckpointUnaligned) {
+	if _, err := c2.CheckpointFleet([]*kdb.Store{st2}); !errors.Is(err, ErrCheckpointUnaligned) {
 		t.Fatalf("checkpoint without SeedRecovery = %v, want ErrCheckpointUnaligned", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestRecoveryRefusesMismatchedImage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Checkpoint(st); err != nil {
+	if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -310,9 +310,9 @@ func TestRecoveryRefusesMismatchedImage(t *testing.T) {
 	}
 }
 
-// TestCheckpointerDoesNotStallCommits runs the background checkpointer at an
-// aggressive interval under a stream of commits: every commit must succeed,
-// the checkpointer must not error, and the final state must recover exactly.
+// TestCheckpointerDoesNotStallCommits runs a background checkpoint loop at
+// an aggressive interval under a stream of commits: every commit must
+// succeed, no checkpoint may error, and the final state must recover exactly.
 func TestCheckpointerDoesNotStallCommits(t *testing.T) {
 	tmp := t.TempDir()
 	pagePath := filepath.Join(tmp, "part0.pgf")
@@ -320,7 +320,25 @@ func TestCheckpointerDoesNotStallCommits(t *testing.T) {
 
 	c, st, _ := backedController(t, pagePath)
 	attachJournalFile(t, c, journalPath)
-	stop := c.StartCheckpointer(st, 2*time.Millisecond)
+	stopCh := make(chan struct{})
+	ckptErr := make(chan error, 1)
+	go func() {
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		var first error
+		defer func() { ckptErr <- first }()
+		for {
+			select {
+			case <-tick.C:
+				if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil && first == nil {
+					first = err
+				}
+			case <-stopCh:
+				return
+			}
+		}
+	}()
+	stop := func() error { close(stopCh); return <-ckptErr }
 	const n = 60
 	for v := int64(1); v <= n; v++ {
 		if _, err := c.Exec(insertX(v)); err != nil {
@@ -329,9 +347,9 @@ func TestCheckpointerDoesNotStallCommits(t *testing.T) {
 		}
 	}
 	if err := stop(); err != nil {
-		t.Fatalf("background checkpointer: %v", err)
+		t.Fatalf("background checkpoint: %v", err)
 	}
-	if _, err := c.Checkpoint(st); err != nil {
+	if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 

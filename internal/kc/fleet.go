@@ -13,17 +13,17 @@ import (
 // Fleet checkpoints.
 //
 // A multi-backend system puts every partition's backed store behind ONE
-// controller and ONE journal. Checkpointing the stores one at a time with
-// Checkpoint would stamp each page file with a different journal position,
+// controller and ONE journal. Checkpointing the stores one at a time would
+// stamp each page file with a different journal position,
 // and recovery — which replays the shared journal exactly once, with a
 // single skip count — could not pick a position valid for all of them.
 // CheckpointFleet fences every store inside the same stamp barrier, so all
 // images are exact at one journal position and recovery has a single
 // consistent cut.
 //
-// The rule a shared-journal fleet must follow: checkpoint only through
-// CheckpointFleet (or with one store only, Checkpoint — a fleet of one).
-// Mixing per-store Checkpoint calls into a fleet leaves page files stamped
+// The rule a shared-journal fleet must follow: checkpoint every store
+// together in one CheckpointFleet call (a lone store is a fleet of one).
+// Mixing per-store checkpoints into a fleet leaves page files stamped
 // at interleaved positions; FleetCut then recovers to the oldest of them
 // and the marker/image mismatch check in RecoverJournalFrom refuses any
 // rotated journal whose marker claims a newer prefix.

@@ -68,13 +68,13 @@ func (c *Controller) writeJournalLocked(b []byte) error {
 // JournalError reports a mutation the kernel applied that the journal
 // failed to record: the store and the recovery log have diverged, and a
 // replay of the journal will not reproduce the current database. Applied
-// carries the kernel results of the requests that did execute, so callers
+// carries the kernel result of the statement that did execute, so callers
 // can keep the outcome (the data is durable in the kernel) while handling
 // the divergence — typically by re-snapshotting rather than trusting the
 // journal.
 type JournalError struct {
-	Applied []*kdb.Result // results of the round that executed before the journal failed
-	Err     error         // the underlying journal write failure
+	Applied *kdb.Result // result of the statement that executed before the journal failed
+	Err     error       // the underlying journal write failure
 }
 
 // Error describes the divergence.

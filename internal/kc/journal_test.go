@@ -57,7 +57,7 @@ func TestJournalFailureSurfacesDivergence(t *testing.T) {
 	if !errors.Is(err, errDiskFull) {
 		t.Fatalf("JournalError does not unwrap to the write failure: %v", err)
 	}
-	if len(je.Applied) != 1 || je.Applied[0] == nil || je.Applied[0].Count != 1 {
+	if je.Applied == nil || je.Applied.Count != 1 {
 		t.Fatalf("JournalError.Applied = %+v, want the applied insert result", je.Applied)
 	}
 	// The divergence is real: the kernel holds the record the journal lost.
@@ -71,9 +71,9 @@ func TestJournalFailureSurfacesDivergence(t *testing.T) {
 	}
 }
 
-// TestExecBatchJournalsMutations checks a batched round journals its
-// mutations (and only those) so a replay reproduces the batch.
-func TestExecBatchJournalsMutations(t *testing.T) {
+// TestTxnJournalsMutationsOnly checks a transaction journals its mutations
+// (and only those) so a replay reproduces them.
+func TestTxnJournalsMutationsOnly(t *testing.T) {
 	c1 := newController(t)
 	var journal bytes.Buffer
 	c1.AttachJournal(&journal)
@@ -84,15 +84,19 @@ func TestExecBatchJournalsMutations(t *testing.T) {
 		abdl.NewUpdate(abdm.And(abdm.Predicate{Attr: "x", Op: abdm.OpEq, Val: abdm.Int(2)}),
 			abdl.Modifier{Attr: "x", Val: abdm.Int(3)}),
 	}
-	results, err := c1.ExecBatch(reqs)
-	if err != nil {
+	tx := c1.Txns().Begin()
+	ctx := txn.NewContext(context.Background(), tx)
+	for i, req := range reqs {
+		res, err := c1.ExecCtx(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 && len(res.Records) != 2 {
+			t.Fatalf("retrieve in the transaction saw %d records, want 2", len(res.Records))
+		}
+	}
+	if err := c1.Txns().Commit(tx); err != nil {
 		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("batch returned %d results, want 4", len(results))
-	}
-	if len(results[2].Records) != 2 {
-		t.Fatalf("batched retrieve saw %d records, want 2", len(results[2].Records))
 	}
 
 	c2 := newController(t)
@@ -110,21 +114,6 @@ func TestExecBatchJournalsMutations(t *testing.T) {
 	}
 	if len(res.Records) != 1 {
 		t.Fatalf("replayed database has %d records with x=3, want 1", len(res.Records))
-	}
-}
-
-// TestExecBatchJournalFailure: a batch whose journal write fails surfaces
-// one JournalError carrying every applied result.
-func TestExecBatchJournalFailure(t *testing.T) {
-	c := newController(t)
-	c.AttachJournal(&failWriter{})
-	_, err := c.ExecBatch([]*abdl.Request{insertX(1), insertX(2)})
-	var je *JournalError
-	if !errors.As(err, &je) {
-		t.Fatalf("error is %T (%v), want *JournalError", err, err)
-	}
-	if len(je.Applied) != 2 {
-		t.Fatalf("JournalError.Applied has %d results, want both applied inserts", len(je.Applied))
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 // Every request executes inside a transaction. Requests whose context
 // carries one (txn.FromContext) join it; all other callers are auto-commit —
-// the controller wraps each request (or batch) in its own transaction and
+// the controller wraps each request in its own transaction and
 // commits it immediately, so single-statement traffic pays one group-commit
 // flush and gains 2PL isolation without code changes.
 package kc
@@ -15,7 +15,6 @@ package kc
 import (
 	"bufio"
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,10 +55,6 @@ type Controller struct {
 	jMaxKey  int64
 	lastCkpt uint64
 	jf       *JournalFile
-
-	// Background checkpointer (StartCheckpointer).
-	ckptStop chan struct{}
-	ckptDone chan struct{}
 }
 
 // Option configures a controller.
@@ -96,7 +91,6 @@ func New(sys *mbds.System, opts ...Option) *Controller {
 		LockTimeout: o.lockTimeout,
 		Metrics:     o.metrics,
 		DB:          o.db,
-		MVCC:        true,
 	})
 	return c
 }
@@ -157,8 +151,39 @@ func (c *Controller) ExecCtx(ctx context.Context, req *abdl.Request) (*kdb.Resul
 	span.AddSim(t)
 	span.End()
 	c.simTime.Add(int64(t))
+	if m, ok := ctx.Value(simKey{}).(*SimMeter); ok {
+		m.sim.Add(int64(t))
+	}
 	return res, nil
 }
+
+// simKey is the context key under which a SimMeter answers Value.
+type simKey struct{}
+
+// SimMeter is a context that adds up the simulated kernel time of every
+// request the controller executes under it or a context derived from it. A
+// session wraps each statement's context in one, so the statement reads its
+// own kernel time however many other sessions run at once; SimTime is the
+// controller-wide total.
+type SimMeter struct {
+	context.Context
+	sim atomic.Int64 // a time.Duration
+}
+
+// NewSimMeter starts a meter at zero over ctx.
+func NewSimMeter(ctx context.Context) *SimMeter { return &SimMeter{Context: ctx} }
+
+// Value answers simKey with the meter itself and defers every other key to
+// the parent context.
+func (m *SimMeter) Value(key any) any {
+	if key == (simKey{}) {
+		return m
+	}
+	return m.Context.Value(key)
+}
+
+// Sim reports the simulated kernel time charged so far.
+func (m *SimMeter) Sim() time.Duration { return time.Duration(m.sim.Load()) }
 
 // execAuto wraps one statement in its own transaction and commits it. A
 // commit whose journal write fails surfaces the store/journal divergence as
@@ -172,64 +197,9 @@ func (c *Controller) execAuto(ctx context.Context, req *abdl.Request) (*kdb.Resu
 		return nil, t, err
 	}
 	if err := c.txns.Commit(tx); err != nil {
-		return nil, t, &JournalError{Applied: []*kdb.Result{res}, Err: err}
+		return nil, t, &JournalError{Applied: res, Err: err}
 	}
 	return res, t, nil
-}
-
-// ExecBatch validates and executes a slice of ABDL requests as one kernel
-// round, recording each in the trace and journalling every mutation in one
-// pass.
-func (c *Controller) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) {
-	return c.ExecBatchCtx(context.Background(), reqs)
-}
-
-// ExecBatchCtx is ExecBatch carrying a request context. The round becomes a
-// single "kc.batch" span; its children are MBDS's per-backend
-// "backend.exec" spans. The batch joins the context's transaction if one is
-// present; otherwise it runs as one auto-committed transaction — a single
-// journal flush per batch, with a journal failure surfacing as one
-// JournalError carrying every applied result.
-func (c *Controller) ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result, error) {
-	if c.tracing.Load() {
-		c.record(reqs...)
-	}
-	ctx, span := obs.StartSpan(ctx, "kc.batch")
-	if span != nil {
-		span.SetAttr("requests", strconv.Itoa(len(reqs)))
-	}
-	var (
-		results []*kdb.Result
-		t       time.Duration
-		err     error
-	)
-	if tx, ok := txn.FromContext(ctx); ok {
-		results, t, err = c.txns.ExecBatch(ctx, tx, reqs)
-	} else {
-		results, t, err = c.execBatchAuto(ctx, reqs)
-	}
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		span.End()
-		return nil, err
-	}
-	span.AddSim(t)
-	span.End()
-	c.simTime.Add(int64(t))
-	return results, nil
-}
-
-func (c *Controller) execBatchAuto(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result, time.Duration, error) {
-	tx := c.txns.Begin()
-	results, t, err := c.txns.ExecBatch(ctx, tx, reqs)
-	if err != nil {
-		c.txns.Abort(tx)
-		return nil, t, err
-	}
-	if err := c.txns.Commit(tx); err != nil {
-		return nil, t, &JournalError{Applied: results, Err: err}
-	}
-	return results, t, nil
 }
 
 // NextKey allocates a fresh logical database key.
@@ -246,14 +216,12 @@ func (c *Controller) SeedKeys(max currency.Key) {
 	}
 }
 
-// record appends requests to the trace. A request that read the switch just
-// before StopTrace may still land; one after StartTrace always does.
-func (c *Controller) record(reqs ...*abdl.Request) {
+// record appends a request to the trace. A request that read the switch
+// just before StopTrace may still land; one after StartTrace always does.
+func (c *Controller) record(req *abdl.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, req := range reqs {
-		c.trace = append(c.trace, req.String())
-	}
+	c.trace = append(c.trace, req.String())
 }
 
 // StartTrace begins recording executed requests, clearing any prior trace.

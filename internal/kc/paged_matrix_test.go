@@ -71,7 +71,7 @@ func TestRecoveryMatrixTornIndexPages(t *testing.T) {
 	if err := c.Txns().Commit(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Checkpoint(st); err != nil {
+	if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 	s1, err := os.ReadFile(pagePath)
@@ -101,7 +101,7 @@ func TestRecoveryMatrixTornIndexPages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Checkpoint(st); err != nil {
+	if _, err := c.CheckpointFleet([]*kdb.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := os.ReadFile(pagePath)

@@ -11,6 +11,7 @@ import (
 
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
+	"mlds/internal/kdb"
 	"mlds/internal/txn"
 )
 
@@ -252,7 +253,7 @@ func TestRecoveryMatrixPagedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	info, err := c.Checkpoint(st)
+	info, err := c.CheckpointFleet([]*kdb.Store{st})
 	if err != nil {
 		t.Fatal(err)
 	}

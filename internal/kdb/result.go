@@ -2,7 +2,6 @@ package kdb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mlds/internal/abdl"
@@ -137,36 +136,59 @@ func dedupStored(in []StoredRecord) []StoredRecord {
 	return out
 }
 
+// mergeGroups merges two group lists in one pass. Both are ordered by the
+// string form of their key, as groupBy emits them and as this merge keeps
+// them. A group on one side only is carried over as it is, sharing its
+// record slice with the input; a key on both sides gets one new record
+// slice, ordered by database key. The merge writes into no input slice.
+// Aggregates are dropped — the caller recomputes them over the merged rows.
 func mergeGroups(a, b []Group) []Group {
 	if len(b) == 0 {
 		return a
 	}
-	byKey := make(map[string]*Group)
-	var order []string
-	add := func(gs []Group) {
-		for _, g := range gs {
-			k := g.By.String()
-			if ex, ok := byKey[k]; ok {
-				ex.Recs = append(ex.Recs, g.Recs...)
-			} else {
-				cp := g
-				cp.Recs = append([]StoredRecord(nil), g.Recs...)
-				cp.Aggs = nil // recomputed below
-				byKey[k] = &cp
-				order = append(order, k)
-			}
+	out := make([]Group, 0, len(a)+len(b))
+	ka, kb := firstKey(a), firstKey(b)
+	for len(a) > 0 || len(b) > 0 {
+		var g Group
+		switch {
+		case len(b) == 0 || len(a) > 0 && ka < kb:
+			g, a = a[0], a[1:]
+			ka = firstKey(a)
+		case len(a) == 0 || kb < ka:
+			g, b = b[0], b[1:]
+			kb = firstKey(b)
+		default:
+			g = a[0]
+			g.Recs = mergeByID(a[0].Recs, b[0].Recs)
+			a, b = a[1:], b[1:]
+			ka, kb = firstKey(a), firstKey(b)
 		}
-	}
-	add(a)
-	add(b)
-	sort.Strings(order)
-	out := make([]Group, 0, len(order))
-	for _, k := range order {
-		g := byKey[k]
-		sortStoredByID(g.Recs)
-		out = append(out, *g)
+		g.Aggs = nil
+		out = append(out, g)
 	}
 	return out
+}
+
+// firstKey is the ordering key of a group list's first group.
+func firstKey(gs []Group) string {
+	if len(gs) == 0 {
+		return ""
+	}
+	return gs[0].By.String()
+}
+
+// mergeByID merges two record lists ordered by database key into a new one.
+func mergeByID(a, b []StoredRecord) []StoredRecord {
+	out := make([]StoredRecord, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].ID < a[0].ID {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // RecomputeAggregates fills in group aggregates after a merge, using the

@@ -12,29 +12,23 @@ import (
 )
 
 // TestReconnectBackoffDoubleRestart: a backend daemon restarted twice
-// mid-stream is transparently re-reached by the client's bounded
-// exponential-backoff reconnect — idempotent requests resend, and the
-// controller never sees a failure.
+// mid-stream is reached again by the controller's retry policy — each
+// attempt redials once, the backoff doubles between attempts, and the
+// caller never sees a failure as long as the restart lands within
+// MaxRetries attempts.
 func TestReconnectBackoffDoubleRestart(t *testing.T) {
 	store := kdb.NewStore(testDir(t).Clone())
-	if _, err := store.Insert(employee("stable")); err != nil {
-		t.Fatal(err)
-	}
 	srv, err := Listen("127.0.0.1:0", store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	rb, err := DialWith(addr, DialOpts{
-		MaxReconnects:    8,
-		ReconnectBackoff: 2 * time.Millisecond,
-		ReconnectBudget:  2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	if _, err := rb.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs)); err != nil {
+	cfg := mbds.DefaultConfig(1)
+	cfg.MaxRetries = 8
+	cfg.RetryBackoff = 2 * time.Millisecond // 2 ms doubling: 510 ms over 8 retries
+	cfg.BreakerThreshold = 0                // the retries, not the breaker, are under test
+	sys := oneBackend(t, cfg, addr)
+	if _, err := sys.Exec(abdl.NewInsert(employee("stable"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +37,7 @@ func TestReconnectBackoffDoubleRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The daemon comes back on the same address only after a beat: the
-		// client's first reconnect attempts must fail, back off, and retry.
+		// first attempts must fail, back off, and retry.
 		restarted := make(chan *BackendServer, 1)
 		go func() {
 			time.Sleep(30 * time.Millisecond)
@@ -57,9 +51,9 @@ func TestReconnectBackoffDoubleRestart(t *testing.T) {
 			}
 			restarted <- nil
 		}()
-		res, err := rb.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+		res, err := sys.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
 		if err != nil {
-			t.Fatalf("restart %d: idempotent retrieve not re-sent across restart: %v", restart, err)
+			t.Fatalf("restart %d: retrieve not retried across restart: %v", restart, err)
 		}
 		if len(res.Records) != 1 {
 			t.Fatalf("restart %d: retrieve = %d records, want 1", restart, len(res.Records))
@@ -70,9 +64,7 @@ func TestReconnectBackoffDoubleRestart(t *testing.T) {
 		}
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	// Non-idempotent requests still refuse to resend mid-exchange: covered
-	// by TestDroppedInsertNotResent; here the stream stays healthy.
-	if _, err := rb.Exec(abdl.NewInsert(employee("after"))); err != nil {
+	if _, err := sys.Exec(abdl.NewInsert(employee("after"))); err != nil {
 		t.Fatalf("insert on recovered stream: %v", err)
 	}
 	if store.Len() != 2 {

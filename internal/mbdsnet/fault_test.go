@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,26 +71,29 @@ func (d *droppyServer) serve(conn net.Conn) {
 			return
 		}
 		env := *envp
-		apply := func() (*kdb.Result, error) {
-			if env.Req == nil {
-				return nil, nil
+		apply := func() (*kdb.Result, []*kdb.Result, error) {
+			switch {
+			case env.Action == "execbatch":
+				rs, err := d.store.ExecBatch(env.Reqs)
+				return nil, rs, err
+			case env.Req != nil:
+				res, err := d.store.Exec(env.Req)
+				return res, nil, err
 			}
-			return d.store.Exec(env.Req)
+			return nil, nil, nil
 		}
 		if atomic.AddInt32(&d.drops, -1) >= 0 {
-			_, _ = apply() // executed, but never acknowledged
+			_, _, _ = apply() // executed, but never acknowledged
 			return
 		}
 		reply := wire.Envelope{Seq: env.Seq}
 		switch env.Action {
-		case "", "exec":
-			res, err := apply()
-			switch {
-			case err != nil:
+		case "", "exec", "execbatch":
+			res, rs, err := apply()
+			if err != nil {
 				reply.Err = err.Error()
-			case res != nil:
-				reply.Res = res
 			}
+			reply.Res, reply.Results = res, rs
 		case "len":
 			reply.N = d.store.Len()
 		}
@@ -109,10 +113,26 @@ func employee(name string) *abdm.Record {
 		abdm.Keyword{Attr: "salary", Val: abdm.Int(1)})
 }
 
+// oneBackend builds a controller over a single remote executor.
+func oneBackend(t *testing.T, cfg mbds.Config, addr string) *mbds.System {
+	t.Helper()
+	rb, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rb.Close() })
+	sys, err := mbds.NewWithExecutors(testDir(t), cfg, []mbds.Executor{rb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	return sys
+}
+
 func TestDroppedInsertNotResent(t *testing.T) {
-	// A fresh-key INSERT whose connection dies before the reply may have
-	// been applied; resending would double-apply it. The client must
-	// surface the ambiguity instead.
+	// The client makes one attempt: a connection that dies before the reply
+	// surfaces as a transient DownError (the request may have run), and the
+	// client itself never resends, so the store holds exactly one copy.
 	store := kdb.NewStore(testDir(t).Clone())
 	d := startDroppy(t, store, 1)
 	rb, err := Dial(d.addr())
@@ -122,60 +142,185 @@ func TestDroppedInsertNotResent(t *testing.T) {
 	defer rb.Close()
 
 	_, err = rb.Exec(abdl.NewInsert(employee("amb")))
-	var amb *AmbiguousError
-	if !errors.As(err, &amb) {
-		t.Fatalf("err = %v, want AmbiguousError", err)
+	var down *DownError
+	if !errors.As(err, &down) {
+		t.Fatalf("err = %v, want DownError", err)
 	}
-	if !amb.MaybeApplied() || !amb.Transient() {
-		t.Errorf("AmbiguousError flags wrong: %+v", amb)
+	if !down.Transient() {
+		t.Error("DownError must be transient")
 	}
 	if store.Len() != 1 {
-		t.Fatalf("store has %d records, want exactly 1 (no double apply)", store.Len())
+		t.Fatalf("store has %d records, want exactly 1 (no resend below mbds)", store.Len())
 	}
 }
 
 func TestDroppedRetrieveResent(t *testing.T) {
-	// Retrieves are idempotent: a mid-exchange failure is retried
-	// transparently on a fresh connection.
+	// A connection dropped once mid-exchange costs the controller one retry:
+	// mbds resends the round on a fresh connection and the RETRIEVE returns
+	// every record.
 	store := kdb.NewStore(testDir(t).Clone())
 	if _, err := store.Insert(employee("safe")); err != nil {
 		t.Fatal(err)
 	}
 	d := startDroppy(t, store, 1)
-	rb, err := Dial(d.addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
+	sys := oneBackend(t, mbds.DefaultConfig(1), d.addr())
 
-	res, err := rb.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+	res, err := sys.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
 	if err != nil {
-		t.Fatalf("idempotent retrieve not resent: %v", err)
+		t.Fatalf("retrieve not resent by the controller: %v", err)
 	}
 	if len(res.Records) != 1 {
 		t.Errorf("retrieve after resend = %d records", len(res.Records))
 	}
+	if h := sys.Health()[0]; h.Retries != 1 {
+		t.Errorf("health = %+v, want exactly one retry", h)
+	}
 }
 
 func TestDroppedForcedInsertResent(t *testing.T) {
-	// A replica-pinned INSERT overwrites its own key, so re-execution is
-	// harmless and the client resends it.
+	// The controller pins every INSERT to its key, so the resend after a
+	// dropped reply overwrites the copy the first attempt left: one record.
 	store := kdb.NewStore(testDir(t).Clone())
 	d := startDroppy(t, store, 1)
-	rb, err := Dial(d.addr())
+	sys := oneBackend(t, mbds.DefaultConfig(1), d.addr())
+
+	if _, err := sys.Exec(abdl.NewInsert(employee("pinned"))); err != nil {
+		t.Fatalf("insert not resent by the controller: %v", err)
+	}
+	if store.Len() != 1 {
+		t.Fatalf("store has %d records, want 1", store.Len())
+	}
+}
+
+// hangUp is a listener that accepts every connection and closes it at once,
+// counting them.
+type hangUp struct {
+	ln    net.Listener
+	conns atomic.Int64
+	wg    sync.WaitGroup
+}
+
+func startHangUp(t *testing.T) *hangUp {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rb.Close()
+	h := &hangUp{ln: ln}
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			h.conns.Add(1)
+			_ = conn.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		h.wg.Wait()
+	})
+	return h
+}
 
-	req := abdl.NewInsert(employee("pinned"))
-	req.ForceID = 7
-	if _, err := rb.Exec(req); err != nil {
-		t.Fatalf("pinned insert not resent: %v", err)
+// TestOneConnectionPerAttempt: against a backend that hangs up on every
+// connection, one controller call opens at most one connection per attempt
+// — 1 + MaxRetries — and fails with the client's DownError.
+func TestOneConnectionPerAttempt(t *testing.T) {
+	h := startHangUp(t)
+	cfg := mbds.DefaultConfig(1)
+	sys := oneBackend(t, cfg, h.ln.Addr().String())
+
+	before := h.conns.Load()
+	_, err := sys.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+	var down *DownError
+	if !errors.As(err, &down) {
+		t.Fatalf("err = %v, want DownError", err)
 	}
-	// Applied twice (once per attempt) but at the same key: one record.
-	if store.Len() != 1 {
-		t.Fatalf("store has %d records, want 1", store.Len())
+	if n := h.conns.Load() - before; n > int64(1+cfg.MaxRetries) {
+		t.Fatalf("one call opened %d connections, want at most %d", n, 1+cfg.MaxRetries)
+	}
+}
+
+// exportVia is a remote backend whose export verb goes to another address.
+type exportVia struct {
+	*RemoteBackend
+	export *RemoteBackend
+}
+
+func (e exportVia) ExportSince(since uint64, after abdm.RecordID, limit int) ([]kdb.MigRecord, abdm.RecordID, uint64, error) {
+	return e.export.ExportSince(since, after, limit)
+}
+
+// TestDrainFailedExportKeepsView: a drain whose last source fails its one
+// export attempt fails, and leaves the view and every partition — the
+// copies the earlier sources already imported dropped again — as they were.
+func TestDrainFailedExportKeepsView(t *testing.T) {
+	const n = 3
+	dir := testDir(t)
+	h := startHangUp(t)
+	stores := make([]*kdb.Store, n)
+	var execs []mbds.Executor
+	for i := range stores {
+		stores[i] = kdb.NewStore(dir.Clone())
+		srv, err := Listen("127.0.0.1:0", stores[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		rb, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = rb.Close() })
+		execs = append(execs, rb)
+	}
+	bad, err := Dial(h.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = bad.Close() })
+	execs[n-1] = exportVia{execs[n-1].(*RemoteBackend), bad}
+	sys, err := mbds.NewWithExecutors(dir, mbds.DefaultConfig(n), execs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	loadCluster(t, sys, 60)
+
+	ids := func() [][]abdm.RecordID {
+		out := make([][]abdm.RecordID, n)
+		for i, st := range stores {
+			snap, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sr := range snap {
+				out[i] = append(out[i], sr.ID)
+			}
+		}
+		return out
+	}
+	before := ids()
+	epoch := sys.MembershipEpoch()
+	if err := sys.DrainBackend(0); err == nil {
+		t.Fatal("drain with a failing export succeeded")
+	}
+	if sys.Backends() != n || sys.MembershipEpoch() != epoch {
+		t.Fatalf("failed drain changed the view: %d backends, epoch %d -> %d", sys.Backends(), epoch, sys.MembershipEpoch())
+	}
+	if got := ids(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("failed drain changed the partitions:\n got %v\nwant %v", got, before)
+	}
+	res, err := sys.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 60 {
+		t.Fatalf("retrieve after the failed drain = %d records, want 60", len(res.Records))
 	}
 }
 
@@ -354,9 +499,6 @@ func TestDrainTypedRefusal(t *testing.T) {
 	}
 	if !de.Transient() {
 		t.Error("DrainingError must be transient (safe to retry elsewhere)")
-	}
-	if ma, ok := err.(interface{ MaybeApplied() bool }); ok && ma.MaybeApplied() {
-		t.Error("DrainingError must not claim maybe-applied: drained requests are never executed")
 	}
 	if _, err := rb.ExecBatch([]*abdl.Request{abdl.NewInsert(employee("b"))}); !errors.As(err, &de) {
 		t.Fatalf("batch err = %v, want DrainingError", err)

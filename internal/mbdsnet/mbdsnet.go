@@ -14,7 +14,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mlds/internal/abdl"
 	"mlds/internal/abdm"
@@ -237,9 +236,12 @@ func (s *BackendServer) serveConn(conn net.Conn) {
 	}
 }
 
-// DownError reports a backend that could not be reached: the request was
-// never delivered, so resending it is always safe. The multi-backend layer
-// recognises this through Transient and retries under its backoff policy.
+// DownError reports a backend the request could not be exchanged with: the
+// dial failed, or the connection broke mid-exchange — in which case the
+// backend may have run the request before it broke. The client drops the
+// connection and the next call redials. The multi-backend layer recognises
+// the error through Transient and resends under its backoff policy, which
+// is safe because every request the controller sends is idempotent.
 type DownError struct {
 	Addr string
 	Err  error
@@ -256,39 +258,11 @@ func (e *DownError) Unwrap() error { return e.Err }
 // Transient marks the failure as retryable.
 func (e *DownError) Transient() bool { return true }
 
-// AmbiguousError reports a connection that failed mid-exchange: the request
-// may or may not have been delivered and applied. Non-idempotent requests
-// (an INSERT allocating a fresh key) are not resent automatically — a lost
-// reply after a delivered INSERT would otherwise be applied twice — so the
-// ambiguity is surfaced to the caller instead.
-type AmbiguousError struct {
-	Addr string
-	Err  error
-}
-
-// Error describes the ambiguous outcome.
-func (e *AmbiguousError) Error() string {
-	return fmt.Sprintf("mbdsnet: backend %s failed mid-request (outcome unknown, not resent): %v", e.Addr, e.Err)
-}
-
-// Unwrap exposes the underlying network error.
-func (e *AmbiguousError) Unwrap() error { return e.Err }
-
-// MaybeApplied reports that the request may have executed on the backend.
-func (e *AmbiguousError) MaybeApplied() bool { return true }
-
-// Transient marks the failure as a backend-side fault (it counts toward the
-// circuit breaker; the retry policy still refuses to resend non-idempotent
-// requests after it).
-func (e *AmbiguousError) Transient() bool { return true }
-
 // DrainingError reports a backend that is draining: the request was
 // delivered but deliberately NOT executed, so resending it — to a replica, a
 // migrated-to backend, or the same backend after its restart — is always
-// safe, even for non-idempotent requests. The multi-backend layer recognises
-// it through Transient and retries under its backoff policy; since
-// MaybeApplied is absent, the retry policy never downgrades it to an
-// ambiguous outcome.
+// safe. The multi-backend layer recognises it through Transient and retries
+// under its backoff policy.
 type DrainingError struct {
 	Addr string
 }
@@ -301,75 +275,27 @@ func (e *DrainingError) Error() string {
 // Transient marks the failure as retryable.
 func (e *DrainingError) Transient() bool { return true }
 
-// DialOpts tunes a RemoteBackend's reconnect policy. Zero values take the
-// defaults.
-type DialOpts struct {
-	// MaxReconnects bounds reconnect attempts after a mid-exchange failure
-	// within one round trip (default 4; negative = none).
-	MaxReconnects int
-	// ReconnectBackoff is the first reconnect delay, doubling per attempt
-	// with ±50% deterministic jitter (default 5ms).
-	ReconnectBackoff time.Duration
-	// ReconnectBudget caps the total time spent backing off and redialing in
-	// one round trip — set it to the controller's request deadline so the
-	// client gives up before the caller does (default 250ms).
-	ReconnectBudget time.Duration
-}
-
-func (o DialOpts) withDefaults() DialOpts {
-	if o.MaxReconnects == 0 {
-		o.MaxReconnects = 4
-	}
-	if o.MaxReconnects < 0 {
-		o.MaxReconnects = 0
-	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 5 * time.Millisecond
-	}
-	if o.ReconnectBudget <= 0 {
-		o.ReconnectBudget = 250 * time.Millisecond
-	}
-	return o
-}
-
 // RemoteBackend is the controller's client for one remote backend. It
 // satisfies mbds.Executor. A single connection is shared; requests are
-// serialised over it (the original bus was also a shared medium).
+// serialised over it (the original bus was also a shared medium). Every
+// call makes one attempt: retries belong to the multi-backend layer.
 type RemoteBackend struct {
 	addr string
-	opts DialOpts
 
 	mu   sync.Mutex
 	conn net.Conn
 	bw   *bufio.Writer
 	br   *bufio.Reader
 	seq  uint64
-	rng  uint64 // xorshift64* state for backoff jitter
 }
 
-// Dial connects to a backend server with the default reconnect policy.
+// Dial connects to a backend server.
 func Dial(addr string) (*RemoteBackend, error) {
-	return DialWith(addr, DialOpts{})
-}
-
-// DialWith connects to a backend server with an explicit reconnect policy.
-func DialWith(addr string, opts DialOpts) (*RemoteBackend, error) {
-	rb := &RemoteBackend{addr: addr, opts: opts.withDefaults(), rng: 0x9E3779B97F4A7C15}
+	rb := &RemoteBackend{addr: addr}
 	if err := rb.connect(); err != nil {
 		return nil, err
 	}
 	return rb, nil
-}
-
-// jitter scales d by a deterministic pseudo-random factor in [0.5, 1.5), so
-// a fleet of controllers redialing one restarted backend does not thunder in
-// lockstep. Caller must hold rb.mu.
-func (rb *RemoteBackend) jitter(d time.Duration) time.Duration {
-	rb.rng ^= rb.rng << 13
-	rb.rng ^= rb.rng >> 7
-	rb.rng ^= rb.rng << 17
-	f := 0.5 + float64(rb.rng>>11)/float64(uint64(1)<<53)
-	return time.Duration(float64(d) * f)
 }
 
 func (rb *RemoteBackend) connect() error {
@@ -406,13 +332,10 @@ func (rb *RemoteBackend) dropConn() {
 	rb.br = nil
 }
 
-// roundTrip sends one envelope and waits for its reply. A connection that
-// cannot be established at all yields a DownError (the request was never
-// delivered; safe to retry). A connection that fails mid-exchange is
-// reconnected and the envelope resent only when idem says re-execution is
-// harmless; otherwise the delivered-or-not ambiguity is surfaced as an
-// AmbiguousError rather than risking a double apply.
-func (rb *RemoteBackend) roundTrip(env wire.Envelope, idem bool) (wire.Envelope, error) {
+// roundTrip sends one envelope and waits for its reply, dialing first when
+// it holds no connection. A failure to dial, send or read drops the
+// connection and returns a *DownError.
+func (rb *RemoteBackend) roundTrip(env wire.Envelope) (wire.Envelope, error) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	if rb.conn == nil {
@@ -422,57 +345,17 @@ func (rb *RemoteBackend) roundTrip(env wire.Envelope, idem bool) (wire.Envelope,
 	}
 	rb.seq++
 	env.Seq = rb.seq
-	send := func() (wire.Envelope, error) {
-		if err := wire.WriteEnvelope(rb.bw, &env); err != nil {
-			return wire.Envelope{}, err
-		}
-		if err := rb.bw.Flush(); err != nil {
-			return wire.Envelope{}, err
-		}
-		reply, err := wire.ReadEnvelope(rb.br, 0)
-		if err != nil {
-			return wire.Envelope{}, err
-		}
-		return *reply, nil
+	err := wire.WriteEnvelope(rb.bw, &env)
+	if err == nil {
+		err = rb.bw.Flush()
 	}
-	reply, err := send()
+	var reply *wire.Envelope
+	if err == nil {
+		reply, err = wire.ReadEnvelope(rb.br, 0)
+	}
 	if err != nil {
 		rb.dropConn()
-		if !idem {
-			return wire.Envelope{}, &AmbiguousError{Addr: rb.addr, Err: err}
-		}
-		// The backend may have restarted: reconnect and resend (safe — the
-		// request is idempotent) under bounded exponential backoff with
-		// jitter, capped by the reconnect budget so the controller's own
-		// request deadline wins.
-		deadline := time.Now().Add(rb.opts.ReconnectBudget)
-		backoff := rb.opts.ReconnectBackoff
-		resent := false
-		for attempt := 0; attempt < rb.opts.MaxReconnects; attempt++ {
-			if attempt > 0 {
-				wait := rb.jitter(backoff)
-				backoff *= 2
-				if time.Now().Add(wait).After(deadline) {
-					break
-				}
-				time.Sleep(wait)
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			if cerr := rb.connect(); cerr != nil {
-				continue
-			}
-			reply, err = send()
-			if err == nil {
-				resent = true
-				break
-			}
-			rb.dropConn()
-		}
-		if !resent {
-			return wire.Envelope{}, &DownError{Addr: rb.addr, Err: err}
-		}
+		return wire.Envelope{}, &DownError{Addr: rb.addr, Err: err}
 	}
 	if reply.Seq != env.Seq {
 		// The stream is out of sync; poison the connection so the next
@@ -480,7 +363,7 @@ func (rb *RemoteBackend) roundTrip(env wire.Envelope, idem bool) (wire.Envelope,
 		rb.dropConn()
 		return wire.Envelope{}, fmt.Errorf("mbdsnet: backend %s replied out of order (%d != %d)", rb.addr, reply.Seq, env.Seq)
 	}
-	return reply, nil
+	return *reply, nil
 }
 
 // replyError maps a reply's error fields to a typed error: a CodeDraining
@@ -498,11 +381,7 @@ func (rb *RemoteBackend) replyError(reply wire.Envelope) error {
 
 // Exec executes one ABDL request on the remote backend.
 func (rb *RemoteBackend) Exec(req *abdl.Request) (*kdb.Result, error) {
-	// Everything but a fresh-key INSERT is safe to re-execute: retrieves
-	// read, DELETE/UPDATE qualify by query and assign absolute values, and
-	// a replica-pinned INSERT overwrites its own key.
-	idem := req.Kind != abdl.Insert || req.ForceID != 0
-	reply, err := rb.roundTrip(wire.Envelope{Action: "exec", Req: req}, idem)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "exec", Req: req})
 	if err != nil {
 		return nil, err
 	}
@@ -518,16 +397,9 @@ func (rb *RemoteBackend) Exec(req *abdl.Request) (*kdb.Result, error) {
 // ExecBatch executes a slice of ABDL requests on the remote backend as one
 // "execbatch" wire message, returning one result per request. It satisfies
 // mbds.BatchExecutor, so a controller batch costs one message round per
-// backend. The batch is the resend unit: it is re-sent after a mid-exchange
-// failure only when every request in it is idempotent.
+// backend.
 func (rb *RemoteBackend) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) {
-	idem := true
-	for _, req := range reqs {
-		if req.Kind == abdl.Insert && req.ForceID == 0 {
-			idem = false
-		}
-	}
-	reply, err := rb.roundTrip(wire.Envelope{Action: "execbatch", Reqs: reqs}, idem)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "execbatch", Reqs: reqs})
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +415,7 @@ func (rb *RemoteBackend) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) 
 
 // Len reports the remote partition's record count.
 func (rb *RemoteBackend) Len() (int, error) {
-	reply, err := rb.roundTrip(wire.Envelope{Action: "len"}, true)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "len"})
 	if err != nil {
 		return 0, err
 	}
@@ -555,10 +427,9 @@ func (rb *RemoteBackend) Len() (int, error) {
 
 // ExportSince pages out the remote partition's records touched at or after
 // the epoch (see kdb.Store.ExportSince). It satisfies the controller's
-// migration source interface; the verb is idempotent, so it rides the full
-// reconnect policy.
+// migration source interface.
 func (rb *RemoteBackend) ExportSince(since uint64, after abdm.RecordID, limit int) ([]kdb.MigRecord, abdm.RecordID, uint64, error) {
-	reply, err := rb.roundTrip(wire.Envelope{Action: "export", Since: since, After: uint64(after), Limit: limit}, true)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "export", Since: since, After: uint64(after), Limit: limit})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -569,10 +440,9 @@ func (rb *RemoteBackend) ExportSince(since uint64, after abdm.RecordID, limit in
 }
 
 // ImportPartition installs exported records on the remote partition (see
-// kdb.Store.ImportPartition). Imports replace whole per-key states, so the
-// verb is idempotent and safely resent.
+// kdb.Store.ImportPartition). Imports replace whole per-key states.
 func (rb *RemoteBackend) ImportPartition(recs []kdb.MigRecord) (int, error) {
-	reply, err := rb.roundTrip(wire.Envelope{Action: "import", Migs: recs}, true)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "import", Migs: recs})
 	if err != nil {
 		return 0, err
 	}
@@ -589,7 +459,7 @@ func (rb *RemoteBackend) DropRecords(ids []abdm.RecordID) (int, error) {
 	for i, id := range ids {
 		wids[i] = uint64(id)
 	}
-	reply, err := rb.roundTrip(wire.Envelope{Action: "drop", IDs: wids}, true)
+	reply, err := rb.roundTrip(wire.Envelope{Action: "drop", IDs: wids})
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package mbdsnet
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestRemoteReconnect(t *testing.T) {
 	if _, err := rb.Len(); err != nil {
 		t.Fatal(err)
 	}
-	// Restart the server on the same address; the client must reconnect.
+	// Restart the server on the same address; the client must redial.
 	addr := srv.Addr()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -175,6 +176,12 @@ func TestRemoteReconnect(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
+	// One attempt per call: the call that finds the old connection dead
+	// fails with a DownError and drops it; the next call redials.
+	var down *DownError
+	if _, err := rb.Len(); !errors.As(err, &down) {
+		t.Fatalf("call on the dead connection = %v, want DownError", err)
+	}
 	if _, err := rb.Len(); err != nil {
 		t.Fatalf("reconnect failed: %v", err)
 	}

@@ -11,8 +11,8 @@ import (
 
 // Multi-version snapshot transactions.
 //
-// With Config.MVCC set, the manager layers snapshot isolation for readers
-// over the existing strict-2PL writers:
+// The manager layers snapshot isolation for readers over the strict-2PL
+// writers:
 //
 //   - A commit clock issues monotonically increasing epochs. The group-commit
 //     leader, after its batch is durable, broadcasts one MVCC-COMMIT per
@@ -40,8 +40,6 @@ const gcEvery = 32
 // BeginSnapshot starts a read-only transaction pinned at the current commit
 // epoch. It acquires no locks, buffers no undo or redo, and holds only a
 // registry entry that bounds the garbage-collection watermark until it ends.
-// Without Config.MVCC the transaction is still read-only and lock-free but
-// reads live state (no version chains exist to snapshot).
 func (m *Manager) BeginSnapshot() *Txn {
 	m.begins.Add(1)
 	tx := &Txn{
@@ -49,12 +47,10 @@ func (m *Manager) BeginSnapshot() *Txn {
 		m:        m,
 		readOnly: true,
 	}
-	if m.cfg.MVCC {
-		m.smu.Lock()
-		tx.snap = m.clock.Load()
-		m.snaps[tx.id] = tx.snap
-		m.smu.Unlock()
-	}
+	m.smu.Lock()
+	tx.snap = m.clock.Load()
+	m.snaps[tx.id] = tx.snap
+	m.smu.Unlock()
 	return tx
 }
 
@@ -82,32 +78,11 @@ func (m *Manager) execSnapshot(ctx context.Context, tx *Txn, req *abdl.Request) 
 	return res, d, err
 }
 
-// execSnapshotBatch is execSnapshot for a whole request round: every request
-// must be a read, and the round executes as one kernel batch at the pinned
-// epoch.
-func (m *Manager) execSnapshotBatch(ctx context.Context, tx *Txn, reqs []*abdl.Request) ([]*kdb.Result, time.Duration, error) {
-	snapped := make([]*abdl.Request, len(reqs))
-	for i, req := range reqs {
-		if isMutation(req.Kind) {
-			return nil, 0, ErrReadOnly
-		}
-		cp := *req
-		cp.SnapEpoch = tx.snap
-		snapped[i] = &cp
-	}
-	results, d, err := m.cfg.Exec.ExecBatchCtx(ctx, snapped)
-	if err == nil {
-		m.snapReads.Add(uint64(len(snapped)))
-		m.mSnapReads.Add(uint64(len(snapped)))
-	}
-	return results, d, err
-}
-
 // stampTxnID rewrites a mutation to carry the transaction's id, so the
-// backends record its versions as pending under that transaction. Reads and
-// non-MVCC managers pass through unchanged.
+// backends record its versions as pending under that transaction. Reads
+// pass through unchanged.
 func (m *Manager) stampTxnID(tx *Txn, req *abdl.Request) *abdl.Request {
-	if !m.cfg.MVCC || !isMutation(req.Kind) {
+	if !isMutation(req.Kind) {
 		return req
 	}
 	cp := *req
@@ -118,9 +93,6 @@ func (m *Manager) stampTxnID(tx *Txn, req *abdl.Request) *abdl.Request {
 // endSnapshot unregisters a finished snapshot transaction and, now that the
 // watermark may have advanced, considers a GC sweep.
 func (m *Manager) endSnapshot(tx *Txn) {
-	if !m.cfg.MVCC {
-		return
-	}
 	m.smu.Lock()
 	delete(m.snaps, tx.id)
 	m.smu.Unlock()
@@ -155,9 +127,6 @@ func (m *Manager) stampEpoch(recs []CommitRecord) (uint64, bool) {
 // backend. Undo restores the live state separately (with NoVersion set, so
 // the restoration itself writes no history).
 func (m *Manager) discardVersions(tx *Txn) {
-	if !m.cfg.MVCC {
-		return
-	}
 	req := &abdl.Request{Kind: abdl.MvccAbort, TxnID: tx.id}
 	_, _, _ = m.cfg.Exec.ExecTimedCtx(context.Background(), req)
 }
@@ -167,9 +136,6 @@ func (m *Manager) discardVersions(tx *Txn) {
 // past the last sweep. The pruned count and surviving version total feed the
 // mlds_mvcc metrics.
 func (m *Manager) maybeGC() {
-	if !m.cfg.MVCC {
-		return
-	}
 	m.smu.Lock()
 	w := m.clock.Load()
 	for _, at := range m.snaps {
@@ -201,18 +167,15 @@ type MVCCStats struct {
 	GCPruned      uint64 // versions pruned by GC sweeps
 }
 
-// MVCCStats returns the manager's MVCC counters (zero-valued when MVCC is
-// disabled).
+// MVCCStats returns the manager's MVCC counters.
 func (m *Manager) MVCCStats() MVCCStats {
-	st := MVCCStats{
+	m.smu.Lock()
+	live := len(m.snaps)
+	m.smu.Unlock()
+	return MVCCStats{
 		Epoch:         m.clock.Load(),
+		LiveSnapshots: live,
 		SnapshotReads: m.snapReads.Load(),
 		GCPruned:      m.gcPruned.Load(),
 	}
-	if m.cfg.MVCC {
-		m.smu.Lock()
-		st.LiveSnapshots = len(m.snaps)
-		m.smu.Unlock()
-	}
-	return st
 }

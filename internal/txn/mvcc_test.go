@@ -12,7 +12,7 @@ import (
 // TestSnapshotIgnoresLaterCommits: a snapshot pinned before a commit keeps
 // reading the pre-commit state; a snapshot pinned after sees the new state.
 func TestSnapshotIgnoresLaterCommits(t *testing.T) {
-	m, _ := newManager(t, Config{MVCC: true})
+	m, _ := newManager(t, Config{})
 	ctx := context.Background()
 
 	tx := m.Begin()
@@ -65,9 +65,9 @@ func TestSnapshotIgnoresLaterCommits(t *testing.T) {
 }
 
 // TestSnapshotRejectsMutations: every mutation kind fails with ErrReadOnly,
-// in both single and batch execution, and the transaction stays usable.
+// and the transaction stays usable.
 func TestSnapshotRejectsMutations(t *testing.T) {
-	m, _ := newManager(t, Config{MVCC: true})
+	m, _ := newManager(t, Config{})
 	ctx := context.Background()
 	tx := m.BeginSnapshot()
 	if !tx.ReadOnly() {
@@ -76,8 +76,10 @@ func TestSnapshotRejectsMutations(t *testing.T) {
 	if _, _, err := m.Exec(ctx, tx, insert("f", 1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("insert in snapshot: err=%v, want ErrReadOnly", err)
 	}
-	if _, _, err := m.ExecBatch(ctx, tx, []*abdl.Request{retrieveEq(1), insert("f", 2)}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("batch with mutation: err=%v, want ErrReadOnly", err)
+	for _, req := range []*abdl.Request{update(1, 2), abdl.NewDelete(retrieveEq(1).Query)} {
+		if _, _, err := m.Exec(ctx, tx, req); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("%v in snapshot: err=%v, want ErrReadOnly", req.Kind, err)
+		}
 	}
 	// The statement failed; the snapshot itself is still usable.
 	if _, _, err := m.Exec(ctx, tx, retrieveEq(1)); err != nil {
@@ -91,7 +93,7 @@ func TestSnapshotRejectsMutations(t *testing.T) {
 // TestSnapshotSkipsLockTable: a snapshot read completes while a writer holds
 // an exclusive lock on the file — and does not see the uncommitted write.
 func TestSnapshotSkipsLockTable(t *testing.T) {
-	m, _ := newManager(t, Config{MVCC: true, LockTimeout: 50 * time.Millisecond})
+	m, _ := newManager(t, Config{LockTimeout: 50 * time.Millisecond})
 	ctx := context.Background()
 
 	tx := m.Begin()
@@ -141,7 +143,7 @@ func TestSnapshotSkipsLockTable(t *testing.T) {
 // TestAbortedWritesNeverVisible: an aborted transaction's versions are
 // discarded; no later snapshot can observe them.
 func TestAbortedWritesNeverVisible(t *testing.T) {
-	m, _ := newManager(t, Config{MVCC: true})
+	m, _ := newManager(t, Config{})
 	ctx := context.Background()
 
 	tx := m.Begin()
@@ -190,7 +192,7 @@ func TestAbortedWritesNeverVisible(t *testing.T) {
 // TestSnapshotWatermarkBlocksGC: versions a live snapshot still needs
 // survive GC; once the snapshot ends they are reclaimed.
 func TestSnapshotWatermarkBlocksGC(t *testing.T) {
-	m, sys := newManager(t, Config{MVCC: true})
+	m, sys := newManager(t, Config{})
 	ctx := context.Background()
 
 	tx := m.Begin()
@@ -245,7 +247,7 @@ func TestSnapshotWatermarkBlocksGC(t *testing.T) {
 // TestSnapshotStatsAndMetrics: the mlds_mvcc counters and MVCCStats track
 // snapshot reads, the epoch, and live snapshots.
 func TestSnapshotStatsAndMetrics(t *testing.T) {
-	m, _ := newManager(t, Config{MVCC: true})
+	m, _ := newManager(t, Config{})
 	ctx := context.Background()
 
 	st0 := m.MVCCStats()
@@ -268,11 +270,10 @@ func TestSnapshotStatsAndMetrics(t *testing.T) {
 	if st := m.MVCCStats(); st.LiveSnapshots != 1 {
 		t.Fatalf("live snapshots = %d, want 1", st.LiveSnapshots)
 	}
-	if _, _, err := m.Exec(ctx, snap, retrieveEq(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.ExecBatch(ctx, snap, []*abdl.Request{retrieveEq(1), retrieveEq(2)}); err != nil {
-		t.Fatal(err)
+	for _, v := range []int64{1, 1, 2} {
+		if _, _, err := m.Exec(ctx, snap, retrieveEq(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := m.Abort(snap); err != nil {
 		t.Fatal(err)
@@ -283,34 +284,5 @@ func TestSnapshotStatsAndMetrics(t *testing.T) {
 	}
 	if st.LiveSnapshots != 0 {
 		t.Fatalf("live snapshots after rollback = %d, want 0", st.LiveSnapshots)
-	}
-}
-
-// TestSnapshotWithoutMVCC: BeginSnapshot on a non-MVCC manager still yields
-// a working lock-free read-only transaction over live state.
-func TestSnapshotWithoutMVCC(t *testing.T) {
-	m, _ := newManager(t, Config{})
-	ctx := context.Background()
-
-	tx := m.Begin()
-	if _, _, err := m.Exec(ctx, tx, insert("f", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.BeginSnapshot()
-	if _, _, err := m.Exec(ctx, snap, insert("f", 2)); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("mutation in read-only txn: %v, want ErrReadOnly", err)
-	}
-	res, _, err := m.Exec(ctx, snap, retrieveEq(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 {
-		t.Fatalf("read-only live read found %d records, want 1", len(res.Records))
-	}
-	if err := m.Commit(snap); err != nil {
-		t.Fatal(err)
 	}
 }

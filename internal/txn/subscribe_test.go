@@ -12,7 +12,7 @@ import (
 // exactly once to every subscriber, aborts publish nothing, and Close is
 // idempotent.
 func TestSubscribeCommits(t *testing.T) {
-	m, _ := newManager(t, Config{MVCC: true})
+	m, _ := newManager(t, Config{})
 	a := m.SubscribeCommits(16)
 	b := m.SubscribeCommits(16)
 	defer b.Close()
@@ -55,7 +55,7 @@ func TestSubscribeCommits(t *testing.T) {
 // mlds_commit_sub_dropped_total counter.
 func TestSubscribeDroppedMetric(t *testing.T) {
 	reg := obs.NewRegistry()
-	m, _ := newManager(t, Config{MVCC: true, Metrics: reg, DB: "d"})
+	m, _ := newManager(t, Config{Metrics: reg, DB: "d"})
 	sub := m.SubscribeCommits(1)
 	defer sub.Close()
 

@@ -58,6 +58,7 @@ import (
 // before-image traffic bypasses the kc trace and journal.
 type Executor interface {
 	ExecTimedCtx(ctx context.Context, req *abdl.Request) (*kdb.Result, time.Duration, error)
+	// ExecBatchCtx sends a group commit's MVCC-COMMIT stamps as one round.
 	ExecBatchCtx(ctx context.Context, reqs []*abdl.Request) ([]*kdb.Result, time.Duration, error)
 	// Directory is the kernel's attribute catalog; the lock planner reads
 	// each file's lock key from it.
@@ -78,8 +79,8 @@ type JournalRec struct {
 }
 
 // CommitRecord is one committing transaction's redo log. Epoch is the MVCC
-// commit epoch the batch was stamped with (0 when MVCC is off or the batch
-// stamped nothing), and Pos is the sink's journal position — the count of
+// commit epoch the batch was stamped with (0 when the stamp broadcast
+// failed), and Pos is the sink's journal position — the count of
 // committed data entries through and including this record — when the sink
 // implements PosReader. Together they let a lossless tailer detect exactly
 // which journal range a dropped record covered and re-read it.
@@ -134,13 +135,6 @@ type Config struct {
 	// disables metrics.
 	Metrics *obs.Registry
 	DB      string
-
-	// MVCC enables multi-version snapshot reads (see mvcc.go): mutations
-	// write pending versions stamped at group commit, BeginSnapshot pins
-	// lock-free read-only transactions, and a watermark GC prunes history.
-	// Off, the manager is pure strict 2PL and sends no MVCC traffic — unit
-	// harnesses with fake executors stay undisturbed.
-	MVCC bool
 }
 
 // DefaultLockTimeout is the lock-wait bound when Config.LockTimeout is zero:
@@ -275,11 +269,11 @@ type Manager struct {
 	aborts    atomic.Uint64
 	deadlocks atomic.Uint64
 
-	// MVCC state (Config.MVCC; see mvcc.go). clock is the last published
-	// commit epoch; snaps registers each live snapshot's pinned epoch so the
-	// GC watermark never overtakes a reader. stampMu is the stamp barrier:
-	// held around every stamp broadcast, so WithStampBarrier callers observe
-	// whole epochs — never a half-stamped batch.
+	// MVCC state (see mvcc.go). clock is the last published commit epoch;
+	// snaps registers each live snapshot's pinned epoch so the GC watermark
+	// never overtakes a reader. stampMu is the stamp barrier: held around
+	// every stamp broadcast, so WithStampBarrier callers observe whole
+	// epochs — never a half-stamped batch.
 	stampMu        sync.Mutex
 	clock          atomic.Uint64
 	smu            sync.Mutex
@@ -323,11 +317,9 @@ func NewManager(cfg Config) *Manager {
 		"live record versions across the kernel backends, as of the last GC sweep", dbL)
 	m.mSubDropped = reg.Counter("mlds_commit_sub_dropped_total",
 		"commit records dropped from full commit-stream subscriber buffers (tailers resynchronize from the journal)", dbL)
-	if cfg.MVCC {
-		m.clock.Store(1)
-		m.lastGC = 1
-		m.snaps = make(map[uint64]uint64)
-	}
+	m.clock.Store(1)
+	m.lastGC = 1
+	m.snaps = make(map[uint64]uint64)
 	m.locks.onWait = func(d time.Duration) { m.mLockWait.Observe(d.Seconds()) }
 	m.locks.onDeadlock = func() {
 		m.deadlocks.Add(1)
@@ -619,9 +611,6 @@ func (m *Manager) WithStampBarrier(fn func()) {
 // image's epoch instead of restarting from 1 (which would stamp new versions
 // below already-restored history).
 func (m *Manager) SeedClock(epoch uint64) {
-	if !m.cfg.MVCC {
-		return
-	}
 	for {
 		cur := m.clock.Load()
 		if epoch <= cur || m.clock.CompareAndSwap(cur, epoch) {
@@ -686,77 +675,6 @@ func (m *Manager) Exec(ctx context.Context, tx *Txn, req *abdl.Request) (*kdb.Re
 	return res, d, nil
 }
 
-// ExecBatch runs a whole request round inside the transaction: the union of
-// every request's locks is acquired up front, before-images are captured for
-// each mutation, and the round executes as one kernel batch.
-func (m *Manager) ExecBatch(ctx context.Context, tx *Txn, reqs []*abdl.Request) ([]*kdb.Result, time.Duration, error) {
-	tx.mu.Lock()
-	if tx.state != Active {
-		tx.mu.Unlock()
-		return nil, 0, ErrNotActive
-	}
-	if !tx.readOnly {
-		for _, req := range reqs {
-			if isMutation(req.Kind) {
-				tx.touched = true
-				break
-			}
-		}
-	}
-	tx.mu.Unlock()
-	if tx.readOnly {
-		return m.execSnapshotBatch(ctx, tx, reqs)
-	}
-	var buf [planBuf]lockStep
-	plan := buf[:0]
-	for _, req := range reqs {
-		plan = m.appendLocks(plan, req)
-	}
-	if err := m.acquirePlan(tx, mergePlan(plan)); err != nil {
-		m.rollback(tx)
-		return nil, 0, &AbortedError{ID: tx.id, Cause: err}
-	}
-	var undo []undoRec
-	for _, req := range reqs {
-		u, err := m.beforeImages(ctx, req)
-		if err != nil {
-			return nil, 0, err
-		}
-		undo = append(undo, u...)
-	}
-	stamped := reqs
-	if m.cfg.MVCC {
-		stamped = make([]*abdl.Request, len(reqs))
-		for i, req := range reqs {
-			stamped[i] = m.stampTxnID(tx, req)
-		}
-	}
-	results, d, err := m.cfg.Exec.ExecBatchCtx(ctx, stamped)
-	if err != nil {
-		tx.mu.Lock()
-		tx.undo = append(tx.undo, undo...)
-		tx.mu.Unlock()
-		return nil, d, err
-	}
-	var redo []JournalRec
-	for i, req := range reqs {
-		if !isMutation(req.Kind) {
-			continue
-		}
-		if req.Kind == abdl.Insert {
-			for _, id := range results[i].Affected {
-				undo = append(undo, undoRec{id: id, file: req.Record.File()})
-			}
-		}
-		redo = append(redo, m.journalRec(req, results[i]))
-	}
-	tx.mu.Lock()
-	tx.undo = append(tx.undo, undo...)
-	tx.redo = append(tx.redo, redo...)
-	tx.mu.Unlock()
-	return results, d, nil
-}
-
 // Commit commits the transaction. Read-only transactions release their locks
 // and return; writers join the group-commit queue, where the first committer
 // becomes the flush leader and persists every queued commit record with a
@@ -768,7 +686,7 @@ func (m *Manager) Commit(tx *Txn) error {
 		return ErrNotActive
 	}
 	redo := tx.redo
-	wrote := tx.touched
+	touched := tx.touched
 	tx.state = Committed
 	tx.undo, tx.redo = nil, nil
 	tx.mu.Unlock()
@@ -780,7 +698,7 @@ func (m *Manager) Commit(tx *Txn) error {
 		return nil
 	}
 	var err error
-	if (len(redo) > 0 && m.cfg.Sink != nil) || (wrote && m.cfg.MVCC) {
+	if touched { // every redo entry is a mutation's, so touched covers them
 		err = m.groupCommit(CommitRecord{ID: tx.id, Entries: redo})
 	}
 	m.locks.releaseAll(tx)
@@ -826,7 +744,7 @@ func (m *Manager) groupCommit(rec CommitRecord) error {
 				}
 			}
 		}
-		if err == nil && m.cfg.MVCC {
+		if err == nil {
 			// Durable first, visible second: pending versions are stamped
 			// with one epoch for the whole batch only after the sink flush.
 			// The stamp barrier keeps checkpoint fences off half-stamped
@@ -842,8 +760,6 @@ func (m *Manager) groupCommit(rec CommitRecord) error {
 				}
 			}
 			m.stampMu.Unlock()
-		}
-		if err == nil {
 			m.publishCommits(recs)
 		}
 		for _, b := range batch {

@@ -374,26 +374,6 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
-// TestExecBatchUndo: a batch aborts atomically with its transaction.
-func TestExecBatchUndo(t *testing.T) {
-	m, _ := newManager(t, Config{})
-	ctx := context.Background()
-	tx := m.Begin()
-	if _, _, err := m.ExecBatch(ctx, tx, []*abdl.Request{
-		insert("f", 1), insert("f", 2), insert("g", 3),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Abort(tx); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int64{1, 2} {
-		if got := countEq(t, m, v); got != 0 {
-			t.Errorf("after batch abort, count(x=%d) = %d, want 0", v, got)
-		}
-	}
-}
-
 // TestUndoWithReplicas: the delete-by-key + reinsert-by-key undo pair
 // restores every replica copy of a record across backends.
 func TestUndoWithReplicas(t *testing.T) {
