@@ -7,9 +7,10 @@
 # shuffled test order, the transaction/kernel concurrency tier, the
 # cross-model differential suites (in-memory and larger-than-RAM paged), the
 # membership, change-capture and demand-paged-fleet chaos suites, the
-# network serving tier (server + remote client) and the network fault tier
-# (TCP backends: dropped replies, restarts, failed migration verbs) under
-# the race detector, and
+# network serving tier (server + remote client), the controller's fault tier
+# (deadlines, retries, breakers, shares that overlap on one backend) and the
+# network fault tier (TCP backends: dropped replies, restarts, failed
+# migration verbs) under the race detector, and
 # per-package coverage floors on the transaction, controller, kernel,
 # elastic-membership, pager, change-data-capture, serving, and client
 # packages.
@@ -63,6 +64,7 @@ check:
 	$(GO) test -race -count=2 -run TestPagedFleetChaos ./internal/kc
 	$(GO) test -race -count=2 -run TestCDCChaos ./internal/cdc
 	$(GO) test -race ./internal/server ./client
+	$(GO) test -race -count=3 ./internal/mbds
 	$(GO) test -race -count=3 ./internal/mbdsnet
 	$(GO) test -race ./...
 	$(MAKE) rig-test

@@ -34,19 +34,14 @@ type Option func(*Client)
 // timeout.
 func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
 
-// WithMaxFrame caps the size of inbound reply frames (default
-// wire.DefaultMaxFrame).
-func WithMaxFrame(n int) Option { return func(c *Client) { c.maxFrame = n } }
-
 // DBInfo describes one database in the server's catalog.
 type DBInfo = wire.DBInfo
 
 // Client is one multiplexed connection to an MLDS server.
 type Client struct {
-	c        net.Conn
-	br       *bufio.Reader
-	timeout  time.Duration
-	maxFrame int
+	c       net.Conn
+	br      *bufio.Reader
+	timeout time.Duration
 
 	// base is the connection's lifetime context: every context the client
 	// builds itself (the context-free core.Session methods) derives from it,
@@ -107,7 +102,7 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 // multiplexed on the connection.
 func (c *Client) readLoop() {
 	for {
-		m, err := wire.ReadMsg(c.br, c.maxFrame)
+		m, err := wire.ReadMsg(c.br, wire.DefaultMaxFrame)
 		if err != nil {
 			c.fail(err)
 			return

@@ -103,7 +103,7 @@ func main() {
 	resp.Body.Close()
 	fmt.Println("\nfrom /metrics:")
 	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "mlds_server_exec_total") ||
+		if strings.HasPrefix(line, "mlds_server_batch_requests_total") ||
 			strings.HasPrefix(line, "mlds_store_records{") {
 			fmt.Println("  " + line)
 		}

@@ -97,9 +97,6 @@ type Config struct {
 	// keyed by language and normalized statement shape). Zero uses
 	// plancache.DefaultSize; a negative size disables plan caching.
 	PlanCacheSize int
-	// TxnLockTimeout bounds every transaction lock wait; a waiter past it
-	// aborts with txn.ErrLockTimeout. Zero uses txn.DefaultLockTimeout.
-	TxnLockTimeout time.Duration
 }
 
 // DefaultConfig uses a 4-backend kernel per database.
@@ -280,9 +277,7 @@ func (s *System) register(db *Database) (*Database, error) {
 		return nil, err
 	}
 	db.Kernel = kernel
-	db.Ctrl = kc.New(kernel,
-		kc.WithMetrics(s.metrics, db.Name),
-		kc.WithLockTimeout(s.cfg.TxnLockTimeout))
+	db.Ctrl = kc.New(kernel, kc.WithMetrics(s.metrics, db.Name))
 	db.reg = s.metrics
 	db.stmt = make(map[string]*stmtMetrics, len(languages))
 	for _, l := range languages {

@@ -61,20 +61,14 @@ type Controller struct {
 type Option func(*options)
 
 type options struct {
-	metrics     *obs.Registry
-	db          string
-	lockTimeout time.Duration
+	metrics *obs.Registry
+	db      string
 }
 
 // WithMetrics labels the controller's transaction metrics with the database
 // name and registers them on reg.
 func WithMetrics(reg *obs.Registry, db string) Option {
 	return func(o *options) { o.metrics, o.db = reg, db }
-}
-
-// WithLockTimeout bounds every transaction lock wait.
-func WithLockTimeout(d time.Duration) Option {
-	return func(o *options) { o.lockTimeout = d }
 }
 
 // New builds a controller over a kernel database system.
@@ -85,12 +79,11 @@ func New(sys *mbds.System, opts ...Option) *Controller {
 	}
 	c := &Controller{sys: sys}
 	c.txns = txn.NewManager(txn.Config{
-		Exec:        sys,
-		Sink:        journalSink{c},
-		KeyPos:      c.keyPos,
-		LockTimeout: o.lockTimeout,
-		Metrics:     o.metrics,
-		DB:          o.db,
+		Exec:    sys,
+		Sink:    journalSink{c},
+		KeyPos:  c.keyPos,
+		Metrics: o.metrics,
+		DB:      o.db,
 	})
 	return c
 }

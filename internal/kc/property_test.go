@@ -52,7 +52,7 @@ func propController(t *testing.T) *Controller {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	c := New(sys, WithLockTimeout(2*time.Second))
+	c := New(sys)
 	for i := 0; i < propFiles; i++ {
 		file := fmt.Sprintf("c%d", i)
 		rec := abdm.NewRecord(file, abdm.Keyword{Attr: "v", Val: abdm.Int(0)})

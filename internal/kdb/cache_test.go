@@ -510,7 +510,7 @@ func TestResultCacheEviction(t *testing.T) {
 }
 
 // TestStoreExecBatch runs a mixed batch and checks positional results and
-// error wrapping.
+// that a failure surfaces as the failed request's own error.
 func TestStoreExecBatch(t *testing.T) {
 	s := NewStore(testDir(t))
 	reqs := []*abdl.Request{
@@ -520,26 +520,27 @@ func TestStoreExecBatch(t *testing.T) {
 		)),
 		abdl.NewRetrieve(fileQuery("person"), abdl.AllAttrs),
 	}
-	out, err := s.ExecBatch(reqs)
-	if err != nil {
+	out := make([]*Result, len(reqs))
+	if err := s.ExecBatch(reqs, out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("batch returned %d results, want 2", len(out))
-	}
-	if len(out[1].Records) != 1 {
-		t.Fatalf("batched retrieve saw %d records, want 1", len(out[1].Records))
+	if out[0] == nil || len(out[1].Records) != 1 {
+		t.Fatalf("batch results %v, want an insert and a one-record retrieve", out)
 	}
 
 	bad := []*abdl.Request{
 		abdl.NewRetrieve(fileQuery("person"), abdl.AllAttrs),
 		abdl.NewDelete(abdm.Query{}), // invalid: DELETE requires a query
 	}
-	out, err = s.ExecBatch(bad)
+	out = make([]*Result, len(bad))
+	err := s.ExecBatch(bad, out)
 	if err == nil {
 		t.Fatal("batch with invalid request succeeded")
 	}
-	if len(out) != 1 {
-		t.Fatalf("failed batch returned %d completed results, want 1", len(out))
+	if out[0] == nil || out[1] != nil {
+		t.Fatalf("failed batch results %v, want the first request's only", out)
+	}
+	if _, want := s.Exec(bad[1]); err.Error() != want.Error() {
+		t.Fatalf("batch error %q, want the request's own %q", err, want)
 	}
 }

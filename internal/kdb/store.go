@@ -128,20 +128,19 @@ func (s *Store) Exec(req *abdl.Request) (*Result, error) {
 	return res, err
 }
 
-// ExecBatch executes the requests in order, returning one result per
-// request. It stops at the first failure, wrapping the error with the
-// offending request's position; results for the requests that ran before it
-// are still returned.
-func (s *Store) ExecBatch(reqs []*abdl.Request) ([]*Result, error) {
-	out := make([]*Result, 0, len(reqs))
+// ExecBatch executes the requests in order, writing one result per request
+// into out (len(out) == len(reqs)). It stops at the first failure and
+// returns that request's error; the requests before it have run and their
+// results are in out.
+func (s *Store) ExecBatch(reqs []*abdl.Request, out []*Result) error {
 	for i, req := range reqs {
 		res, err := s.Exec(req)
 		if err != nil {
-			return out, fmt.Errorf("kdb: batch request %d: %w", i, err)
+			return err
 		}
-		out = append(out, res)
+		out[i] = res
 	}
-	return out, nil
+	return nil
 }
 
 func (s *Store) exec(req *abdl.Request) (*Result, error) {

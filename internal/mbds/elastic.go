@@ -69,75 +69,6 @@ func (s *System) MigrationStats() MigrationStats {
 	}
 }
 
-// partitionExporter is implemented by executors that can page out their
-// partition for migration (mbdsnet.RemoteBackend over the bus).
-type partitionExporter interface {
-	ExportSince(since uint64, after abdm.RecordID, limit int) ([]kdb.MigRecord, abdm.RecordID, uint64, error)
-}
-
-// partitionImporter is implemented by executors that can install exported
-// records and drop stranded copies.
-type partitionImporter interface {
-	ImportPartition([]kdb.MigRecord) (int, error)
-	DropRecords([]abdm.RecordID) (int, error)
-}
-
-// migTarget unwraps fault injection: migration traffic is the controller's
-// reliable control channel, not subject to injected bus faults.
-func migTarget(e Executor) Executor {
-	if f, ok := e.(*FaultyExecutor); ok {
-		return f.Underlying()
-	}
-	return e
-}
-
-// exportSince pages the backend's partition out, locally or over the bus.
-func (b *backend) exportSince(since uint64, after abdm.RecordID, limit int) ([]kdb.MigRecord, abdm.RecordID, uint64, error) {
-	if b.store != nil {
-		return b.store.ExportSince(since, after, limit)
-	}
-	if pe, ok := migTarget(b.exec).(partitionExporter); ok {
-		return pe.ExportSince(since, after, limit)
-	}
-	return nil, 0, 0, fmt.Errorf("mbds: backend %d cannot export its partition", b.id)
-}
-
-// importPartition installs exported records, locally or over the bus.
-func (b *backend) importPartition(recs []kdb.MigRecord) error {
-	if b.store != nil {
-		_, err := b.store.ImportPartition(recs)
-		return err
-	}
-	if pi, ok := migTarget(b.exec).(partitionImporter); ok {
-		_, err := pi.ImportPartition(recs)
-		return err
-	}
-	return fmt.Errorf("mbds: backend %d cannot import a partition", b.id)
-}
-
-// dropRecords removes stranded copies, locally or over the bus.
-func (b *backend) dropRecords(ids []abdm.RecordID) error {
-	if b.store != nil {
-		_, err := b.store.DropRecords(ids)
-		return err
-	}
-	if pi, ok := migTarget(b.exec).(partitionImporter); ok {
-		_, err := pi.DropRecords(ids)
-		return err
-	}
-	return fmt.Errorf("mbds: backend %d cannot drop records", b.id)
-}
-
-// migExec executes one catch-up request directly against the backend's
-// partition, bypassing the bus policy (and injected faults) like the other
-// migration verbs.
-func (b *backend) migExec(req *abdl.Request) (*kdb.Result, error) {
-	if b.store != nil {
-		return b.store.Exec(req)
-	}
-	return migTarget(b.exec).Exec(req)
-}
-
 // installView publishes a new backend view and advances the membership
 // epoch.
 func (s *System) installView(v []*backend) {
@@ -189,13 +120,12 @@ func (s *System) addBackend(exec Executor, store *kdb.Store) (int, error) {
 	defer s.opWG.Done()
 	s.memMu.Lock()
 	defer s.memMu.Unlock()
-	b := newBackend(s.allocBID(), exec, store, s.cfg.FaultInjection)
+	b := s.newBackend(s.allocBID(), exec, store)
 	s.initBackendMetrics(b)
 	view := s.viewSnap()
 	nv := make([]*backend, 0, len(view)+1)
 	nv = append(append(nv, view...), b)
 	if err := s.migrate(view, nv, view); err != nil {
-		b.retire()
 		return 0, fmt.Errorf("mbds: add backend %d: %w", b.id, err)
 	}
 	return len(nv) - 1, nil
@@ -228,11 +158,9 @@ func (s *System) DrainBackend(pos int) error {
 	if len(view) == 1 {
 		return errors.New("mbds: cannot drain the last backend")
 	}
-	src := view[pos]
 	if err := s.migrate(view, removeFrom(view, pos), view); err != nil {
-		return fmt.Errorf("mbds: drain backend %d: %w", src.id, err)
+		return fmt.Errorf("mbds: drain backend %d: %w", view[pos].id, err)
 	}
-	retireBackend(src)
 	return nil
 }
 
@@ -273,16 +201,7 @@ func (s *System) removeBackend(dead *backend) error {
 	}
 	s.metrics.promotions.Inc()
 	s.elastic.promotions.Add(1)
-	retireBackend(dead)
 	return nil
-}
-
-// retireBackend stops a backend that has left the view.
-func retireBackend(b *backend) {
-	b.retire()
-	if b.faulty != nil {
-		b.faulty.releaseHangs()
-	}
 }
 
 // failoverMonitor watches backend health and removes any backend whose
@@ -421,7 +340,7 @@ func (s *System) copyRound(m *migration) (int, error) {
 		var after abdm.RecordID
 		var first uint64
 		for {
-			recs, next, epoch, err := src.exportSince(m.since[i], after, migPage)
+			recs, next, epoch, err := src.exec.ExportSince(m.since[i], after, migPage)
 			if err != nil {
 				return copied, err
 			}
@@ -454,7 +373,7 @@ func (s *System) copyRound(m *migration) (int, error) {
 				s.elastic.bytes.Add(nb)
 			}
 			for b, rs := range byDest {
-				if err := b.importPartition(rs); err != nil {
+				if _, err := b.exec.ImportPartition(rs); err != nil {
 					return copied, err
 				}
 				for _, r := range rs {
@@ -475,24 +394,27 @@ func (s *System) copyRound(m *migration) (int, error) {
 // destinations: a placement-pinned mutation goes to the holders its key
 // gains, MVCC commit/abort stamps to every backend that imported chains (an
 // import may have delivered pending versions after the broadcast ran there,
-// or the backend is not in the view yet). All replayed operations are
-// idempotent. Caller holds the write fence.
+// or the backend is not in the view yet). Like the other migration verbs it
+// calls the partitions directly, past the bus policy and injected faults.
+// All replayed operations are idempotent. Caller holds the write fence.
 func (s *System) replayCatchup(m *migration) error {
 	s.migMu.Lock()
 	log := s.migLog
 	s.migLog = nil
 	s.migMu.Unlock()
-	for _, req := range log {
+	out := make([]*kdb.Result, 1)
+	for i, req := range log {
+		one := log[i : i+1]
 		switch req.Kind {
 		case abdl.MvccCommit, abdl.MvccAbort:
 			for b := range m.imported {
-				if _, err := b.migExec(req); err != nil {
+				if err := b.exec.ExecBatch(one, out); err != nil {
 					return err
 				}
 			}
 		default:
 			for _, h := range s.gained(m, req.ForceID) {
-				if _, err := h.migExec(req); err != nil {
+				if err := h.exec.ExecBatch(one, out); err != nil {
 					return err
 				}
 				m.imported.note(h, req.ForceID)
@@ -513,6 +435,6 @@ func dropAll(copies idSet) {
 		for id := range ids {
 			drop = append(drop, id)
 		}
-		_ = b.dropRecords(drop)
+		_, _ = b.exec.DropRecords(drop)
 	}
 }

@@ -73,24 +73,27 @@ func (e *InjectedError) Error() string {
 // Transient marks the failure as retryable.
 func (e *InjectedError) Transient() bool { return true }
 
-// FaultyExecutor wraps an Executor with configurable fault injection. A nil
-// plan (the initial state) passes every request through untouched; SetPlan
-// swaps plans atomically mid-workload, releasing any requests a previous
-// hang plan captured.
+// FaultyExecutor wraps an Executor with configurable fault injection. It
+// applies its plan to each request of a share in turn, so a share fails at
+// its first faulted request; the migration verbs pass straight through. A
+// nil plan (the initial state) passes every request through untouched;
+// SetPlan swaps plans atomically mid-workload, releasing any requests a
+// previous hang plan captured.
 type FaultyExecutor struct {
-	inner Executor
+	Executor
 
 	mu       sync.Mutex
 	plan     *FaultPlan
 	n        uint64 // requests seen under the current plan
 	rng      uint64 // xorshift64* state for Fraction selection
 	injected uint64
-	release  chan struct{} // closed to free hanging requests
+	release  chan struct{}   // closed to free hanging requests
+	closed   <-chan struct{} // the owning system's Close; frees hangs for good
 }
 
 // NewFaultyExecutor wraps inner with a (initially healthy) fault injector.
 func NewFaultyExecutor(inner Executor) *FaultyExecutor {
-	return &FaultyExecutor{inner: inner, release: make(chan struct{})}
+	return &FaultyExecutor{Executor: inner, release: make(chan struct{})}
 }
 
 // SetPlan installs a fault plan (nil restores healthy operation). Requests
@@ -125,15 +128,6 @@ func (f *FaultyExecutor) Injected() uint64 {
 	return f.injected
 }
 
-// releaseHangs frees hanging requests without clearing the plan; Close uses
-// it so a hang fault cannot wedge system shutdown.
-func (f *FaultyExecutor) releaseHangs() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	close(f.release)
-	f.release = make(chan struct{})
-}
-
 // decide advances the plan state by one request and reports whether (and
 // how) to inject.
 func (f *FaultyExecutor) decide() (mode FaultMode, delay time.Duration, release chan struct{}, hit bool) {
@@ -159,38 +153,28 @@ func (f *FaultyExecutor) decide() (mode FaultMode, delay time.Duration, release 
 	return f.plan.Mode, f.plan.Delay, f.release, hit
 }
 
-// Exec applies the fault plan, then (for delay faults or healthy requests)
-// delegates to the wrapped executor.
-func (f *FaultyExecutor) Exec(req *abdl.Request) (*kdb.Result, error) {
-	mode, delay, release, hit := f.decide()
-	if hit {
-		switch mode {
-		case FaultErr, FaultDrop:
-			return nil, &InjectedError{Mode: mode}
-		case FaultHang:
-			<-release
-			return nil, &InjectedError{Mode: mode}
-		case FaultDelay:
-			time.Sleep(delay)
+// ExecBatch applies the fault plan to each request in turn, then (for delay
+// faults or healthy requests) hands that request to the wrapped executor.
+func (f *FaultyExecutor) ExecBatch(reqs []*abdl.Request, out []*kdb.Result) error {
+	for i := range reqs {
+		mode, delay, release, hit := f.decide()
+		if hit {
+			switch mode {
+			case FaultErr, FaultDrop:
+				return &InjectedError{Mode: mode}
+			case FaultHang:
+				select {
+				case <-release:
+				case <-f.closed:
+				}
+				return &InjectedError{Mode: mode}
+			case FaultDelay:
+				time.Sleep(delay)
+			}
+		}
+		if err := f.Executor.ExecBatch(reqs[i:i+1], out[i:i+1]); err != nil {
+			return err
 		}
 	}
-	return f.inner.Exec(req)
-}
-
-// Underlying returns the wrapped executor. Migration traffic — partition
-// export/import and catch-up replay — is the controller's reliable control
-// channel and goes straight to it, so injected bus faults cannot corrupt a
-// migration.
-func (f *FaultyExecutor) Underlying() Executor { return f.inner }
-
-// Len passes the record count through to the wrapped executor, so partition
-// sizes stay observable while faults are active.
-func (f *FaultyExecutor) Len() (int, error) {
-	if rl, ok := f.inner.(interface{ Len() (int, error) }); ok {
-		return rl.Len()
-	}
-	if st, ok := f.inner.(*kdb.Store); ok {
-		return st.Len(), nil
-	}
-	return 0, fmt.Errorf("mbds: wrapped executor does not report length")
+	return nil
 }

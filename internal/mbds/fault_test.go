@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,9 +88,12 @@ func TestFaultyExecutorSelection(t *testing.T) {
 	store := kdb.NewStore(dir.Clone())
 	f := NewFaultyExecutor(store)
 	probe := abdl.NewRetrieve(nil, abdl.AllAttrs)
+	one := func(e Executor) error {
+		return e.ExecBatch([]*abdl.Request{probe}, make([]*kdb.Result, 1))
+	}
 
 	// Healthy by default.
-	if _, err := f.Exec(probe); err != nil {
+	if err := one(f); err != nil {
 		t.Fatalf("healthy exec: %v", err)
 	}
 
@@ -97,7 +101,7 @@ func TestFaultyExecutorSelection(t *testing.T) {
 	f.SetPlan(&FaultPlan{Mode: FaultErr, EveryN: 3})
 	var failed int
 	for i := 0; i < 9; i++ {
-		if _, err := f.Exec(probe); err != nil {
+		if err := one(f); err != nil {
 			var inj *InjectedError
 			if !errors.As(err, &inj) {
 				t.Fatalf("unexpected error type: %v", err)
@@ -115,7 +119,7 @@ func TestFaultyExecutorSelection(t *testing.T) {
 		g.SetPlan(&FaultPlan{Mode: FaultDrop, Fraction: 0.5, Seed: seed})
 		n := 0
 		for i := 0; i < 200; i++ {
-			if _, err := g.Exec(probe); err != nil {
+			if err := one(g); err != nil {
 				n++
 			}
 		}
@@ -132,11 +136,24 @@ func TestFaultyExecutorSelection(t *testing.T) {
 	// Delay mode executes the request after the pause.
 	f.SetPlan(&FaultPlan{Mode: FaultDelay, EveryN: 1, Delay: time.Millisecond})
 	start := time.Now()
-	if _, err := f.Exec(probe); err != nil {
+	if err := one(f); err != nil {
 		t.Fatalf("delay exec: %v", err)
 	}
 	if time.Since(start) < time.Millisecond {
 		t.Error("delay fault did not delay")
+	}
+
+	// A share fails at its first faulted request: the requests before it
+	// have run, the ones after it have not.
+	f.SetPlan(&FaultPlan{Mode: FaultErr, EveryN: 2})
+	share := []*abdl.Request{probe, probe, probe}
+	out := make([]*kdb.Result, len(share))
+	var inj *InjectedError
+	if err := f.ExecBatch(share, out); !errors.As(err, &inj) {
+		t.Fatalf("share under EveryN=2: err = %v, want an InjectedError", err)
+	}
+	if out[0] == nil || out[1] != nil || out[2] != nil {
+		t.Fatalf("share results %v, want the first request's only", out)
 	}
 }
 
@@ -383,8 +400,8 @@ func TestDeadlineInsertLeavesOneCopy(t *testing.T) {
 		t.Error("the pinned insert was not retried after its deadline")
 	}
 	s.Fault(0).SetPlan(nil)
-	// The backend serves one share at a time, so a read it answers comes
-	// after every attempt it accepted.
+	// A call after a missed deadline waits for the abandoned attempt, so a
+	// read the backend answers comes after every attempt it accepted.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		res, err := s.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
@@ -419,9 +436,13 @@ func TestSnapshotSurfacesLostPartition(t *testing.T) {
 	}
 }
 
-type failingExec struct{ err error }
+// failingExec fails every share; its migration verbs are never called.
+type failingExec struct {
+	Executor
+	err error
+}
 
-func (f failingExec) Exec(*abdl.Request) (*kdb.Result, error) { return nil, f.err }
+func (f failingExec) ExecBatch([]*abdl.Request, []*kdb.Result) error { return f.err }
 
 func TestCloseExecConcurrentNoPanic(t *testing.T) {
 	// Exec racing Close must return ErrClosed (or complete), never panic.
@@ -455,20 +476,25 @@ func TestCloseExecConcurrentNoPanic(t *testing.T) {
 }
 
 // callTagger is an executor whose results carry their call number in Count,
-// so a test can tell which attempt produced a merged result. Its first call
-// clears the fault plan of the injector wrapping it: only the first attempt
-// is faulted. Calls arrive from the backend's serve loop alone.
+// so a test can tell which attempt produced a merged result. The fault
+// injector wrapping it hands it one request per call. Its first call clears
+// the injector's fault plan: only the first attempt is faulted. Calls never
+// overlap: a retry waits for the attempt it replaced.
 type callTagger struct {
+	Executor
 	fault *FaultyExecutor
 	calls int
 }
 
-func (c *callTagger) Exec(req *abdl.Request) (*kdb.Result, error) {
-	c.calls++
-	if c.calls == 1 {
-		c.fault.SetPlan(nil)
+func (c *callTagger) ExecBatch(reqs []*abdl.Request, out []*kdb.Result) error {
+	for i, req := range reqs {
+		c.calls++
+		if c.calls == 1 {
+			c.fault.SetPlan(nil)
+		}
+		out[i] = &kdb.Result{Op: req.Kind, Count: c.calls}
 	}
-	return &kdb.Result{Op: req.Kind, Count: c.calls}, nil
+	return nil
 }
 
 // TestLateReplyAfterDeadlineIsIgnored delays a backend's first attempt past
@@ -487,9 +513,9 @@ func TestLateReplyAfterDeadlineIsIgnored(t *testing.T) {
 			}
 			t.Cleanup(s.Close)
 			tagger.fault = s.Fault(0)
-			// The delay only just overshoots the deadline: the serve loop
-			// runs one job at a time, so the retry waits for the abandoned
-			// attempt and keeps the rest of its own deadline.
+			// The delay only just overshoots the deadline: the retry waits
+			// for the abandoned attempt and keeps the rest of its own
+			// deadline.
 			tagger.fault.SetPlan(&FaultPlan{Mode: FaultDelay, EveryN: 1, Delay: 220 * time.Millisecond})
 
 			reqs := make([]*abdl.Request, n)
@@ -521,5 +547,62 @@ func TestLateReplyAfterDeadlineIsIgnored(t *testing.T) {
 				t.Errorf("health after one missed deadline: %v", h)
 			}
 		})
+	}
+}
+
+// slowOnce is a local partition whose first share after arming sleeps past
+// the request deadline before it runs; returned closes when it is done.
+type slowOnce struct {
+	*kdb.Store
+	delay    time.Duration
+	armed    atomic.Bool
+	returned chan struct{}
+}
+
+func (p *slowOnce) ExecBatch(reqs []*abdl.Request, out []*kdb.Result) error {
+	if p.armed.CompareAndSwap(true, false) {
+		defer close(p.returned)
+		time.Sleep(p.delay)
+	}
+	return p.Store.ExecBatch(reqs, out)
+}
+
+// TestNoLateWriteAfterAbandonedAttempt: an UPDATE's first attempt misses its
+// deadline and is retried; the next UPDATE must not be overwritten by the
+// abandoned attempt when it finally runs. A call after a missed deadline
+// waits for the abandoned attempt, so the writes land in statement order.
+func TestNoLateWriteAfterAbandonedAttempt(t *testing.T) {
+	part := &slowOnce{Store: kdb.NewStore(testDir(t)), delay: 80 * time.Millisecond, returned: make(chan struct{})}
+	cfg := DefaultConfig(1)
+	cfg.RequestTimeout = 50 * time.Millisecond
+	cfg.MaxRetries = 2
+	cfg.RetryBackoff = time.Millisecond
+	s, err := NewWithExecutors(testDir(t), cfg, []Executor{part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	loadEmployees(t, s, 1)
+	who := abdm.And(abdm.Predicate{Attr: "name", Op: abdm.OpEq, Val: abdm.String("emp0000")})
+	setSalary := func(v int64) {
+		t.Helper()
+		if _, err := s.Exec(abdl.NewUpdate(who, abdl.Modifier{Attr: "salary", Val: abdm.Int(v)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	part.armed.Store(true)
+	setSalary(1) // the first attempt is abandoned, the retry succeeds
+	if h := s.Health()[0]; h.Retries == 0 {
+		t.Fatal("the delayed UPDATE was not retried")
+	}
+	setSalary(2)
+	<-part.returned
+	res, err := s.Exec(abdl.NewRetrieve(who, "salary"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := res.Records[0].Rec.Get("salary"); got.AsInt() != 2 {
+		t.Fatalf("salary = %d after the abandoned attempt returned, want 2", got.AsInt())
 	}
 }

@@ -7,10 +7,12 @@
 // request in parallel. The controller broadcasts each request over the
 // communication bus, collects the partial results, and merges them.
 //
-// This implementation runs the controller and the backends as goroutines
-// joined by channels (the bus). Each backend charges its work to a synthetic
-// disk model; the controller's simulated response time for a request is the
-// bus overhead plus the *maximum* backend time — the backends work in
+// This implementation's bus is a call: a round gives each backend's share a
+// goroutine of its own and calls the backend's Executor on it, so the
+// backends work in parallel and one backend runs concurrent rounds' shares
+// side by side. Each backend charges its work to a synthetic disk model;
+// the controller's simulated response time for a request is the bus
+// overhead plus the *maximum* backend time — the backends work in
 // parallel — which is what produces the paper's two performance claims:
 // response time falls near-reciprocally as backends are added at fixed
 // database size, and stays invariant when the database grows proportionally
@@ -117,7 +119,7 @@ type System struct {
 	dir      *abdm.Directory
 	nextID   atomic.Uint64
 	closed   atomic.Bool
-	closedCh chan struct{}  // closed by Close; aborts blocked bus operations
+	closedCh chan struct{}  // closed by Close; ends retry backoffs and hang faults
 	closeMu  sync.RWMutex   // orders beginOp's opWG.Add before Close's opWG.Wait
 	opWG     sync.WaitGroup // in-flight Exec-family operations
 	metrics  sysMetrics
@@ -148,32 +150,34 @@ type System struct {
 	elastic elasticCounters
 }
 
-// Executor executes ABDL requests against one backend partition. Local
-// backends use a kdb.Store; remote backends (package mbdsnet) satisfy it
-// over TCP.
+// Executor is one backend partition as the controller reaches it: a
+// *kdb.Store in process, or an mbdsnet.RemoteBackend over TCP. ExecBatch
+// takes a backend's share of a round — a remote backend sends it as one wire
+// message — and executes it in order, writing one result per request into
+// out (len(out) == len(reqs)); it stops at the first failure and returns
+// that request's error. The other three are the live-migration verbs.
 type Executor interface {
-	Exec(*abdl.Request) (*kdb.Result, error)
+	ExecBatch(reqs []*abdl.Request, out []*kdb.Result) error
+	ExportSince(since uint64, after abdm.RecordID, limit int) ([]kdb.MigRecord, abdm.RecordID, uint64, error)
+	ImportPartition(recs []kdb.MigRecord) (int, error)
+	DropRecords(ids []abdm.RecordID) (int, error)
 }
 
-// BatchExecutor is implemented by remote executors that take a backend's
-// whole share of a round in one call — mbdsnet.RemoteBackend, as a single
-// wire message. Local stores, and executors without it, are fed a share one
-// request at a time.
-type BatchExecutor interface {
-	ExecBatch([]*abdl.Request) ([]*kdb.Result, error)
-}
-
-// backend is one slave: its executor plus the goroutine that serves its
-// side of the bus. store is nil for remote backends.
+// backend is one slave. The round calls bus on its own goroutine; migration
+// traffic calls exec, the partition itself, so injected faults never reach
+// it. store is exec when the partition is local, nil when it is remote.
 type backend struct {
 	id     int // stable id, survives membership changes
 	exec   Executor
-	store  *kdb.Store
+	bus    Executor        // exec, or faulty wrapping it
+	store  *kdb.Store      // read by observability and tests, not the request path
 	faulty *FaultyExecutor // non-nil when Config.FaultInjection is set
-	reqCh  chan job
-	quit   chan struct{} // closed on retirement; stops the serve loop
-	done   chan struct{}
-	once   sync.Once // guards quit: Close and a prior drain may both retire
+
+	// late is closed once every attempt abandoned at its deadline has
+	// finished; nil when none is running. The next call on the backend
+	// waits for it, so a retry never races the attempt it replaced.
+	lateMu sync.Mutex
+	late   chan struct{}
 
 	hmu    sync.Mutex
 	health health
@@ -181,35 +185,16 @@ type backend struct {
 	metrics backendMetrics
 }
 
-// retire stops the backend's serve loop. Safe to call more than once (a
-// drained backend is retired by the drain and again by Close).
-func (b *backend) retire() { b.once.Do(func() { close(b.quit) }) }
-
-// job is one bus message: a backend's share of a round. The backend writes
-// one result per request into out and replies with the share's error.
-type job struct {
-	reqs  []*abdl.Request
-	out   []*kdb.Result
-	reply chan error // buffered (cap 1): serve never blocks on a reply
-}
-
-// newBackend builds one backend over the executor and starts its serve
-// loop. store is the executor's local store, nil for remote executors.
-func newBackend(id int, exec Executor, store *kdb.Store, faults bool) *backend {
-	b := &backend{
-		id:    id,
-		exec:  exec,
-		store: store,
-		reqCh: make(chan job),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
+// newBackend builds one backend over the executor. store is the executor
+// when it is a local store, nil for remote executors.
+func (s *System) newBackend(id int, exec Executor, store *kdb.Store) *backend {
+	b := &backend{id: id, exec: exec, bus: exec, store: store}
 	b.health.up = true
-	if faults {
+	if s.cfg.FaultInjection {
 		b.faulty = NewFaultyExecutor(exec)
-		b.exec = b.faulty
+		b.faulty.closed = s.closedCh
+		b.bus = b.faulty
 	}
-	go b.serve()
 	return b
 }
 
@@ -225,12 +210,9 @@ func New(dir *abdm.Directory, cfg Config) (*System, error) {
 	for i := 0; i < cfg.Backends; i++ {
 		store, err := s.newLocalStore(i)
 		if err != nil {
-			for _, b := range s.view {
-				b.retire()
-			}
 			return nil, fmt.Errorf("mbds: opening backend %d store: %w", i, err)
 		}
-		s.view = append(s.view, newBackend(i, store, store, cfg.FaultInjection))
+		s.view = append(s.view, s.newBackend(i, store, store))
 	}
 	s.finishInit()
 	return s, nil
@@ -289,46 +271,10 @@ func NewWithExecutors(dir *abdm.Directory, cfg Config, execs []Executor) (*Syste
 	cfg.Backends = len(execs)
 	s := &System{cfg: cfg, dir: dir, closedCh: make(chan struct{})}
 	for i, ex := range execs {
-		s.view = append(s.view, newBackend(i, ex, nil, cfg.FaultInjection))
+		s.view = append(s.view, s.newBackend(i, ex, nil))
 	}
 	s.finishInit()
 	return s, nil
-}
-
-// serve is the backend's message loop: receive a share, execute it against
-// the partition, reply with the outcome. The loop stops when the system
-// closes; reqCh itself is never closed, so a racing dispatch can never panic
-// on it.
-func (b *backend) serve() {
-	defer close(b.done)
-	for {
-		select {
-		case j := <-b.reqCh:
-			j.reply <- b.run(j.reqs, j.out)
-		case <-b.quit:
-			return
-		}
-	}
-}
-
-// run executes a share in order, writing one result per request into out. A
-// remote executor implementing BatchExecutor (mbdsnet.RemoteBackend) takes
-// the whole share as one wire message; a local store, or a fault-injecting
-// wrapper, takes one request at a time, so faults still hit each request.
-func (b *backend) run(reqs []*abdl.Request, out []*kdb.Result) error {
-	if be, ok := b.exec.(BatchExecutor); ok && b.store == nil {
-		res, err := be.ExecBatch(reqs)
-		copy(out, res)
-		return err
-	}
-	for i, req := range reqs {
-		res, err := b.exec.Exec(req)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-	}
-	return nil
 }
 
 // viewSnap returns the current backend view. The returned slice is
@@ -352,9 +298,10 @@ func (s *System) MembershipEpoch() uint64 {
 // system was built with Config.FaultInjection. i indexes the current view.
 func (s *System) Fault(i int) *FaultyExecutor { return s.viewSnap()[i].faulty }
 
-// Close shuts the backends down. Concurrent Exec-family calls return
+// Close shuts the system down. Concurrent Exec-family calls return
 // ErrClosed (or their result, if already in flight); the system must not be
-// used afterwards.
+// used afterwards. Closing releases every hang fault first, so the wait for
+// in-flight operations cannot wedge on one.
 func (s *System) Close() {
 	s.closeMu.Lock()
 	already := s.closed.Swap(true)
@@ -368,27 +315,6 @@ func (s *System) Close() {
 		s.monWG.Wait()
 	}
 	s.opWG.Wait()
-	view := s.viewSnap()
-	for _, b := range view {
-		b.retire()
-		if b.faulty != nil {
-			// A hang fault must not wedge shutdown.
-			b.faulty.releaseHangs()
-		}
-	}
-	grace := 2 * s.cfg.RequestTimeout
-	for _, b := range view {
-		if grace > 0 {
-			// A backend wedged past its deadline (a hang fault inside a
-			// wrapped executor) is abandoned rather than waited for.
-			select {
-			case <-b.done:
-			case <-time.After(grace):
-			}
-		} else {
-			<-b.done
-		}
-	}
 }
 
 // beginOp registers an in-flight operation, refusing if the system is

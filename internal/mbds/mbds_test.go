@@ -1,8 +1,11 @@
 package mbds
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,3 +387,50 @@ func TestSystemConcurrentClients(t *testing.T) {
 }
 
 var _ = kdb.DefaultDiskModel // keep kdb import referenced if tests shrink
+
+// barrierStore is a local partition whose share call waits at a two-party
+// barrier: the first two shares return only once both have arrived.
+type barrierStore struct {
+	*kdb.Store
+	parties atomic.Int32
+	both    chan struct{}
+}
+
+func (b *barrierStore) ExecBatch(reqs []*abdl.Request, out []*kdb.Result) error {
+	if b.parties.Add(1) == 2 {
+		close(b.both)
+	}
+	select {
+	case <-b.both:
+	case <-time.After(5 * time.Second):
+		return errors.New("a share waited alone at the barrier")
+	}
+	return b.Store.ExecBatch(reqs, out)
+}
+
+// TestSharesOnOneBackendOverlap: two concurrent statements on a one-backend
+// system reach the backend together, each share on its own round's
+// goroutine; neither waits for the other to finish.
+func TestSharesOnOneBackendOverlap(t *testing.T) {
+	part := &barrierStore{Store: kdb.NewStore(testDir(t)), both: make(chan struct{})}
+	s, err := NewWithExecutors(testDir(t), DefaultConfig(1), []Executor{part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = s.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("statement %d: %v", i, err)
+		}
+	}
+}

@@ -30,7 +30,7 @@ type backendMetrics struct {
 	failures *obs.Counter // failed attempts
 	retries  *obs.Counter // attempts beyond the first per request
 	trips    *obs.Counter // circuit-breaker openings
-	queue    *obs.Gauge   // requests currently in flight on the bus
+	queue    *obs.Gauge   // share attempts currently in flight
 }
 
 // initMetrics resolves the system's metric handles from Config.Metrics,
@@ -79,7 +79,7 @@ func (s *System) initBackendMetrics(b *backend) {
 		trips: reg.Counter("mlds_backend_breaker_trips_total",
 			"circuit-breaker openings per backend", db, be),
 		queue: reg.Gauge("mlds_backend_queue_depth",
-			"requests in flight on each backend's bus channel", db, be),
+			"share attempts in flight on each backend", db, be),
 	}
 	// Paged-backend memory accounting: how many record bodies the demand-paged
 	// store holds in RAM, and how many pages the buffer pool keeps resident.

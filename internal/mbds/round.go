@@ -2,7 +2,6 @@ package mbds
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -460,9 +459,6 @@ func (s *System) callBackend(b *backend, reqs []*abdl.Request, out []*kdb.Result
 			b.noteSuccess()
 			return out, nil
 		}
-		if errors.Is(err, ErrClosed) {
-			return nil, err
-		}
 		b.metrics.failures.Inc()
 		b.noteFailure(err, s.cfg)
 		// Retry only recoverable failures.
@@ -477,30 +473,73 @@ func (s *System) callBackend(b *backend, reqs []*abdl.Request, out []*kdb.Result
 	}
 }
 
-// callOnce performs a single bus round trip with the configured deadline.
+// callOnce makes one attempt at a share. Without a RequestTimeout it calls
+// the backend on the caller's goroutine. With one, the attempt gets a
+// goroutine of its own, since only then can a blocked call be abandoned at
+// the deadline; an abandoned attempt runs on, and the backend's next call
+// waits for it within its own deadline, so a late write never lands after
+// the retry that replaced it.
 func (s *System) callOnce(b *backend, reqs []*abdl.Request, out []*kdb.Result) error {
 	b.metrics.queue.Inc()
 	defer b.metrics.queue.Dec()
-	reply := make(chan error, 1)
-	var timeout <-chan time.Time
-	if s.cfg.RequestTimeout > 0 {
-		t := time.NewTimer(s.cfg.RequestTimeout)
-		defer t.Stop()
-		timeout = t.C
+	if s.cfg.RequestTimeout <= 0 {
+		return b.bus.ExecBatch(reqs, out)
 	}
-	select {
-	case b.reqCh <- job{reqs: reqs, out: out, reply: reply}:
-	case <-timeout:
-		return &DeadlineError{Backend: b.id, Timeout: s.cfg.RequestTimeout}
-	case <-s.closedCh:
-		return ErrClosed
+	deadline := time.NewTimer(s.cfg.RequestTimeout)
+	defer deadline.Stop()
+	if late := b.lateAttempts(); late != nil {
+		select {
+		case <-late:
+		case <-deadline.C:
+			return &DeadlineError{Backend: b.id, Timeout: s.cfg.RequestTimeout}
+		}
 	}
+	var err error
+	done := make(chan struct{})
+	go func() {
+		err = b.bus.ExecBatch(reqs, out)
+		close(done)
+	}()
 	select {
-	case err := <-reply:
+	case <-done:
 		return err
-	case <-timeout:
+	case <-deadline.C:
+		b.abandon(done)
 		return &DeadlineError{Backend: b.id, Timeout: s.cfg.RequestTimeout}
-	case <-s.closedCh:
-		return ErrClosed
 	}
+}
+
+// lateAttempts returns a channel closed once every abandoned attempt on the
+// backend has finished, or nil when none is running.
+func (b *backend) lateAttempts() <-chan struct{} {
+	b.lateMu.Lock()
+	defer b.lateMu.Unlock()
+	if b.late != nil {
+		select {
+		case <-b.late:
+			b.late = nil
+		default:
+		}
+	}
+	return b.late
+}
+
+// abandon registers an attempt that missed its deadline; done closes when it
+// finishes. Attempts abandoned together (concurrent shares that all missed)
+// are waited for together.
+func (b *backend) abandon(done chan struct{}) {
+	b.lateMu.Lock()
+	defer b.lateMu.Unlock()
+	prev := b.late
+	if prev == nil {
+		b.late = done
+		return
+	}
+	both := make(chan struct{})
+	go func() {
+		<-prev
+		<-done
+		close(both)
+	}()
+	b.late = both
 }

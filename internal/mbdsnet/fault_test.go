@@ -71,29 +71,26 @@ func (d *droppyServer) serve(conn net.Conn) {
 			return
 		}
 		env := *envp
-		apply := func() (*kdb.Result, []*kdb.Result, error) {
-			switch {
-			case env.Action == "execbatch":
-				rs, err := d.store.ExecBatch(env.Reqs)
-				return nil, rs, err
-			case env.Req != nil:
-				res, err := d.store.Exec(env.Req)
-				return res, nil, err
+		apply := func() ([]*kdb.Result, error) {
+			if env.Action != "execbatch" {
+				return nil, nil
 			}
-			return nil, nil, nil
+			rs := make([]*kdb.Result, len(env.Reqs))
+			return rs, d.store.ExecBatch(env.Reqs, rs)
 		}
 		if atomic.AddInt32(&d.drops, -1) >= 0 {
-			_, _, _ = apply() // executed, but never acknowledged
+			_, _ = apply() // executed, but never acknowledged
 			return
 		}
 		reply := wire.Envelope{Seq: env.Seq}
 		switch env.Action {
-		case "", "exec", "execbatch":
-			res, rs, err := apply()
+		case "execbatch":
+			rs, err := apply()
 			if err != nil {
 				reply.Err = err.Error()
+			} else {
+				reply.Results = rs
 			}
-			reply.Res, reply.Results = res, rs
 		case "len":
 			reply.N = d.store.Len()
 		}
@@ -141,7 +138,7 @@ func TestDroppedInsertNotResent(t *testing.T) {
 	}
 	defer rb.Close()
 
-	_, err = rb.Exec(abdl.NewInsert(employee("amb")))
+	_, err = execOne(rb, abdl.NewInsert(employee("amb")))
 	var down *DownError
 	if !errors.As(err, &down) {
 		t.Fatalf("err = %v, want DownError", err)
@@ -338,7 +335,7 @@ func TestUnreachableBackendDownError(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = rb.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+	_, err = execOne(rb, abdl.NewRetrieve(nil, abdl.AllAttrs))
 	var down *DownError
 	if !errors.As(err, &down) {
 		t.Fatalf("err = %v, want DownError", err)
@@ -484,7 +481,7 @@ func TestDrainTypedRefusal(t *testing.T) {
 	}
 	defer rb.Close()
 
-	if _, err := rb.Exec(abdl.NewInsert(employee("pre"))); err != nil {
+	if _, err := execOne(rb, abdl.NewInsert(employee("pre"))); err != nil {
 		t.Fatal(err)
 	}
 	srv.Drain()
@@ -492,7 +489,7 @@ func TestDrainTypedRefusal(t *testing.T) {
 		t.Fatal("Draining() = false after Drain")
 	}
 
-	_, err = rb.Exec(abdl.NewInsert(employee("refused")))
+	_, err = execOne(rb, abdl.NewInsert(employee("refused")))
 	var de *DrainingError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want DrainingError", err)
@@ -500,7 +497,7 @@ func TestDrainTypedRefusal(t *testing.T) {
 	if !de.Transient() {
 		t.Error("DrainingError must be transient (safe to retry elsewhere)")
 	}
-	if _, err := rb.ExecBatch([]*abdl.Request{abdl.NewInsert(employee("b"))}); !errors.As(err, &de) {
+	if err := rb.ExecBatch([]*abdl.Request{abdl.NewInsert(employee("b"))}, make([]*kdb.Result, 1)); !errors.As(err, &de) {
 		t.Fatalf("batch err = %v, want DrainingError", err)
 	}
 	if store.Len() != 1 {

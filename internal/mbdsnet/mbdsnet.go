@@ -36,14 +36,13 @@ type BackendServer struct {
 	// Wire-level op counters. The atomics always count (tests assert the
 	// one-message-per-backend-per-batch property through them); the obs
 	// counters mirror them once Instrument attaches a registry.
-	nExec, nBatch, nBatchReqs, nErrors atomic.Uint64
+	nBatch, nBatchReqs, nErrors atomic.Uint64
 
-	mExec, mBatch, mBatchReqs, mErrors *obs.Counter // nil until Instrument; nil-safe
+	mBatch, mBatchReqs, mErrors *obs.Counter // nil until Instrument; nil-safe
 }
 
 // OpCounts is a snapshot of a backend server's wire-level op counters.
 type OpCounts struct {
-	Exec      uint64 // single-request exec messages served
 	Batch     uint64 // execbatch messages served
 	BatchReqs uint64 // requests carried inside execbatch messages
 	Errors    uint64 // ops that returned an error
@@ -52,7 +51,6 @@ type OpCounts struct {
 // OpCounts snapshots the server's wire-level op counters.
 func (s *BackendServer) OpCounts() OpCounts {
 	return OpCounts{
-		Exec:      s.nExec.Load(),
 		Batch:     s.nBatch.Load(),
 		BatchReqs: s.nBatchReqs.Load(),
 		Errors:    s.nErrors.Load(),
@@ -85,7 +83,7 @@ func (s *BackendServer) Addr() string { return s.ln.Addr().String() }
 func (s *BackendServer) Store() *kdb.Store { return s.store }
 
 // Drain puts the server into drain mode: connections stay up and every
-// subsequent exec/execbatch is answered with a typed CodeDraining refusal —
+// subsequent execbatch is answered with a typed CodeDraining refusal —
 // never executed, so the controller can safely resend it elsewhere or later —
 // instead of the raw connection reset a Close would cause mid-request. The
 // maintenance verbs (len, export, import, drop) keep working, since draining
@@ -158,7 +156,7 @@ func (s *BackendServer) serveConn(conn net.Conn) {
 				reply.ErrCode = wire.CodeInternal
 			}
 		}
-		if s.draining.Load() && (env.Action == "" || env.Action == "exec" || env.Action == "execbatch") {
+		if s.draining.Load() && env.Action == "execbatch" {
 			reply.ErrCode = wire.CodeDraining
 			reply.Err = "mbdsnet: backend draining (request not executed)"
 			if err := wire.WriteEnvelope(bw, &reply); err != nil {
@@ -170,26 +168,13 @@ func (s *BackendServer) serveConn(conn net.Conn) {
 			continue
 		}
 		switch env.Action {
-		case "", "exec":
-			s.nExec.Add(1)
-			s.mExec.Inc()
-			if env.Req == nil {
-				noteErr("mbdsnet: exec without a request")
-				break
-			}
-			res, err := s.store.Exec(env.Req)
-			if err != nil {
-				noteErr(err.Error())
-				break
-			}
-			reply.Res = res
 		case "execbatch":
 			s.nBatch.Add(1)
 			s.mBatch.Inc()
 			s.nBatchReqs.Add(uint64(len(env.Reqs)))
 			s.mBatchReqs.Add(uint64(len(env.Reqs)))
-			results, err := s.store.ExecBatch(env.Reqs)
-			if err != nil {
+			results := make([]*kdb.Result, len(env.Reqs))
+			if err := s.store.ExecBatch(env.Reqs, results); err != nil {
 				noteErr(err.Error())
 				break
 			}
@@ -379,38 +364,22 @@ func (rb *RemoteBackend) replyError(reply wire.Envelope) error {
 	return nil
 }
 
-// Exec executes one ABDL request on the remote backend.
-func (rb *RemoteBackend) Exec(req *abdl.Request) (*kdb.Result, error) {
-	reply, err := rb.roundTrip(wire.Envelope{Action: "exec", Req: req})
-	if err != nil {
-		return nil, err
-	}
-	if err := rb.replyError(reply); err != nil {
-		return nil, err
-	}
-	if reply.Res == nil {
-		return nil, fmt.Errorf("mbdsnet: backend %s sent an empty reply", rb.addr)
-	}
-	return reply.Res, nil
-}
-
-// ExecBatch executes a slice of ABDL requests on the remote backend as one
-// "execbatch" wire message, returning one result per request. It satisfies
-// mbds.BatchExecutor, so a controller batch costs one message round per
-// backend.
-func (rb *RemoteBackend) ExecBatch(reqs []*abdl.Request) ([]*kdb.Result, error) {
+// ExecBatch executes a backend's share of a round on the remote backend as
+// one "execbatch" wire message, writing one result per request into out.
+func (rb *RemoteBackend) ExecBatch(reqs []*abdl.Request, out []*kdb.Result) error {
 	reply, err := rb.roundTrip(wire.Envelope{Action: "execbatch", Reqs: reqs})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := rb.replyError(reply); err != nil {
-		return nil, err
+		return err
 	}
 	if len(reply.Results) != len(reqs) {
-		return nil, fmt.Errorf("mbdsnet: backend %s answered %d results for a %d-request batch",
+		return fmt.Errorf("mbdsnet: backend %s answered %d results for a %d-request batch",
 			rb.addr, len(reply.Results), len(reqs))
 	}
-	return reply.Results, nil
+	copy(out, reply.Results)
+	return nil
 }
 
 // Len reports the remote partition's record count.
@@ -426,8 +395,7 @@ func (rb *RemoteBackend) Len() (int, error) {
 }
 
 // ExportSince pages out the remote partition's records touched at or after
-// the epoch (see kdb.Store.ExportSince). It satisfies the controller's
-// migration source interface.
+// the epoch (see kdb.Store.ExportSince).
 func (rb *RemoteBackend) ExportSince(since uint64, after abdm.RecordID, limit int) ([]kdb.MigRecord, abdm.RecordID, uint64, error) {
 	reply, err := rb.roundTrip(wire.Envelope{Action: "export", Since: since, After: uint64(after), Limit: limit})
 	if err != nil {

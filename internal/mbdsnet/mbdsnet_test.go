@@ -11,6 +11,13 @@ import (
 	"mlds/internal/mbds"
 )
 
+// execOne sends one request to a remote backend as a share of one.
+func execOne(rb *RemoteBackend, req *abdl.Request) (*kdb.Result, error) {
+	out := make([]*kdb.Result, 1)
+	err := rb.ExecBatch([]*abdl.Request{req}, out)
+	return out[0], err
+}
+
 func testDir(t *testing.T) *abdm.Directory {
 	t.Helper()
 	d := abdm.NewDirectory()
@@ -205,10 +212,10 @@ func TestRemoteBackendDirect(t *testing.T) {
 		abdm.Keyword{Attr: "name", Val: abdm.String("x")},
 		abdm.Keyword{Attr: "dept", Val: abdm.String("CS")},
 		abdm.Keyword{Attr: "salary", Val: abdm.Int(5)})
-	if _, err := rb.Exec(abdl.NewInsert(rec)); err != nil {
+	if _, err := execOne(rb, abdl.NewInsert(rec)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rb.Exec(abdl.NewRetrieve(nil, abdl.AllAttrs))
+	res, err := execOne(rb, abdl.NewRetrieve(nil, abdl.AllAttrs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,10 @@ import (
 )
 
 // Instrument wires the backend server into a metrics registry: wire-level
-// exec counters plus gauges over the served store's record count and
+// execbatch counters plus gauges over the served store's record count and
 // lifetime kernel cost, all carrying the given labels. Call before traffic
 // flows; without it the server runs unmetered.
 func (s *BackendServer) Instrument(reg *obs.Registry, labels ...obs.Label) {
-	s.mExec = reg.Counter("mlds_server_exec_total",
-		"ABDL requests served over the wire", labels...)
 	s.mBatch = reg.Counter("mlds_server_batch_total",
 		"execbatch wire messages served", labels...)
 	s.mBatchReqs = reg.Counter("mlds_server_batch_requests_total",

@@ -37,12 +37,13 @@ import (
 	"mlds/internal/wire"
 )
 
+// maxSessionsPerConn caps live sessions on one connection.
+const maxSessionsPerConn = 1024
+
 // Config tunes the serving tier. Zero values mean the stated defaults.
 type Config struct {
 	// MaxSessions caps live sessions across all connections (0 = 4096).
 	MaxSessions int
-	// MaxSessionsPerConn caps live sessions on one connection (0 = 1024).
-	MaxSessionsPerConn int
 	// MaxSessionsPerDB caps live sessions per database (0 = no cap).
 	MaxSessionsPerDB int
 	// SessionQueue is the per-session request queue depth; a statement
@@ -60,12 +61,6 @@ type Config struct {
 	// MaxWatchesPerConn caps live watches on one connection; a WATCH beyond
 	// it is refused with CodeWatchLimit (0 = 64).
 	MaxWatchesPerConn int
-	// WatchQueue is the per-watch server-side event buffer. A client that
-	// stops reading fills it, which blocks that watch's tailer and lets its
-	// commit subscription overflow — the tailer then resynchronizes from the
-	// journal, so slow watch consumers cost resyncs, never lost changes or
-	// unbounded memory (0 = 256).
-	WatchQueue int
 	// Metrics receives the server counters; nil uses the system's registry.
 	Metrics *obs.Registry
 }
@@ -73,9 +68,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 4096
-	}
-	if c.MaxSessionsPerConn == 0 {
-		c.MaxSessionsPerConn = 1024
 	}
 	if c.SessionQueue == 0 {
 		c.SessionQueue = 32
@@ -85,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWatchesPerConn == 0 {
 		c.MaxWatchesPerConn = 64
-	}
-	if c.WatchQueue == 0 {
-		c.WatchQueue = 256
 	}
 	return c
 }
@@ -234,7 +223,7 @@ func (s *Server) admitSession(connSessions int, db string) bool {
 	if s.sessions >= s.cfg.MaxSessions {
 		return false
 	}
-	if connSessions >= s.cfg.MaxSessionsPerConn {
+	if connSessions >= maxSessionsPerConn {
 		return false
 	}
 	if s.cfg.MaxSessionsPerDB > 0 && s.perDB[db] >= s.cfg.MaxSessionsPerDB {

@@ -24,7 +24,9 @@ import (
 //
 // The "execbatch" action carries N requests in Reqs and answers with one
 // Result per request in Results, so a controller batch costs one message
-// round per backend instead of N.
+// round per backend instead of N. It is the only execution verb a backend
+// serves; the single-request Req and Res fields are still encoded, so frame
+// bytes stay unchanged, but nothing sets them.
 //
 // The migration verbs stream partition pages for live migration: "export"
 // sends Since/After/Limit and answers with Migs, Next and Epoch; "import"
@@ -38,7 +40,7 @@ type Envelope struct {
 	Results []*kdb.Result // "execbatch" reply: one result per request, in order
 	Err     string
 	ErrCode Code   // machine-readable classification of Err (CodeOK = none)
-	Action  string // "exec", "execbatch", "len", "export", "import", "drop"
+	Action  string // "execbatch", "len", "export", "import", "drop"
 	N       int
 
 	Since uint64          // "export": inclusive epoch lower bound

@@ -203,7 +203,7 @@ type (
 	RemoteSession = client.Session
 	// RemoteError is a typed server failure with its wire code.
 	RemoteError = client.Error
-	// DialOption configures Dial (client.WithTimeout, client.WithMaxFrame).
+	// DialOption configures Dial (client.WithTimeout).
 	DialOption = client.Option
 )
 
